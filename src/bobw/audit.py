@@ -3,22 +3,32 @@
 Every checker returns an AuditReport carrying the property name, a boolean
 verdict, and a witness: on failure the first violating pair/good, on success
 whatever certifies the property (e.g. the picking sequence that reproduces a
-Pareto-optimal allocation).  All comparisons are exact rational arithmetic;
-there are no tolerances anywhere in this module.
+Pareto-optimal allocation).  All comparisons are exact; there are no
+tolerances anywhere in this module.
+
+``check_efx``, ``min_exante_ratio`` and ``check_exante_ef`` read ordinal
+(``Lexicographic`` and ``Additive``) valuations as integer weights per good,
+derived once per call: the canonical powers of two, or the values scaled by
+the LCM of their denominators.  Lottery probabilities are scaled the same
+way, so these audits compare Python ints.  ``Table`` valuations are read
+through ``value_of``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
+    Additive,
     Instance,
     IntegralAllocation,
     Lexicographic,
     PreconditionError,
     RandomizedAllocation,
+    canonical_lex_values,
     format_rational,
     value_of,
 )
@@ -39,6 +49,48 @@ def _pair_witness(i: int, j: int, **extra) -> dict:
     out = {"viewer": i, "toward": j}
     out.update(extra)
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer weights of ordinal valuations
+
+
+def _integer_weights(inst: Instance) -> list[Optional[tuple[tuple[int, ...], int]]]:
+    """Per agent, (w, s) with v_i(B) = sum(w[g] for g in B) / s and s > 0,
+    or None for a Table valuation."""
+    out: list[Optional[tuple[tuple[int, ...], int]]] = []
+    for val in inst.valuations:
+        if isinstance(val, Lexicographic):
+            out.append((canonical_lex_values(val.ranking), 1))
+        elif isinstance(val, Additive):
+            ratios = [v.as_integer_ratio() for v in val.values]
+            scale = lcm(*(d for _, d in ratios))
+            out.append((tuple(p * (scale // d) for p, d in ratios), scale))
+        else:
+            out.append(None)
+    return out
+
+
+def _expected_matrix(dist: RandomizedAllocation, inst: Instance) -> tuple[list[list], list[int]]:
+    """One pass over the support: E[i][j] / den[i] = E[v_i(j's bundle)].
+
+    Probabilities are scaled by the LCM of their denominators, so entries of
+    ordinal rows are ints; Table rows hold exact Fractions."""
+    scale = lcm(*(p.denominator for p, _ in dist.support))
+    weights = _integer_weights(inst)
+    matrix = [[0] * inst.n for _ in inst.agents]
+    for p, alloc in dist.support:
+        q = p.numerator * (scale // p.denominator)
+        for i, row in enumerate(matrix):
+            if weights[i] is None:
+                for j in inst.agents:
+                    row[j] += q * value_of(inst, i, alloc.bundles[j])
+                continue
+            weight = weights[i][0].__getitem__
+            for j in inst.agents:
+                row[j] += q * sum(map(weight, alloc.bundles[j]))
+    den = [scale * (1 if w is None else w[1]) for w in weights]
+    return matrix, den
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +145,34 @@ def check_ef1(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
 
 def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     """Envy bounded by any good: removing any single good from the envied
-    bundle must kill the envy."""
+    bundle must kill the envy.
+
+    For an additive (or lexicographic) agent the removal that leaves the most
+    is that of the least-valued good, so one comparison per pair decides;
+    only a failing pair is scanned for its first violating good."""
+    weights = _integer_weights(inst)
     for i in inst.agents:
-        vi = value_of(inst, i, alloc.bundles[i])
+        if weights[i] is None:
+            vi = value_of(inst, i, alloc.bundles[i])
+            for j in inst.agents:
+                if i == j:
+                    continue
+                for g in alloc.bundles[j]:
+                    if vi < value_of(inst, i, alloc.bundles[j] - {g}):
+                        return AuditReport("efx", False, _pair_witness(i, j, good=g))
+            continue
+        w = weights[i][0]
+        weight = w.__getitem__
+        vi = sum(map(weight, alloc.bundles[i]))
+        least = min(w, default=0)  # bounds every bundle's least weight from below
         for j in inst.agents:
-            if i == j:
+            bundle = alloc.bundles[j]
+            if i == j or not bundle:
                 continue
-            for g in alloc.bundles[j]:
-                if vi < value_of(inst, i, alloc.bundles[j] - {g}):
-                    return AuditReport("efx", False, _pair_witness(i, j, good=g))
+            total = sum(map(weight, bundle))
+            if vi < total - least and vi < total - min(map(weight, bundle)):
+                g = next(g for g in bundle if vi < total - w[g])
+                return AuditReport("efx", False, _pair_witness(i, j, good=g))
     return AuditReport("efx", True)
 
 
@@ -240,13 +311,16 @@ def exante_ratio(
 
 
 def min_exante_ratio(dist: RandomizedAllocation, inst: Instance) -> Optional[Fraction]:
+    """Minimum of exante_ratio over ordered pairs; None if every pair's
+    ratio is infinite."""
+    matrix, _ = _expected_matrix(dist, inst)
     worst: Optional[Fraction] = None
-    for i in inst.agents:
-        for j in inst.agents:
-            if i == j:
+    for i, row in enumerate(matrix):
+        for j, other in enumerate(row):
+            if i == j or other == 0:
                 continue
-            r = exante_ratio(dist, inst, i, j)
-            if r is not None and (worst is None or r < worst):
+            r = Fraction(row[i], other)
+            if worst is None or r < worst:
                 worst = r
     return worst
 
@@ -254,18 +328,19 @@ def min_exante_ratio(dist: RandomizedAllocation, inst: Instance) -> Optional[Fra
 def check_exante_ef(dist: RandomizedAllocation, inst: Instance, alpha: Fraction) -> AuditReport:
     """alpha-EF in expectation: E[v_i(own)] >= alpha * E[v_i(other)] for all pairs."""
     alpha = Fraction(alpha)
-    for i in inst.agents:
-        num = dist.expected_value(inst, i, i)
-        for j in inst.agents:
-            if i == j:
-                continue
-            den = dist.expected_value(inst, i, j)
-            if num < alpha * den:
+    matrix, den = _expected_matrix(dist, inst)
+    for i, row in enumerate(matrix):
+        for j, other in enumerate(row):
+            if i != j and row[i] < alpha * other:
                 return AuditReport(
                     "exante-ef",
                     False,
                     _pair_witness(
-                        i, j, alpha=format_rational(alpha), own=format_rational(num), other=format_rational(den)
+                        i,
+                        j,
+                        alpha=format_rational(alpha),
+                        own=format_rational(Fraction(row[i], den[i])),
+                        other=format_rational(Fraction(other, den[i])),
                     ),
                 )
     return AuditReport("exante-ef", True, {"alpha": format_rational(alpha)})

@@ -24,9 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
-
-Rational = Fraction
 
 TABLE_GOODS_CAP = 20
 
@@ -50,7 +49,10 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise PreconditionError(f"cannot interpret {value!r} as a rational") from None
     raise PreconditionError(f"cannot interpret {value!r} as a rational")
 
 
@@ -80,8 +82,15 @@ class Additive:
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         """Goods sorted by decreasing value; errors on ties (no strict order)."""
-        if len(set(self.values)) != len(self.values):
+        if self._strict_ranking is None:
             raise PreconditionError("additive values are tied: ordinal order is ambiguous")
+        return self._strict_ranking
+
+    @cached_property
+    def _strict_ranking(self) -> Optional[tuple[int, ...]]:
+        # audits ask for the ranking once per outcome; values never change
+        if len(set(self.values)) != len(self.values):
+            return None
         return tuple(sorted(range(len(self.values)), key=lambda g: (-self.values[g], g)))
 
 
@@ -96,7 +105,7 @@ class Lexicographic:
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         values = canonical_lex_values(self.ranking)
-        return sum((Fraction(values[g]) for g in bundle), start=Fraction(0))
+        return Fraction(sum(values[g] for g in bundle))
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         return self.ranking

@@ -11,6 +11,7 @@ from bobw import (
     Lexicographic,
     PreconditionError,
     RandomizedAllocation,
+    Table,
     check_bounded_charity,
     check_ef,
     check_ef1,
@@ -27,12 +28,15 @@ from bobw import (
     get_fixture,
     min_exante_ratio,
     summarize,
+    uniform_permutation,
     unit_run,
+    value_of,
 )
-from bobw.audit import envied_agents, envies, unenvied_agents
+from bobw import audit
+from bobw.audit import AuditReport, envied_agents, envies, unenvied_agents
 from bobw.rng import SplitMix64
 
-from helpers import from_assignment, lex_instance
+from helpers import additive_instance, from_assignment, lex_instance, monotone_instance
 
 F = Fraction
 
@@ -221,3 +225,106 @@ def test_audit_report_json_shape():
         "passed": False,
         "witness": {"viewer": 1, "toward": 0},
     }
+
+
+# ---------------------------------------------------------------------------
+# differential check of the integer-weight audits against value_of loops
+
+
+def _ref_check_efx(inst, alloc):
+    for i in inst.agents:
+        vi = value_of(inst, i, alloc.bundles[i])
+        for j in inst.agents:
+            if i == j:
+                continue
+            for g in alloc.bundles[j]:
+                if vi < value_of(inst, i, alloc.bundles[j] - {g}):
+                    return AuditReport("efx", False, {"viewer": i, "toward": j, "good": g})
+    return AuditReport("efx", True)
+
+
+def _ref_min_exante_ratio(dist, inst):
+    worst = None
+    for i in inst.agents:
+        for j in inst.agents:
+            if i == j:
+                continue
+            num = dist.expected_value(inst, i, i)
+            den = dist.expected_value(inst, i, j)
+            if den != 0 and (worst is None or num / den < worst):
+                worst = num / den
+    return worst
+
+
+def _ref_check_exante_ef(dist, inst, alpha):
+    for i in inst.agents:
+        num = dist.expected_value(inst, i, i)
+        for j in inst.agents:
+            if i == j:
+                continue
+            den = dist.expected_value(inst, i, j)
+            if num < alpha * den:
+                witness = {"viewer": i, "toward": j, "alpha": str(alpha), "own": str(num), "other": str(den)}
+                return AuditReport("exante-ef", False, witness)
+    return AuditReport("exante-ef", True, {"alpha": str(alpha)})
+
+
+def _fraction_additive_instance(rng, n, m):
+    # small numerators over mixed denominators; ties, zeros and negatives
+    # included, which the audits accept even though validation does not
+    vals = tuple(
+        Additive(values=tuple(F(rng.below(13) - 2, 1 + rng.below(6)) for _ in range(m))) for _ in range(n)
+    )
+    return Instance(n=n, m=m, valuations=vals)
+
+
+def _random_allocation(rng, inst):
+    return from_assignment([rng.below(inst.n) for _ in inst.goods], inst.n)
+
+
+def _random_lottery(rng, inst):
+    outcomes = [_random_allocation(rng, inst) for _ in range(1 + rng.below(4))]
+    weights = [1 + rng.below(7) for _ in outcomes]
+    return RandomizedAllocation.merged((F(w, sum(weights)), a) for w, a in zip(weights, outcomes))
+
+
+def _same_verdicts(inst, alloc, dist):
+    assert check_efx(inst, alloc).to_json() == _ref_check_efx(inst, alloc).to_json()
+    ratio = min_exante_ratio(dist, inst)
+    assert ratio == _ref_min_exante_ratio(dist, inst)
+    alphas = [F(0), F(1, 2), F(3, 4), F(1)] + ([ratio] if ratio is not None else [])
+    for alpha in alphas:
+        expected = _ref_check_exante_ef(dist, inst, alpha)
+        assert check_exante_ef(dist, inst, alpha).to_json() == expected.to_json()
+    return check_efx(inst, alloc).passed
+
+
+def test_integer_audits_match_value_of_loops():
+    rng = SplitMix64(2507)
+    makers = (lex_instance, additive_instance, _fraction_additive_instance)
+    failing = 0
+    for case in range(600):
+        inst = makers[case % 3](rng, 2 + rng.below(4), 1 + rng.below(9))
+        alloc = _random_allocation(rng, inst)
+        tied = any(len(set(v.values)) < inst.m for v in inst.valuations if isinstance(v, Additive))
+        dist = _random_lottery(rng, inst) if tied or case % 2 else uniform_permutation(inst)
+        failing += not _same_verdicts(inst, alloc, dist)
+    assert failing > 300  # most random allocations are not EFX
+
+
+def test_table_valuations_keep_the_value_of_path(monkeypatch):
+    calls = []
+
+    def counted(inst, i, bundle):
+        calls.append(i)
+        return value_of(inst, i, bundle)
+
+    monkeypatch.setattr(audit, "value_of", counted)
+    rng = SplitMix64(77)
+    lex = lex_instance(rng, 3, 5)
+    _same_verdicts(lex, from_assignment([0, 1, 2, 0, 1], 3), uniform_permutation(lex))
+    assert calls == []
+    table = monotone_instance(rng, 3, 5)
+    assert all(isinstance(v, Table) for v in table.valuations)
+    _same_verdicts(table, from_assignment([0, 0, 1, 2, 2], 3), _random_lottery(rng, table))
+    assert calls

@@ -46,6 +46,16 @@ def test_missing_file_is_a_precondition_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--algorithm", "utse"]])
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_unparsable_value_is_a_precondition_error(capsys, tmp_path, command, value):
+    bad = {"n": 1, "m": 2, "valuations": [{"kind": "additive", "values": [value, "1"]}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert value in capsys.readouterr().err
+
+
 def test_epsilon_override_rules(capsys, tmp_path):
     code, data = _run_json(capsys, ["validate", "FIX-B", "--epsilon", "1/100"])
     assert code == 0
