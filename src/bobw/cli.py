@@ -6,6 +6,12 @@ a path to an instance JSON file.  All randomized commands take --seed (an
 unsigned 64-bit integer) and are byte-for-byte reproducible: same command
 line, same output.
 
+ALGORITHMS is the one table of algorithm names.  Each entry says how
+`solve` builds its output (an exact lottery, one seeded draw, or a router
+between the two), how `sample` and `estimate` draw from it, which checkers
+its output owes, and which exact charity distribution `oracle` computes for
+it.  The argparse choices of solve, sample, estimate and oracle come from it.
+
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
 3 bad input or precondition, 4 a resource cap was hit.
 """
@@ -14,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -36,7 +42,6 @@ from .audit import (
 )
 from .charity_algos import bounded_charity, random_charity_swap
 from .core import (
-    FractionalAllocation,
     Instance,
     IntegralAllocation,
     PreconditionError,
@@ -45,33 +50,21 @@ from .core import (
     format_rational,
     load_instance,
     parse_rational,
+    shape_error,
     validate_instance,
-    value_of,
 )
 from .eating import (
     eat_report,
     fractional_outcome,
     full_run,
-    ordinal_rankings,
     representative_matrix,
     rounds_allocation,
     run_eating,
     summarize,
     unit_run,
 )
-from .lex_algos import (
-    depround_k2_sample,
-    k2_sampler,
-    solve_lex_bobw,
-    uniform_permutation,
-    utse,
-)
-from .oracle import (
-    enumerate_efx,
-    estimate,
-    exact_distribution_charity,
-    sdef_feasibility,
-)
+from .lex_algos import k2_sampler, solve_lex_bobw, uniform_permutation, utse
+from .oracle import enumerate_efx, exact_distribution_charity, ratio_table, sdef_feasibility
 from .rng import derive_seed
 from .rounding import Decomposition, bvn_decompose
 
@@ -96,7 +89,12 @@ def _load(args) -> Instance:
         return fixtures.get_fixture(name, epsilon=eps)
     if eps is not None:
         raise PreconditionError("--epsilon only applies to the bundled fixtures")
-    return load_instance(name)
+    inst = load_instance(name)
+    # valuations no algorithm can index; the semantic checks stay in validate
+    for i, val in enumerate(inst.valuations):
+        if shape := shape_error(val, inst.m):
+            raise PreconditionError(f"agent {i}: {shape}")
+    return inst
 
 
 def _emit(data: dict, out: Optional[str]) -> None:
@@ -142,93 +140,124 @@ def cmd_eat(args) -> int:
     return EXIT_OK
 
 
-def _audit_distribution(inst: Instance, dist: RandomizedAllocation, checkers) -> dict:
-    reports = check_support(inst, dist, checkers)
-    out = {name: rep.to_json() for name, rep in reports.items()}
-    ratio = min_exante_ratio(dist, inst)
-    out["min_exante_ratio"] = None if ratio is None else format_rational(ratio)
-    return out
+# ---------------------------------------------------------------------------
+# the algorithm table
+#
+# Builders are lambdas over this module's names and _checkers builds its map
+# per call, so every function is looked up when it runs: span tracers that
+# rebind this module's attributes (perfbench/tracer.py) see each call.
 
 
-def _require_pass(audits: dict) -> None:
-    failed = {
-        name: rep
-        for name, rep in audits.items()
-        if isinstance(rep, dict) and rep.get("passed") is False
+@dataclass(frozen=True)
+class Algorithm:
+    # what `solve` prints: "lottery" (exact), "draw" (one draw at the
+    # required --seed) or "router" (solve_lex_bobw picks one by k)
+    solve: str
+    # _checkers keys owed ex post, by every support allocation of a lottery
+    audits: tuple[str, ...]
+    lottery: Optional[Callable] = None  # (inst, args) -> RandomizedAllocation
+    # (inst, args) -> seed -> (allocation, trace or None); sample, estimate
+    draws: Optional[Callable] = None
+    exante_half_ef: bool = False  # the lottery also owes ex-ante 1/2-EF
+    exact: Optional[int] = None  # algorithm= of exact_distribution_charity
+
+
+def _checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
+    known = {
+        "efx": check_efx,
+        "po_lex": check_po_lex,
+        "efx_with_charity": check_efx_with_charity,
+        "bounded_charity": check_bounded_charity,
     }
-    if failed:
-        raise PropertyFailure("ex-post audit failed", {"audits": audits})
+    return {key: known[key] for key in keys}
+
+
+def _pinned_decomposition(args) -> Optional[Decomposition]:
+    if not args.decomposition:
+        return None
+    with open(args.decomposition) as fh:
+        return Decomposition.from_json(json.load(fh))
+
+
+def _no_trace(sample: Callable[[int], IntegralAllocation]) -> Callable:
+    return lambda seed: (sample(seed), None)
+
+
+def _bounded_charity_draws(inst: Instance, args) -> Callable:
+    step_cap = getattr(args, "step_cap", None)  # a solve option only
+
+    def draw(seed: int):
+        start, trace = random_charity_swap(inst, seed)
+        return bounded_charity(inst, start, step_cap=step_cap), trace
+
+    return draw
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "utse": Algorithm(
+        "lottery",
+        ("efx", "po_lex"),
+        lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(args)),
+    ),
+    "depround-k2": Algorithm(
+        "draw", ("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))
+    ),
+    "lex-bobw": Algorithm("router", ("efx", "po_lex")),
+    "uniform-perm": Algorithm(
+        "lottery",
+        ("po_lex",),
+        lottery=lambda inst, args: uniform_permutation(inst, mode="exact"),
+        draws=lambda inst, args: _no_trace(
+            lambda seed: uniform_permutation(inst, mode="sample", seed=seed)
+        ),
+        exante_half_ef=True,
+    ),
+    "charity": Algorithm(
+        "draw",
+        ("efx_with_charity",),
+        draws=lambda inst, args: lambda seed: random_charity_swap(inst, seed),
+        exact=3,
+    ),
+    "bounded-charity": Algorithm(
+        "draw", ("bounded_charity",), draws=_bounded_charity_draws, exact=4
+    ),
+}
 
 
 def cmd_solve(args) -> int:
     inst = _load(args)
-    alg = args.algorithm
-    result: dict = {"algorithm": alg}
-
-    def need_seed():
+    name = args.algorithm
+    algo = ALGORITHMS[name]
+    result: dict = {"algorithm": name}
+    trace = None
+    if algo.solve == "lottery":
+        outcome = algo.lottery(inst, args)
+    elif algo.solve == "draw":
         if args.seed is None:
-            raise PreconditionError(f"--seed is required for the {alg} sampler")
-        return args.seed
-
-    if alg == "utse":
-        decomposition = None
-        if args.decomposition:
-            with open(args.decomposition) as fh:
-                decomposition = Decomposition.from_json(json.load(fh))
-        dist = utse(inst, decomposition=decomposition)
-        result["distribution"] = dist.to_json()
-        result["audits"] = _audit_distribution(
-            inst, dist, {"efx": check_efx, "po_lex": check_po_lex}
-        )
-    elif alg == "lex-bobw":
+            raise PreconditionError(f"--seed is required for the {name} sampler")
+        outcome, trace = algo.draws(inst, args)(args.seed)
+    else:  # router
         solved = solve_lex_bobw(inst, seed=args.seed)
-        result["k"] = solved.k
-        result["kind"] = solved.kind
-        if solved.kind == "distribution":
-            result["distribution"] = solved.distribution.to_json()
-            result["audits"] = _audit_distribution(
-                inst, solved.distribution, {"efx": check_efx, "po_lex": check_po_lex}
-            )
-        else:
-            alloc = solved.sample
-            result["allocation"] = alloc.to_json()
-            result["audits"] = {
-                "efx": check_efx(inst, alloc).to_json(),
-                "po_lex": check_po_lex(inst, alloc).to_json(),
-            }
-    elif alg == "depround-k2":
-        alloc = depround_k2_sample(inst, need_seed())
-        result["allocation"] = alloc.to_json()
-        result["audits"] = {
-            "efx": check_efx(inst, alloc).to_json(),
-            "po_lex": check_po_lex(inst, alloc).to_json(),
-        }
-    elif alg == "uniform-perm":
-        dist = uniform_permutation(inst, mode="exact")
-        result["distribution"] = dist.to_json()
-        result["audits"] = _audit_distribution(inst, dist, {"po_lex": check_po_lex})
-        result["audits"]["exante_half_ef"] = check_exante_ef(
-            dist, inst, Fraction(1, 2)
-        ).to_json()
-    elif alg == "charity":
-        alloc, trace = random_charity_swap(inst, need_seed())
-        result["allocation"] = alloc.to_json()
-        result["trace"] = trace.to_json()
-        result["audits"] = {
-            "efx_with_charity": check_efx_with_charity(inst, alloc).to_json()
-        }
-    elif alg == "bounded-charity":
-        start, trace = random_charity_swap(inst, need_seed())
-        alloc = bounded_charity(inst, start, step_cap=args.step_cap)
-        result["allocation"] = alloc.to_json()
-        result["trace"] = trace.to_json()
-        result["audits"] = {
-            "bounded_charity": check_bounded_charity(inst, alloc).to_json()
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionError(f"unknown algorithm {alg}")
+        result["k"], result["kind"] = solved.k, solved.kind
+        outcome = solved.distribution if solved.kind == "distribution" else solved.sample
 
-    _require_pass(result["audits"])
+    checkers = _checkers(algo.audits)
+    if isinstance(outcome, RandomizedAllocation):
+        result["distribution"] = outcome.to_json()
+        reports = check_support(inst, outcome, checkers)
+        audits = {key: rep.to_json() for key, rep in reports.items()}
+        ratio = min_exante_ratio(outcome, inst)
+        audits["min_exante_ratio"] = None if ratio is None else format_rational(ratio)
+        if algo.exante_half_ef:
+            audits["exante_half_ef"] = check_exante_ef(outcome, inst, Fraction(1, 2)).to_json()
+    else:
+        result["allocation"] = outcome.to_json()
+        if trace is not None:
+            result["trace"] = trace.to_json()
+        audits = {key: check(inst, outcome).to_json() for key, check in checkers.items()}
+    result["audits"] = audits
+    if any(isinstance(rep, dict) and rep.get("passed") is False for rep in audits.values()):
+        raise PropertyFailure("ex-post audit failed", {"audits": audits})
     _emit(result, args.output)
     return EXIT_OK
 
@@ -275,28 +304,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-_SAMPLERS = ("depround-k2", "charity", "bounded-charity", "uniform-perm")
-
-
-def _make_sampler(inst: Instance, name: str) -> Callable[[int], IntegralAllocation]:
-    if name == "depround-k2":
-        return k2_sampler(inst)
-    if name == "charity":
-        return lambda seed: random_charity_swap(inst, seed)[0]
-    if name == "bounded-charity":
-        return lambda seed: bounded_charity(inst, random_charity_swap(inst, seed)[0])
-    if name == "uniform-perm":
-        return lambda seed: uniform_permutation(inst, mode="sample", seed=seed)
-    raise PreconditionError(f"unknown sampler {name}")  # pragma: no cover
-
-
 def cmd_sample(args) -> int:
     inst = _load(args)
-    sampler = _make_sampler(inst, args.algorithm)
-    draws = []
-    for r in range(args.count):
-        alloc = sampler(derive_seed(args.seed, r))
-        draws.append(alloc.to_json())
+    draw = ALGORITHMS[args.algorithm].draws(inst, args)
+    draws = [draw(derive_seed(args.seed, r))[0].to_json() for r in range(args.count)]
     _emit({"algorithm": args.algorithm, "seed": args.seed, "samples": draws}, args.output)
     return EXIT_OK
 
@@ -305,59 +316,10 @@ def cmd_estimate(args) -> int:
     inst = _load(args)
     if args.samples < 1000:
         raise PreconditionError("--samples must be at least 1000")
-    sampler = _make_sampler(inst, args.sampler)
-    n, N = inst.n, args.samples
-
-    # one pass of draws, then per ordered pair a delta-method interval on the
-    # ratio of mean own value to mean value of the other agent's bundle
-    own = [[0.0] * n for _ in range(n)]  # own[i][j] accumulates v_i(X_j)
-    sq = [[0.0] * n for _ in range(n)]
-    cross = [[0.0] * n for _ in range(n)]  # v_i(X_i) * v_i(X_j) per pair
-    for r in range(N):
-        alloc = sampler(derive_seed(args.seed, r))
-        vals = [[float(value_of(inst, i, alloc.bundles[j])) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                own[i][j] += vals[i][j]
-                sq[i][j] += vals[i][j] ** 2
-                if j != i:
-                    cross[i][j] += vals[i][i] * vals[i][j]
-
-    pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            mi = own[i][i] / N
-            mj = own[i][j] / N
-            var_i = sq[i][i] / N - mi * mi
-            var_j = sq[i][j] / N - mj * mj
-            cov = cross[i][j] / N - mi * mj
-            if mj == 0.0:
-                pairs.append(
-                    {"pair": [i, j], "own_mean": mi, "other_mean": mj, "ratio": None}
-                )
-                continue
-            ratio = mi / mj
-            # first-order variance of a ratio of correlated means
-            var_r = (
-                var_i / (mj * mj)
-                + (mi * mi) * var_j / (mj**4)
-                - 2 * mi * cov / (mj**3)
-            ) / N
-            se = math.sqrt(max(var_r, 0.0))
-            pairs.append(
-                {
-                    "pair": [i, j],
-                    "own_mean": mi,
-                    "other_mean": mj,
-                    "ratio": ratio,
-                    "stderr": se,
-                    "ci99_7": [ratio - 3 * se, ratio + 3 * se],
-                }
-            )
+    draw = ALGORITHMS[args.sampler].draws(inst, args)
+    pairs = ratio_table(inst, lambda seed: draw(seed)[0], args.samples, args.seed)
     _emit(
-        {"sampler": args.sampler, "seed": args.seed, "samples": N, "pairs": pairs},
+        {"sampler": args.sampler, "seed": args.seed, "samples": args.samples, "pairs": pairs},
         args.output,
     )
     return EXIT_OK
@@ -382,11 +344,12 @@ def cmd_oracle(args) -> int:
         res = sdef_feasibility(inst, supports)
         _emit(res.to_json(), args.output)
         return EXIT_OK
-    if op in ("exact-charity", "exact-bounded-charity"):
-        algorithm = 3 if op == "exact-charity" else 4
-        dist = exact_distribution_charity(inst, algorithm=algorithm, leaf_cap=args.leaf_cap)
-        checker = check_efx_with_charity if algorithm == 3 else check_bounded_charity
-        audits = {name: rep.to_json() for name, rep in check_support(inst, dist, {"support": checker}).items()}
+    if op.startswith("exact-"):
+        algo = ALGORITHMS[op[len("exact-"):]]
+        dist = exact_distribution_charity(inst, algorithm=algo.exact, leaf_cap=args.leaf_cap)
+        (checker,) = _checkers(algo.audits).values()
+        reports = check_support(inst, dist, {"support": checker})
+        audits = {name: rep.to_json() for name, rep in reports.items()}
         audits["stochastic_dominance_half"] = check_stochastic_dominance_half(dist, inst).to_json()
         _emit({"distribution": dist.to_json(), "audits": audits}, args.output)
         ok = all(rep["passed"] for rep in audits.values())
@@ -471,13 +434,7 @@ def _repro_utse_tight(args) -> dict:
 
 
 def _repro_ps_baseline(args) -> dict:
-    name = args.instance or "FIX-A"
-    eps = getattr(args, "epsilon", None)
-    inst = (
-        fixtures.get_fixture(name, epsilon=parse_rational(eps) if eps else None)
-        if name in fixtures.FIXTURE_NAMES
-        else load_instance(name)
-    )
+    inst = _load(args)
     trace = full_run(inst)
     frac = fractional_outcome(trace)
     sdef = check_sdef_instance(inst, frac.entries)
@@ -500,7 +457,7 @@ def _repro_ps_baseline(args) -> dict:
         )
     report = {
         "scenario": "ps-baseline",
-        "instance": name,
+        "instance": args.instance,
         "sdef": sdef.to_json(),
         "terms": term_reports,
     }
@@ -551,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         "both in expectation and in every realized outcome.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    samplers = [name for name, algo in ALGORITHMS.items() if algo.draws]
 
     p = sub.add_parser("validate", help="check an instance file or fixture")
     _add_common(p)
@@ -564,11 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run an allocation algorithm with audits")
     _add_common(p)
-    p.add_argument(
-        "--algorithm",
-        required=True,
-        choices=["utse", "depround-k2", "lex-bobw", "uniform-perm", "charity", "bounded-charity"],
-    )
+    p.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     p.add_argument("--seed", type=_seed_type)
     p.add_argument("--decomposition", help="JSON file pinning the lottery decomposition (utse only)")
     p.add_argument("--step-cap", type=int, help="work limit for bounded-charity")
@@ -586,32 +540,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw allocations from a sampler")
     _add_common(p)
-    p.add_argument("--algorithm", required=True, choices=list(_SAMPLERS))
+    p.add_argument("--algorithm", required=True, choices=samplers)
     p.add_argument("--seed", type=_seed_type, required=True)
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("estimate", help="Monte Carlo pairwise ratio table")
     _add_common(p)
-    p.add_argument("--sampler", required=True, choices=list(_SAMPLERS))
+    p.add_argument("--sampler", required=True, choices=samplers)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=_seed_type, required=True)
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("oracle", help="brute-force references and exact distributions")
     _add_common(p)
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=["enumerate-efx", "sdef-feasibility", "exact-charity", "exact-bounded-charity"],
-    )
+    exact = [f"exact-{name}" for name, algo in ALGORITHMS.items() if algo.exact]
+    p.add_argument("--op", required=True, choices=["enumerate-efx", "sdef-feasibility", *exact])
     p.add_argument("--supports", help="allocations JSON for sdef-feasibility")
     p.add_argument("--leaf-cap", type=int, default=10**6)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("repro", help="replication scenarios with exact expected values")
     p.add_argument("scenario", choices=sorted(_SCENARIOS))
-    p.add_argument("--instance", help="override instance (ps-baseline only)")
+    p.add_argument("--instance", default="FIX-A", help="override instance (ps-baseline only)")
     p.add_argument("--epsilon", help="rational p/q for epsilon-parameterized scenarios")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
     p.set_defaults(fn=cmd_repro)

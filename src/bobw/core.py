@@ -22,7 +22,7 @@ probabilities sum to exactly one).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -225,6 +225,20 @@ class ValidationReport:
         return {"ok": self.ok, "agents": list(self.agents), "errors": list(self.errors)}
 
 
+def shape_error(val: Valuation, m: int) -> Optional[str]:
+    """Why a valuation cannot even be indexed over m goods, or None: a
+    ranking that is not a permutation of range(m), an additive vector not of
+    length m, a table not of length 2^m.  Cheap, unlike the semantic checks
+    of validate_instance."""
+    if isinstance(val, Additive) and len(val.values) != m:
+        return f"additive values length {len(val.values)} != m"
+    if isinstance(val, Lexicographic) and sorted(val.ranking) != list(range(m)):
+        return "ranking is not a permutation of the goods"
+    if isinstance(val, Table) and len(val.values) != (1 << m):
+        return f"table length {len(val.values)} != 2^m"
+    return None
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Deep semantic validation; returns a report instead of raising so the
     CLI can print every problem at once."""
@@ -236,20 +250,21 @@ def validate_instance(inst: Instance) -> ValidationReport:
         errors.append("labels length differs from m")
     for i, val in enumerate(inst.valuations):
         info: dict = {"agent": i, "kind": val.kind}
+        shape = shape_error(val, inst.m)
         if isinstance(val, Additive):
-            if len(val.values) != inst.m:
-                errors.append(f"agent {i}: additive values length {len(val.values)} != m")
+            if shape:
+                errors.append(f"agent {i}: {shape}")
             if any(v < 0 for v in val.values):
                 errors.append(f"agent {i}: negative value")
             info["lexicographic_consistent"] = is_lexicographic_additive(val.values)
         elif isinstance(val, Lexicographic):
-            if sorted(val.ranking) != list(range(inst.m)):
-                errors.append(f"agent {i}: ranking is not a permutation of the goods")
+            if shape:
+                errors.append(f"agent {i}: {shape}")
         elif isinstance(val, Table):
             if inst.m > TABLE_GOODS_CAP:
                 errors.append(f"agent {i}: table valuations capped at {TABLE_GOODS_CAP} goods")
-            if len(val.values) != (1 << inst.m):
-                errors.append(f"agent {i}: table length {len(val.values)} != 2^m")
+            if shape:
+                errors.append(f"agent {i}: {shape}")
             else:
                 if val.values[0] != 0:
                     errors.append(f"agent {i}: empty-set value nonzero")

@@ -142,17 +142,11 @@ def utse(inst: Instance, decomposition: Optional[Decomposition] = None) -> Rando
     return RandomizedAllocation.merged(support)
 
 
-def depround_k2_sample(inst: Instance, seed: int) -> IntegralAllocation:
-    """One draw of the k = 2 construction: dependent rounding on the
-    aggregated-column matrix, then a fair coin orders the two winners; the
-    first keeps only its own last good, the second takes all other remaining
-    goods."""
-    return k2_sampler(inst)(seed)
-
-
 def k2_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:
-    """Precompute the eating stage once and return a seed -> outcome map;
-    use this when drawing many samples from the same instance."""
+    """The k = 2 construction as a seed -> outcome map, with the eating stage
+    computed once.  One draw: dependent rounding on the aggregated-column
+    matrix, then a fair coin orders the two winners; the first keeps only its
+    own last good, the second takes all other remaining goods."""
     trace = unit_run(inst)
     summary = summarize(trace)
     if summary.k != 2:
@@ -239,5 +233,5 @@ def solve_lex_bobw(inst: Instance, seed: Optional[int] = None) -> LexBobwResult:
     if k == 2:
         if seed is None:
             raise PreconditionError("k = 2 routes to a sampler: a seed is required")
-        return LexBobwResult(k=k, kind="sample", sample=depround_k2_sample(inst, seed))
+        return LexBobwResult(k=k, kind="sample", sample=k2_sampler(inst)(seed))
     return LexBobwResult(k=k, kind="distribution", distribution=utse(inst))

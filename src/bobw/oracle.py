@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .audit import check_efx, check_sdef
+from .audit import check_efx, check_sdef, enviers_of_set
 from .charity_algos import (
     SwapStep,
     SwapTrace,
@@ -27,7 +27,6 @@ from .charity_algos import (
     minimal_envied_subset,
     require_monotone_integer,
 )
-from .audit import enviers_of_set
 from .core import (
     Instance,
     IntegralAllocation,
@@ -35,6 +34,7 @@ from .core import (
     RandomizedAllocation,
     ResourceCapError,
     format_rational,
+    value_of,
 )
 from .eating import ordinal_rankings
 from .rng import derive_seed
@@ -364,3 +364,62 @@ def estimate(
     return EstimateResult(
         mean=mean, stderr=se, ci_low=mean - 3 * se, ci_high=mean + 3 * se, n=n_samples
     )
+
+
+def ratio_table(
+    inst: Instance,
+    sampler: Callable[[int], IntegralAllocation],
+    n_samples: int,
+    seed: int,
+) -> list[dict]:
+    """Monte Carlo envy ratios: for every ordered pair (i, j), i != j, agent
+    i's mean value for its own bundle over its mean value for j's bundle,
+    over n_samples draws seeded derive_seed(seed, r).  Each ratio carries a
+    first-order (delta-method) standard error, which accounts for the two
+    means being correlated, and a three-sigma interval.  The ratio is None
+    where the mean value of j's bundle is 0."""
+    n, N = inst.n, n_samples
+    own = [[0.0] * n for _ in range(n)]  # own[i][j] accumulates v_i(X_j)
+    sq = [[0.0] * n for _ in range(n)]
+    cross = [[0.0] * n for _ in range(n)]  # v_i(X_i) * v_i(X_j) per pair
+    for r in range(N):
+        alloc = sampler(derive_seed(seed, r))
+        vals = [[float(value_of(inst, i, alloc.bundles[j])) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                own[i][j] += vals[i][j]
+                sq[i][j] += vals[i][j] ** 2
+                if j != i:
+                    cross[i][j] += vals[i][i] * vals[i][j]
+
+    pairs = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            mi = own[i][i] / N
+            mj = own[i][j] / N
+            if mj == 0.0:
+                pairs.append({"pair": [i, j], "own_mean": mi, "other_mean": mj, "ratio": None})
+                continue
+            var_i = sq[i][i] / N - mi * mi
+            var_j = sq[i][j] / N - mj * mj
+            cov = cross[i][j] / N - mi * mj
+            ratio = mi / mj
+            var_r = (
+                var_i / (mj * mj)
+                + (mi * mi) * var_j / (mj**4)
+                - 2 * mi * cov / (mj**3)
+            ) / N
+            se = math.sqrt(max(var_r, 0.0))
+            pairs.append(
+                {
+                    "pair": [i, j],
+                    "own_mean": mi,
+                    "other_mean": mj,
+                    "ratio": ratio,
+                    "stderr": se,
+                    "ci99_7": [ratio - 3 * se, ratio + 3 * se],
+                }
+            )
+    return pairs

@@ -32,6 +32,7 @@ from bobw import (
     get_fixture,
     k2_sampler,
     min_exante_ratio,
+    ratio_table,
     representative_matrix,
     rounds_allocation,
     sdef_feasibility,
@@ -210,42 +211,16 @@ def test_criterion_06_sampler_ratio_nine_tenths():
         n_samples = 20_000
         for idx, inst in enumerate(_k2_instances()):
             sample = k2_sampler(inst)
-            n = inst.n
-            own = [[0.0] * n for _ in range(n)]
-            sq = [[0.0] * n for _ in range(n)]
-            cross = [[0.0] * n for _ in range(n)]
-            for r in range(n_samples):
-                alloc = sample(derive_seed(idx, r))
+
+            def checked(seed):
+                alloc = sample(seed)
                 assert check_efx(inst, alloc).passed
                 assert check_po_lex(inst, alloc).passed
-                vals = [
-                    [float(value_of(inst, i, alloc.bundles[j])) for j in range(n)]
-                    for i in range(n)
-                ]
-                for i in range(n):
-                    for j in range(n):
-                        own[i][j] += vals[i][j]
-                        sq[i][j] += vals[i][j] ** 2
-                        if i != j:
-                            cross[i][j] += vals[i][i] * vals[i][j]
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    mi, mj = own[i][i] / n_samples, own[i][j] / n_samples
-                    if mj == 0.0:
-                        continue
-                    var_i = sq[i][i] / n_samples - mi * mi
-                    var_j = sq[i][j] / n_samples - mj * mj
-                    cov = cross[i][j] / n_samples - mi * mj
-                    var_r = (
-                        var_i / (mj * mj)
-                        + (mi * mi) * var_j / (mj**4)
-                        - 2 * mi * cov / (mj**3)
-                    ) / n_samples
-                    se = math.sqrt(max(var_r, 0.0))
-                    ratio = mi / mj
-                    assert ratio + 3 * se >= 0.9, (idx, i, j, ratio, se)
+                return alloc
+
+            for row in ratio_table(inst, checked, n_samples, idx):
+                if row["ratio"] is not None:
+                    assert row["ci99_7"][1] >= 0.9, (idx, row)
 
     _report(6, "k = 2 sampler: EFX+PO every draw, pair ratios at 0.9 within 3 sigma", 600.0, body)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -54,6 +55,48 @@ def test_unparsable_value_is_a_precondition_error(capsys, tmp_path, command, val
     path.write_text(json.dumps(bad))
     assert main([command[0], str(path), *command[1:]]) == 3
     assert value in capsys.readouterr().err
+
+
+# valuations that cannot be indexed over the instance's m = 2 goods
+_MISSHAPEN = {
+    "ranking-repeats-a-good": {"kind": "lexicographic", "ranking": [0, 0]},
+    "ranking-names-a-missing-good": {"kind": "lexicographic", "ranking": [0, 5]},
+    "additive-vector-too-short": {"kind": "additive", "values": ["1"]},
+    "table-not-2-to-the-m": {"kind": "table", "values": ["0", "1", "1"]},
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["solve", "--algorithm", "utse"],
+        ["sample", "--algorithm", "uniform-perm", "--seed", "1"],
+        ["estimate", "--sampler", "uniform-perm", "--samples", "1000", "--seed", "1"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_misshapen_valuation_is_a_precondition_error(capsys, tmp_path, case, command):
+    valuations = [_MISSHAPEN[case], {"kind": "lexicographic", "ranking": [1, 0]}]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 2, "m": 2, "valuations": valuations}))
+    assert main([command[0], str(path), *command[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: agent 0: ")
+
+
+def test_repro_instance_goes_through_the_instance_loader(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(get_fixture("FIX-D"))))
+    code, data = _run_json(capsys, ["repro", "ps-baseline", "--instance", str(path)])
+    assert (code, data["instance"]) == (0, str(path))
+    # --epsilon applies to fixtures only, here as everywhere else
+    assert main(["repro", "ps-baseline", "--instance", str(path), "--epsilon", "1/100"]) == 3
+    bad = {"n": 2, "m": 2, "valuations": [_MISSHAPEN["ranking-repeats-a-good"]] * 2}
+    path.write_text(json.dumps(bad))
+    assert main(["repro", "ps-baseline", "--instance", str(path)]) == 3
 
 
 def test_epsilon_override_rules(capsys, tmp_path):
@@ -254,3 +297,65 @@ def test_output_file_redirect(capsys, tmp_path):
 def test_seed_type_rejects_out_of_range(capsys):
     with pytest.raises(SystemExit):
         main(["solve", "FIX-C", "--algorithm", "depround-k2", "--seed", "-1"])
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: exit code and sha256 of stdout for one invocation of every
+# algorithm, sampler, oracle op and verify mode, so a refactor of the command
+# wiring cannot change a byte unnoticed
+
+
+def _verify_files(tmp_path) -> dict:
+    inst = get_fixture("FIX-D")
+    files = {
+        "PASS": from_assignment([1, 0, 0], inst.n).to_json(),
+        "FAIL": IntegralAllocation(
+            bundles=(frozenset({0, 1}), frozenset()), pool=frozenset({2})
+        ).to_json(),
+        "DIST": utse(inst).to_json(),
+    }
+    paths = {}
+    for key, data in files.items():
+        path = tmp_path / f"{key.lower()}.json"
+        path.write_text(json.dumps(data))
+        paths[key] = str(path)
+    return paths
+
+
+_GOLDEN = [
+    ("solve FIX-D --algorithm utse", 0, "f53da9a6eb1dc3185de19cc35c1bea6145be1015d61c1b2030dd19300032fa1e"),
+    ("solve FIX-C --algorithm utse", 0, "b83e6b6cfb8bf8284cca445c4066921b33601c78f83ef2288f3d77861f478448"),
+    ("solve FIX-D --algorithm lex-bobw", 0, "46419b0a41507990eb50738bdb864fcc8f24836f8bfb57eeb0612dd355bcc70c"),
+    ("solve FIX-C --algorithm lex-bobw --seed 5", 0, "0fd7ec72ad47ce1996006f52c4626cb66abecead88af2614cf3189580601cf4a"),
+    ("solve FIX-C --algorithm depround-k2 --seed 11", 0, "d332f8106c23f83efb38fde37727010937e36ce28a36e0e157a8afee91283bf7"),
+    ("solve FIX-B --algorithm uniform-perm", 0, "7bdfd90b2e3e1c844c2e3a1b82f0eee442d7b4c3e7f6c17a5fbbbc2b90678025"),
+    ("solve FIX-E --algorithm charity --seed 7", 0, "f8d29cd8ba32ae33a0c52a064c838b63fce7eebca724c9ac79b240691384f6c4"),
+    ("solve FIX-E --algorithm bounded-charity --seed 7", 0, "78c9e95a16742385248e5c014bd3558579cf97b7bc0b29374980a9fbfca3b0ed"),
+    ("solve FIX-E --algorithm bounded-charity --seed 7 --step-cap 1000", 0, "78c9e95a16742385248e5c014bd3558579cf97b7bc0b29374980a9fbfca3b0ed"),
+    ("sample FIX-C --algorithm depround-k2 --seed 3 --count 4", 0, "6836048fa81d612c9f3fd695cd70ea101dc1b5d084b8d23061415fb87ad08a8a"),
+    ("sample FIX-B --algorithm uniform-perm --seed 3 --count 4", 0, "aad8490389ef2290bd6351fab8e9592bdcc1aad428584f18bfafd39dab7c26a0"),
+    ("sample FIX-E --algorithm charity --seed 3 --count 4", 0, "7cefb32527f558ca36103dc704fd4403f6ac323887333c70f8eef167e2c937f2"),
+    ("sample FIX-E --algorithm bounded-charity --seed 3 --count 4", 0, "afdab1871656cac4193e2d0932093be6a71901ec7f978b05329651a610696979"),
+    ("estimate FIX-C --sampler depround-k2 --samples 1000 --seed 2", 0, "b243f629869d006634208fec85ae2e560367137917c5addbad179a93e7fc6532"),
+    ("estimate FIX-B --sampler uniform-perm --samples 1000 --seed 2", 0, "a45557c437b03cd2bef6264c4016e790c327754807b9a9c50bedaf8a941958dc"),
+    ("estimate FIX-E --sampler charity --samples 1000 --seed 2", 0, "e8302f6a651bb9f4ec64ff0070753eadf085ec03fd2201e97ca4ccb6133bdb09"),
+    ("estimate FIX-E --sampler bounded-charity --samples 1000 --seed 2", 0, "127cbf0a917b5af1389e086a735cc818a499181b47d5cc4dc14d2f048fd75ae0"),
+    ("oracle FIX-A --op enumerate-efx", 0, "2f34581a4c3ab9847cdf7b4af65157035c7871b33eb8d2db792160954fec7b82"),
+    ("oracle FIX-A --op sdef-feasibility", 0, "c5892aee6b2e49cc265fd9f09255dba2594bb14fafffd22ebf228f7f214d7a9d"),
+    ("oracle FIX-E --op exact-charity", 0, "35c6218986e6b3663242399febc433b2d245155ec500981a05496fe77981a538"),
+    ("oracle FIX-E --op exact-bounded-charity", 0, "fd2837dae88d16c51cbaa05049dc478526bff5471d38dcff2356a4709707f4cc"),
+    ("verify FIX-D --allocation PASS --properties efx,po-lex", 0, "87bf18905c66548653ea20776f55a65d181569a800de46c0287dd79aa8df9dcd"),
+    ("verify FIX-D --allocation FAIL --properties efx", 2, "2bf8c1dbc22da897a8286f4dc855c59d5af87a0231a10f9a39abd0b4b00f7a7c"),
+    ("verify FIX-D --allocation DIST --properties po-lex,sdef", 0, "a43c6c8bed161b639c41b177da3d27e7c46c565b4440a0c48fd84f66dce27839"),
+    ("solve FIX-C --algorithm lex-bobw", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("solve FIX-D --algorithm depround-k2 --seed 1", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("solve FIX-E --algorithm charity", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", _GOLDEN, ids=[c for c, _, _ in _GOLDEN])
+def test_golden_cli_output(capsys, tmp_path, command, code, digest):
+    files = _verify_files(tmp_path)
+    argv = [files.get(word, word) for word in command.split()]
+    got_code, out = _run(capsys, argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -15,7 +15,6 @@ from bobw import (
     check_exante_ef,
     check_po_lex,
     check_support,
-    depround_k2_sample,
     get_fixture,
     k2_sampler,
     min_exante_ratio,
@@ -135,7 +134,6 @@ def test_k2_sampler_is_deterministic_per_seed():
     inst = get_fixture("FIX-C")
     sample = k2_sampler(inst)
     assert sample(11) == sample(11)
-    assert sample(11) == depround_k2_sample(inst, 11)
 
 
 def _check_k2_outcomes(inst, seeds):
@@ -231,5 +229,5 @@ def test_solver_routes_by_last_good_mass():
         solve_lex_bobw(c)
     res = solve_lex_bobw(c, seed=9)
     assert (res.k, res.kind) == (2, "sample")
-    assert res.sample == depround_k2_sample(c, 9)
+    assert res.sample == k2_sampler(c)(9)
     assert res.distribution is None
