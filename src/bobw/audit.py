@@ -109,13 +109,19 @@ def enviers_of_set(inst: Instance, alloc: IntegralAllocation, goods) -> list[int
     return [i for i in inst.agents if envies_set(inst, alloc, i, goods)]
 
 
-def envied_agents(inst: Instance, alloc: IntegralAllocation) -> set[int]:
-    out = set()
+def envy_edges(inst: Instance, alloc: IntegralAllocation) -> dict[int, list[int]]:
+    """The envy graph: each envious agent to the agents it envies, ascending."""
+    out: dict[int, list[int]] = {}
     for i in inst.agents:
-        for j in inst.agents:
-            if i != j and envies(inst, alloc, i, j):
-                out.add(j)
+        vi = value_of(inst, i, alloc.bundles[i])
+        targets = [j for j in inst.agents if j != i and vi < value_of(inst, i, alloc.bundles[j])]
+        if targets:
+            out[i] = targets
     return out
+
+
+def envied_agents(inst: Instance, alloc: IntegralAllocation) -> set[int]:
+    return {j for targets in envy_edges(inst, alloc).values() for j in targets}
 
 
 def unenvied_agents(inst: Instance, alloc: IntegralAllocation) -> list[int]:
@@ -124,11 +130,11 @@ def unenvied_agents(inst: Instance, alloc: IntegralAllocation) -> list[int]:
 
 
 def check_ef(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
-    for i in inst.agents:
-        for j in inst.agents:
-            if i != j and envies(inst, alloc, i, j):
-                return AuditReport("ef", False, _pair_witness(i, j))
-    return AuditReport("ef", True)
+    edges = envy_edges(inst, alloc)
+    if not edges:
+        return AuditReport("ef", True)
+    i = min(edges)  # the first envious agent and the first agent it envies
+    return AuditReport("ef", False, _pair_witness(i, edges[i][0]))
 
 
 def check_ef1(inst: Instance, alloc: IntegralAllocation) -> AuditReport:

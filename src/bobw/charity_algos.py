@@ -25,40 +25,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .audit import check_efx, check_efx_with_charity, enviers_of_set, unenvied_agents
+from .audit import check_efx, check_efx_with_charity, enviers_of_set, envy_edges, unenvied_agents
 from .core import (
-    Additive,
     Instance,
     IntegralAllocation,
-    Lexicographic,
     PreconditionError,
     ResourceCapError,
-    Table,
-    format_rational,
     value_of,
 )
 from .rng import SplitMix64
 
 
 def require_monotone_integer(inst: Instance) -> None:
-    """The pool-swap algorithms are pseudopolynomial in the summed values, so
-    they insist on integer (hence monotone-friendly) valuations."""
+    """The pool-swap algorithms need monotone valuations (Chaudhury, Kavitha,
+    Mehlhorn, Sgouritsa, SODA 2020) and, being pseudopolynomial in the summed
+    values, non-negative integers; each valuation caches its verdict."""
     for i, val in enumerate(inst.valuations):
-        if isinstance(val, (Additive, Table)):
-            if any(v.denominator != 1 for v in val.values):
-                raise PreconditionError(f"agent {i}: non-integer valuations")
-            if any(v < 0 for v in val.values):
-                raise PreconditionError(f"agent {i}: negative valuations")
-        if isinstance(val, Table):
-            values = val.values
-            if values[0] != 0:
-                raise PreconditionError(f"agent {i}: empty-set value nonzero")
-            for mask in range(1, len(values)):
-                low = mask & (mask - 1)
-                # full monotonicity is checked by validate_instance; here we
-                # only guard the cheap single-bit chain
-                if values[low] > values[mask]:
-                    raise PreconditionError(f"agent {i}: non-monotone table")
+        if val.monotone_integer_error:
+            raise PreconditionError(f"agent {i}: {val.monotone_integer_error}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +160,6 @@ def replay_swap_trace(
 
 # ---------------------------------------------------------------------------
 # envy-cycle rotation
-
-
-def envy_edges(inst: Instance, alloc: IntegralAllocation) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for i in inst.agents:
-        vi = value_of(inst, i, alloc.bundles[i])
-        targets = [j for j in inst.agents if j != i and vi < value_of(inst, i, alloc.bundles[j])]
-        if targets:
-            out[i] = targets
-    return out
 
 
 def _find_cycle(edges: dict[int, list[int]], n: int) -> Optional[list[int]]:

@@ -48,9 +48,9 @@ from .core import (
     RandomizedAllocation,
     ResourceCapError,
     format_rational,
+    json_field,
     load_instance,
     parse_rational,
-    shape_error,
     validate_instance,
 )
 from .eating import (
@@ -89,12 +89,7 @@ def _load(args) -> Instance:
         return fixtures.get_fixture(name, epsilon=eps)
     if eps is not None:
         raise PreconditionError("--epsilon only applies to the bundled fixtures")
-    inst = load_instance(name)
-    # valuations no algorithm can index; the semantic checks stay in validate
-    for i, val in enumerate(inst.valuations):
-        if shape := shape_error(val, inst.m):
-            raise PreconditionError(f"agent {i}: {shape}")
-    return inst
+    return load_instance(name)
 
 
 def _emit(data: dict, out: Optional[str]) -> None:
@@ -109,9 +104,21 @@ def _emit(data: dict, out: Optional[str]) -> None:
 def _load_allocation(path: str):
     with open(path) as fh:
         data = json.load(fh)
-    if "support" in data:
+    if isinstance(data, dict) and "support" in data:
         return RandomizedAllocation.from_json(data)
     return IntegralAllocation.from_json(data)
+
+
+def _require_fits(inst: Instance, allocations, goods: Optional[int] = None) -> None:
+    """Every allocation read from a file has one bundle per agent and holds
+    only goods in range(goods), by default the instance's goods."""
+    goods = inst.m if goods is None else goods
+    for alloc in allocations:
+        if alloc.n != inst.n:
+            raise PreconditionError(f"need one bundle per agent ({inst.n}), got {alloc.n}")
+        stray = sorted(g for g in alloc.allocated() | alloc.pool if not 0 <= g < goods)
+        if stray:
+            raise PreconditionError(f"goods {stray} are not among the {goods} goods")
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +179,15 @@ def _checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
     return {key: known[key] for key in keys}
 
 
-def _pinned_decomposition(args) -> Optional[Decomposition]:
+def _pinned_decomposition(inst: Instance, args) -> Optional[Decomposition]:
     if not args.decomposition:
         return None
     with open(args.decomposition) as fh:
-        return Decomposition.from_json(json.load(fh))
+        decomposition = Decomposition.from_json(json.load(fh))
+    # eating pads with dummy goods up to one per agent
+    terms = (IntegralAllocation(tuple(frozenset({g}) for g in a)) for _, a in decomposition.terms)
+    _require_fits(inst, terms, goods=max(inst.m, inst.n))
+    return decomposition
 
 
 def _no_trace(sample: Callable[[int], IntegralAllocation]) -> Callable:
@@ -197,7 +208,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "utse": Algorithm(
         "lottery",
         ("efx", "po_lex"),
-        lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(args)),
+        lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(inst, args)),
     ),
     "depround-k2": Algorithm(
         "draw", ("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))
@@ -275,6 +286,10 @@ _VERIFY_CHECKERS: dict[str, Callable] = {
 def cmd_verify(args) -> int:
     inst = _load(args)
     target = _load_allocation(args.allocation)
+    if isinstance(target, RandomizedAllocation):
+        _require_fits(inst, (alloc for _, alloc in target.support))
+    else:
+        _require_fits(inst, (target,))
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     unknown = [p for p in props if p not in _VERIFY_CHECKERS and p != "sdef"]
     if unknown:
@@ -306,6 +321,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     inst = _load(args)
+    if args.count < 1:
+        raise PreconditionError("--count must be at least 1")
     draw = ALGORITHMS[args.algorithm].draws(inst, args)
     draws = [draw(derive_seed(args.seed, r))[0].to_json() for r in range(args.count)]
     _emit({"algorithm": args.algorithm, "seed": args.seed, "samples": draws}, args.output)
@@ -336,7 +353,8 @@ def cmd_oracle(args) -> int:
         if args.supports:
             with open(args.supports) as fh:
                 data = json.load(fh)
-            supports = [IntegralAllocation.from_json(d) for d in data["allocations"]]
+            supports = [IntegralAllocation.from_json(d) for d in json_field(data, "allocations", list)]
+            _require_fits(inst, supports)
         else:
             supports = list(enumerate_efx(inst))
         if not supports:

@@ -13,6 +13,10 @@ supported:
 * ``Table`` -- an explicit set function over all 2^m bundles, used for the
   monotone / subadditive algorithms.  Capped at 20 goods.
 
+The constructors parse every value once (``parse_rational``) and
+``Instance`` checks that each valuation fits its goods (``shape_error``), so
+code past construction may index freely.
+
 Allocation containers come in three flavours: integral (bundles plus an
 optional unallocated pool), fractional (a matrix of consumption shares), and
 randomized (a finitely supported lottery over integral allocations whose
@@ -25,6 +29,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import le
 from typing import Iterable, Optional, Sequence, Union
 
 TABLE_GOODS_CAP = 20
@@ -43,7 +49,10 @@ class ResourceCapError(FairDivisionError):
 
 
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Accept ints, Fractions, or 'p/q' / 'p' strings."""
+    """Accept ints, Fractions, or 'p/q' / 'p' strings; bools, floats and
+    anything else are a PreconditionError."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise PreconditionError("booleans are not rationals")
     if isinstance(value, (int, Fraction)):
@@ -60,6 +69,23 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def json_field(data, key: str, kind: Optional[type] = None):
+    """data[key] of a parsed JSON object; PreconditionError if `data` is not
+    an object, lacks the key, or holds a value that is not a `kind`."""
+    if not isinstance(data, dict) or key not in data:
+        raise PreconditionError(f"missing field {key!r}")
+    if kind is not None and not isinstance(data[key], kind):
+        raise PreconditionError(f"field {key!r} must be a {kind.__name__}")
+    return data[key]
+
+
+def json_goods(items, what: str) -> list[int]:
+    """A JSON list of good indices (integers, not booleans)."""
+    if not isinstance(items, list) or any(type(g) is not int for g in items):
+        raise PreconditionError(f"{what} must be a list of integer goods")
+    return items
+
+
 def _as_bundle(goods: Iterable[int]) -> frozenset[int]:
     return goods if isinstance(goods, frozenset) else frozenset(goods)
 
@@ -68,14 +94,29 @@ def _as_bundle(goods: Iterable[int]) -> frozenset[int]:
 # valuations
 
 
+def _monotone_integer_error(val: Valuation) -> Optional[str]:
+    """Why the pool-swap algorithms cannot take an additive or table
+    valuation, or None; each valuation caches it."""
+    if any(v.denominator != 1 for v in val.values):
+        return "non-integer valuations"
+    if any(v.numerator < 0 for v in val.values):  # denominators are positive
+        return "negative valuations"
+    if isinstance(val, Table) and val.values[0] != 0:
+        return "empty-set value nonzero"
+    if isinstance(val, Table) and not _table_monotone(val.values):
+        return "non-monotone table"
+    return None
+
+
 @dataclass(frozen=True)
 class Additive:
     values: tuple[Fraction, ...]
 
     kind = "additive"
+    monotone_integer_error = cached_property(_monotone_integer_error)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(parse_rational, self.values)))
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         return sum((self.values[g] for g in bundle), start=Fraction(0))
@@ -99,9 +140,12 @@ class Lexicographic:
     ranking: tuple[int, ...]  # most preferred first
 
     kind = "lexicographic"
+    monotone_integer_error = None  # canonical values are positive ints
 
     def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(int(g) for g in self.ranking))
+        object.__setattr__(self, "ranking", tuple(self.ranking))
+        if any(type(g) is not int for g in self.ranking):
+            raise PreconditionError("a ranking lists goods as integers")
 
     def value(self, bundle: Iterable[int]) -> Fraction:
         values = canonical_lex_values(self.ranking)
@@ -117,9 +161,10 @@ class Table:
     subadditive: bool = False
 
     kind = "table"
+    monotone_integer_error = cached_property(_monotone_integer_error)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(parse_rational, self.values)))
 
     @property
     def num_goods(self) -> int:
@@ -133,6 +178,27 @@ class Table:
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         raise PreconditionError("table valuations carry no strict ordinal ranking")
+
+
+def _table_monotone(values: Sequence[Fraction]) -> bool:
+    """v(S \\ {g}) <= v(S) for every S and g in S (enough, by induction), on
+    values scaled to ints.  For good g = log2(step) each mask without g pairs
+    with the mask `step` above it; the pairs are sliced out by residue
+    modulo 2 * step while step is small, and by block once it is large, so
+    that each good takes at most sqrt(2^m / 2) slice pairs."""
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    size, step = len(ints), 1
+    while step < size:
+        span = 2 * step
+        if step * span <= size:
+            pairs = ((ints[r::span], ints[r + step :: span]) for r in range(step))
+        else:
+            pairs = ((ints[lo : lo + step], ints[lo + step : lo + span]) for lo in range(0, size, span))
+        if not all(all(map(le, low, high)) for low, high in pairs):
+            return False
+        step = span
+    return True
 
 
 Valuation = Union[Additive, Lexicographic, Table]
@@ -150,10 +216,9 @@ def canonical_lex_values(ranking: Sequence[int]) -> tuple[int, ...]:
 def is_lexicographic_additive(values: Sequence[Fraction]) -> bool:
     """True iff all values are distinct and each exceeds the sum of all
     strictly smaller values (so that single goods dominate bundles below)."""
-    vals = [Fraction(v) for v in values]
-    if len(set(vals)) != len(vals):
+    if len(set(values)) != len(values):
         return False
-    ordered = sorted(vals)
+    ordered = sorted(values)
     below = Fraction(0)
     for v in ordered:
         if v <= below:
@@ -193,9 +258,20 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
         if self.labels is not None:
+            if not isinstance(self.labels, (list, tuple)) or any(type(x) is not str for x in self.labels):
+                raise PreconditionError("labels must be a list of strings")
             object.__setattr__(self, "labels", tuple(self.labels))
+        if self.epsilon is not None:
+            object.__setattr__(self, "epsilon", parse_rational(self.epsilon))
+        for name in ("n", "m"):
+            count = getattr(self, name)
+            if type(count) is not int or count < 0:
+                raise PreconditionError(f"{name} must be a non-negative integer, got {count!r}")
         if len(self.valuations) != self.n:
             raise PreconditionError("need one valuation per agent")
+        for i, val in enumerate(self.valuations):
+            if shape := shape_error(val, self.m):
+                raise PreconditionError(f"agent {i}: {shape}")
 
     @property
     def goods(self) -> range:
@@ -228,20 +304,24 @@ class ValidationReport:
 def shape_error(val: Valuation, m: int) -> Optional[str]:
     """Why a valuation cannot even be indexed over m goods, or None: a
     ranking that is not a permutation of range(m), an additive vector not of
-    length m, a table not of length 2^m.  Cheap, unlike the semantic checks
-    of validate_instance."""
+    length m, a table over more than TABLE_GOODS_CAP goods or not of length
+    2^m."""
     if isinstance(val, Additive) and len(val.values) != m:
         return f"additive values length {len(val.values)} != m"
-    if isinstance(val, Lexicographic) and sorted(val.ranking) != list(range(m)):
+    if isinstance(val, Lexicographic) and (
+        len(val.ranking) != m or sorted(val.ranking) != list(range(m))
+    ):
         return "ranking is not a permutation of the goods"
+    if isinstance(val, Table) and m > TABLE_GOODS_CAP:
+        return f"table valuations capped at {TABLE_GOODS_CAP} goods"
     if isinstance(val, Table) and len(val.values) != (1 << m):
         return f"table length {len(val.values)} != 2^m"
     return None
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Deep semantic validation; returns a report instead of raising so the
-    CLI can print every problem at once."""
+    """The semantic checks that construction (shapes, values) leaves out;
+    returns a report instead of raising so the CLI can print them all."""
     errors: list[str] = []
     agents: list[dict] = []
     if inst.m < 1 or inst.n < 1:
@@ -250,48 +330,25 @@ def validate_instance(inst: Instance) -> ValidationReport:
         errors.append("labels length differs from m")
     for i, val in enumerate(inst.valuations):
         info: dict = {"agent": i, "kind": val.kind}
-        shape = shape_error(val, inst.m)
         if isinstance(val, Additive):
-            if shape:
-                errors.append(f"agent {i}: {shape}")
             if any(v < 0 for v in val.values):
                 errors.append(f"agent {i}: negative value")
             info["lexicographic_consistent"] = is_lexicographic_additive(val.values)
-        elif isinstance(val, Lexicographic):
-            if shape:
-                errors.append(f"agent {i}: {shape}")
         elif isinstance(val, Table):
-            if inst.m > TABLE_GOODS_CAP:
-                errors.append(f"agent {i}: table valuations capped at {TABLE_GOODS_CAP} goods")
-            if shape:
-                errors.append(f"agent {i}: {shape}")
-            else:
-                if val.values[0] != 0:
-                    errors.append(f"agent {i}: empty-set value nonzero")
-                if any(v < 0 for v in val.values):
-                    errors.append(f"agent {i}: negative value")
-                monotone = _table_monotone(val.values, inst.m)
-                info["monotone"] = monotone
-                if not monotone:
-                    errors.append(f"agent {i}: non-monotone table")
-                if val.subadditive:
-                    sub = _table_subadditive(val.values, inst.m)
-                    info["subadditive"] = sub
-                    if not sub:
-                        errors.append(f"agent {i}: table flagged subadditive but is not")
-        else:  # pragma: no cover - guarded by the Valuation union
-            errors.append(f"agent {i}: unknown valuation kind")
+            if val.values[0] != 0:
+                errors.append(f"agent {i}: empty-set value nonzero")
+            if any(v < 0 for v in val.values):
+                errors.append(f"agent {i}: negative value")
+            info["monotone"] = _table_monotone(val.values)
+            if not info["monotone"]:
+                errors.append(f"agent {i}: non-monotone table")
+            if val.subadditive:
+                sub = _table_subadditive(val.values, inst.m)
+                info["subadditive"] = sub
+                if not sub:
+                    errors.append(f"agent {i}: table flagged subadditive but is not")
         agents.append(info)
     return ValidationReport(ok=not errors, agents=tuple(agents), errors=tuple(errors))
-
-
-def _table_monotone(values: Sequence[Fraction], m: int) -> bool:
-    # v(S \ {g}) <= v(S) for every S and g in S suffices by induction.
-    for mask in range(1, 1 << m):
-        for g in range(m):
-            if mask & (1 << g) and values[mask ^ (1 << g)] > values[mask]:
-                return False
-    return True
 
 
 def _table_subadditive(values: Sequence[Fraction], m: int) -> bool:
@@ -350,9 +407,10 @@ class IntegralAllocation:
 
     @classmethod
     def from_json(cls, data: dict) -> "IntegralAllocation":
+        bundles = json_field(data, "bundles", list)
         return cls(
-            bundles=tuple(frozenset(b) for b in data["bundles"]),
-            pool=frozenset(data.get("pool", ())),
+            bundles=tuple(frozenset(json_goods(b, "a bundle")) for b in bundles),
+            pool=frozenset(json_goods(data.get("pool", []), "the pool")),
         )
 
 
@@ -361,7 +419,7 @@ class FractionalAllocation:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(map(parse_rational, row)) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows:
             raise PreconditionError("empty matrix")
@@ -395,7 +453,7 @@ class FractionalAllocation:
 
     @classmethod
     def from_json(cls, data: dict) -> "FractionalAllocation":
-        return cls(tuple(tuple(parse_rational(x) for x in row) for row in data["entries"]))
+        return cls(json_field(data, "entries", list))
 
 
 @dataclass(frozen=True)
@@ -403,7 +461,7 @@ class RandomizedAllocation:
     support: tuple[tuple[Fraction, IntegralAllocation], ...]
 
     def __post_init__(self):
-        sup = tuple((Fraction(p), a) for p, a in self.support)
+        sup = tuple((parse_rational(p), a) for p, a in self.support)
         object.__setattr__(self, "support", sup)
         if any(p <= 0 for p, _ in sup):
             raise PreconditionError("support probabilities must be positive")
@@ -449,8 +507,8 @@ class RandomizedAllocation:
     def from_json(cls, data: dict) -> "RandomizedAllocation":
         return cls(
             tuple(
-                (parse_rational(entry["prob"]), IntegralAllocation.from_json(entry))
-                for entry in data["support"]
+                (json_field(entry, "prob"), IntegralAllocation.from_json(entry))
+                for entry in json_field(data, "support", list)
             )
         )
 
@@ -480,26 +538,27 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
+def _valuation_from_json(entry: dict) -> Valuation:
+    kind = json_field(entry, "kind")
+    if kind == "additive":
+        return Additive(json_field(entry, "values", list))
+    if kind == "lexicographic":
+        return Lexicographic(json_field(entry, "ranking", list))
+    if kind == "table":
+        subadditive = json_field(entry, "subadditive", bool) if "subadditive" in entry else False
+        return Table(json_field(entry, "values", list), subadditive=subadditive)
+    raise PreconditionError(f"unknown valuation kind {kind!r}")
+
+
 def instance_from_json(data: dict) -> Instance:
     vals: list[Valuation] = []
-    for entry in data["valuations"]:
-        kind = entry.get("kind")
-        if kind == "additive":
-            vals.append(Additive(tuple(parse_rational(v) for v in entry["values"])))
-        elif kind == "lexicographic":
-            vals.append(Lexicographic(tuple(entry["ranking"])))
-        elif kind == "table":
-            vals.append(
-                Table(
-                    tuple(parse_rational(v) for v in entry["values"]),
-                    subadditive=bool(entry.get("subadditive", False)),
-                )
-            )
-        else:
-            raise PreconditionError(f"unknown valuation kind {kind!r}")
-    labels = tuple(data["labels"]) if "labels" in data else None
-    eps = parse_rational(data["epsilon"]) if "epsilon" in data else None
-    return Instance(n=int(data["n"]), m=int(data["m"]), valuations=tuple(vals), labels=labels, epsilon=eps)
+    for i, entry in enumerate(json_field(data, "valuations", list)):
+        try:
+            vals.append(_valuation_from_json(entry))
+        except PreconditionError as exc:
+            raise PreconditionError(f"agent {i}: {exc}") from None
+    n, m = json_field(data, "n"), json_field(data, "m")
+    return Instance(n=n, m=m, valuations=vals, labels=data.get("labels"), epsilon=data.get("epsilon"))
 
 
 def load_instance(path: str) -> Instance:

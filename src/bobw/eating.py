@@ -24,15 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (
-    Additive,
-    FractionalAllocation,
-    Instance,
-    IntegralAllocation,
-    Lexicographic,
-    PreconditionError,
-    format_rational,
-)
+from .core import FractionalAllocation, Instance, IntegralAllocation, PreconditionError, format_rational
 
 Segment = tuple[int, Fraction, Fraction]  # (good, start, end)
 
@@ -41,8 +33,6 @@ def ordinal_rankings(inst: Instance) -> list[tuple[int, ...]]:
     """Strict preference order per agent; rejects valuations without one."""
     rankings = []
     for i, val in enumerate(inst.valuations):
-        if not isinstance(val, (Additive, Lexicographic)):
-            raise PreconditionError(f"agent {i}: eating needs an ordinal (additive or lexicographic) valuation")
         try:
             rankings.append(val.ordinal_ranking())
         except PreconditionError as exc:
@@ -93,6 +83,8 @@ def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> Eating
     duration = Fraction(duration)
     if duration <= 0:
         raise PreconditionError("duration must be positive")
+    if n_dummies < 0:
+        raise PreconditionError("the number of dummy goods must be non-negative")
     m_total = inst.m + n_dummies
     if duration * inst.n > m_total:
         raise PreconditionError(

@@ -84,7 +84,7 @@ def fix_e() -> Instance:
         values = []
         for mask in range(1 << 3):
             values.append(sum(per_good[g] for g in range(3) if mask & (1 << g)))
-        return Table(tuple(Fraction(v) for v in values), subadditive=True)
+        return Table(values, subadditive=True)
 
     return Instance(
         n=2,

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from .audit import envied_agents
 from .core import (
     Instance,
     IntegralAllocation,
     PreconditionError,
     RandomizedAllocation,
     ResourceCapError,
-    value_of,
 )
 from .eating import ordinal_rankings, summarize, unit_run
 from .rng import SplitMix64, derive_seed
@@ -78,12 +78,7 @@ def sigma_unenvied_sequence(
         raise PreconditionError("sigma must order every agent exactly once")
     if len(tail_policy) != inst.m - inst.n:
         raise PreconditionError("tail must cover exactly the goods left after one round each")
-    partial = run_picking_sequence(inst, sigma)
-    envied = set()
-    for i in inst.agents:
-        for j in inst.agents:
-            if i != j and value_of(inst, i, partial.bundles[i]) < value_of(inst, i, partial.bundles[j]):
-                envied.add(j)
+    envied = envied_agents(inst, run_picking_sequence(inst, sigma))
     for turn, i in enumerate(tail_policy):
         if i in envied:
             raise PreconditionError(f"tail turn {turn} names agent {i}, who is envied after the sigma round")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import PreconditionError, format_rational, parse_rational
+from .core import PreconditionError, format_rational, json_field, json_goods, parse_rational
 from .eating import TraceSummary
 from .rng import SplitMix64
 
@@ -61,7 +61,7 @@ class Decomposition:
         object.__setattr__(
             self,
             "terms",
-            tuple((Fraction(w), tuple(a)) for w, a in self.terms),
+            tuple((parse_rational(w), tuple(a)) for w, a in self.terms),
         )
         if any(w <= 0 for w, _ in self.terms):
             raise PreconditionError("term weights must be positive")
@@ -89,7 +89,8 @@ class Decomposition:
     def from_json(cls, data: dict) -> "Decomposition":
         return cls(
             tuple(
-                (parse_rational(t["weight"]), tuple(t["assignment"])) for t in data["terms"]
+                (json_field(t, "weight"), json_goods(json_field(t, "assignment"), "an assignment"))
+                for t in json_field(data, "terms", list)
             )
         )
 

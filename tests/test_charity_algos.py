@@ -14,16 +14,19 @@ from bobw import (
     ResourceCapError,
     SwapStep,
     SwapTrace,
+    Table,
     bounded_charity,
     check_bounded_charity,
     check_efx,
     check_efx_with_charity,
+    exact_distribution_charity,
     get_fixture,
     minimal_envied_subset,
     random_charity_swap,
     replay_swap_trace,
     resolve_envy_cycles,
 )
+from bobw import audit, core
 from bobw.audit import envies_set
 from bobw.charity_algos import (
     _utility_sum,
@@ -223,3 +226,53 @@ def test_empty_start_shape():
     alloc = empty_start(inst)
     assert all(not b for b in alloc.bundles)
     assert alloc.pool == frozenset(range(inst.m))
+
+
+def _non_monotone_instance():
+    # v({0}) = 3 > v({0, 1}) = 2, while the lowest-bit chain is increasing
+    return Instance(
+        n=2, m=2, valuations=(Table((0, 3, 1, 2)), Table((0, 1, 1, 2)))
+    )
+
+
+def test_pool_swap_algorithms_reject_non_monotone_tables():
+    inst = _non_monotone_instance()
+    with pytest.raises(PreconditionError, match="agent 0: non-monotone table"):
+        require_monotone_integer(inst)
+    with pytest.raises(PreconditionError, match="non-monotone"):
+        random_charity_swap(inst, seed=1)
+    start = IntegralAllocation(bundles=(frozenset({0}), frozenset({1})))
+    with pytest.raises(PreconditionError, match="non-monotone"):
+        bounded_charity(inst, start)
+    for algorithm in (3, 4):
+        with pytest.raises(PreconditionError, match="non-monotone"):
+            exact_distribution_charity(inst, algorithm=algorithm)
+
+
+def test_monotone_integer_verdicts_name_the_first_failure():
+    assert Table((0, 1, 1, 2)).monotone_integer_error is None
+    assert Table((0, F(1, 2), 1, 2)).monotone_integer_error == "non-integer valuations"
+    assert Table((0, -1, 1, 2)).monotone_integer_error == "negative valuations"
+    assert Table((1, 1, 1, 2)).monotone_integer_error == "empty-set value nonzero"
+    assert Table((0, 3, 1, 2)).monotone_integer_error == "non-monotone table"
+    assert Lexicographic((1, 0)).monotone_integer_error is None
+
+
+def test_monotonicity_runs_once_per_table(monkeypatch):
+    calls = []
+    routine = core._table_monotone
+
+    def counted(values):
+        calls.append(len(values))
+        return routine(values)
+
+    monkeypatch.setattr(core, "_table_monotone", counted)
+    inst = monotone_instance(SplitMix64(611), 3, 4)
+    for seed in range(50):
+        random_charity_swap(inst, seed)
+    exact_distribution_charity(inst, algorithm=4)
+    assert calls == [16] * inst.n
+
+
+def test_envy_edges_live_in_the_audit_module():
+    assert envy_edges is audit.envy_edges

@@ -61,6 +61,8 @@ def test_unparsable_value_is_a_precondition_error(capsys, tmp_path, command, val
 _MISSHAPEN = {
     "ranking-repeats-a-good": {"kind": "lexicographic", "ranking": [0, 0]},
     "ranking-names-a-missing-good": {"kind": "lexicographic", "ranking": [0, 5]},
+    "ranking-holds-a-float": {"kind": "lexicographic", "ranking": [1.5, 0]},
+    "ranking-holds-a-string": {"kind": "lexicographic", "ranking": ["a", 1]},
     "additive-vector-too-short": {"kind": "additive", "values": ["1"]},
     "table-not-2-to-the-m": {"kind": "table", "values": ["0", "1", "1"]},
 }
@@ -85,6 +87,143 @@ def test_misshapen_valuation_is_a_precondition_error(capsys, tmp_path, case, com
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: agent 0: ")
+
+
+# v({0}) = 3 > v({0, 1}) = 2: the lowest-bit chain 0 <= 3, 0 <= 1, 1 <= 2 holds
+_NON_MONOTONE = {
+    "n": 2,
+    "m": 2,
+    "valuations": [
+        {"kind": "table", "values": ["0", "3", "1", "2"]},
+        {"kind": "table", "values": ["0", "1", "1", "2"]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "solve --algorithm charity --seed 1",
+        "solve --algorithm bounded-charity --seed 1",
+        "sample --algorithm charity --seed 1",
+        "sample --algorithm bounded-charity --seed 1",
+        "estimate --sampler charity --samples 1000 --seed 1",
+        "oracle --op exact-charity",
+        "oracle --op exact-bounded-charity",
+    ],
+)
+def test_charity_commands_reject_a_non_monotone_table(capsys, tmp_path, command):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_NON_MONOTONE))
+    word, *rest = command.split()
+    assert main([word, str(path), *rest]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: agent 0: non-monotone table\n")
+
+
+# allocation, lottery, supports and decomposition files on FIX-A (n = 3, m = 4)
+_ALLOCATION_INPUTS = {
+    "two-bundles-one-good-out-of-range": (
+        "verify --properties efx,ef1,sdef --allocation", {"bundles": [[0, 99], [1]]}
+    ),
+    "good-out-of-range": ("verify --properties efx --allocation", {"bundles": [[0, 99], [1], [2, 3]]}),
+    "negative-good": ("verify --properties ef --allocation", {"bundles": [[0, -1], [1], [2, 3]]}),
+    "pool-good-out-of-range": (
+        "verify --properties efx-charity --allocation",
+        {"bundles": [[0], [1], [2]], "pool": [3, 4]},
+    ),
+    "good-not-an-integer": ("verify --properties efx --allocation", {"bundles": [[0], [1], ["2"]]}),
+    "bundles-not-a-list": ("verify --properties efx --allocation", {"bundles": 5}),
+    "allocation-not-an-object": ("verify --properties efx --allocation", 5),
+    "bundle-not-a-list": ("verify --properties efx --allocation", {"bundles": [[0], [1], 2]}),
+    "one-bundle-lottery-po-lex": (
+        "verify --properties po-lex --allocation",
+        {"support": [{"prob": "1", "bundles": [[0, 1, 2, 3]]}]},
+    ),
+    "one-bundle-lottery-sdef": (
+        "verify --properties sdef --allocation",
+        {"support": [{"prob": "1", "bundles": [[0, 1, 2, 3]]}]},
+    ),
+    "lottery-entry-without-prob": (
+        "verify --properties efx --allocation",
+        {"support": [{"bundles": [[0], [1], [2, 3]]}]},
+    ),
+    "supports-without-allocations": ("oracle --op sdef-feasibility --supports", {"supports": []}),
+    "supports-good-out-of-range": (
+        "oracle --op sdef-feasibility --supports",
+        {"allocations": [{"bundles": [[0], [1], [2, 7]]}]},
+    ),
+    "decomposition-good-out-of-range": (
+        "solve --algorithm utse --decomposition",
+        {"terms": [{"weight": "1", "assignment": [0, 99, 1]}]},
+    ),
+    "decomposition-too-few-agents": (
+        "solve --algorithm utse --decomposition",
+        {"terms": [{"weight": "1", "assignment": [0, 1]}]},
+    ),
+    "decomposition-without-terms": ("solve --algorithm utse --decomposition", {"weights": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALLOCATION_INPUTS))
+def test_allocation_input_outside_the_instance_is_a_precondition_error(capsys, tmp_path, case):
+    command, data = _ALLOCATION_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    word, *rest = command.split()
+    assert main([word, "FIX-A", *rest, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+_INSTANCE_JSON = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "ranking": [1, 0]}]}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"valuations": None},
+        {"n": None},
+        {"m": None},
+        {"n": "x"},
+        {"n": 1.5},
+        {"m": -1},
+        {"valuations": {"kind": "lexicographic"}},
+        {"valuations": [["lexicographic", [1, 0]]]},
+        {"valuations": [{"ranking": [1, 0]}]},
+        {"valuations": [{"kind": "additive", "values": "12"}]},
+        {"valuations": [{"kind": "table", "values": [0, 1, 1, 2], "subadditive": "false"}]},
+        {"labels": 5},
+        {"epsilon": 0.5},
+    ],
+    ids=lambda e: json.dumps(e),
+)
+def test_malformed_instance_fields_are_precondition_errors(capsys, tmp_path, edit):
+    data = {**_INSTANCE_JSON, **edit}
+    data = {key: value for key, value in data.items() if value is not None}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eat", "FIX-A", "--pad", "-1"],
+        ["sample", "FIX-A", "--algorithm", "uniform-perm", "--seed", "1", "--count", "-1"],
+        ["sample", "FIX-A", "--algorithm", "uniform-perm", "--seed", "1", "--count", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_counts_are_precondition_errors(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_repro_instance_goes_through_the_instance_loader(capsys, tmp_path):

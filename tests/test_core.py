@@ -25,6 +25,7 @@ from bobw import (
     validate_instance,
     value_of,
 )
+from bobw.rng import SplitMix64
 
 F = Fraction
 
@@ -110,9 +111,9 @@ def test_validate_flags_negative_additive_value():
 
 
 def test_validate_flags_bad_permutation_ranking():
-    inst = Instance(n=1, m=3, valuations=(Lexicographic(ranking=(0, 0, 2)),))
-    rep = validate_instance(inst)
-    assert not rep.ok
+    # construction checks shapes, so the instance never reaches validate
+    with pytest.raises(PreconditionError, match="agent 0: ranking is not a permutation"):
+        Instance(n=1, m=3, valuations=(Lexicographic(ranking=(0, 0, 2)),))
 
 
 def test_validate_flags_non_monotone_table():
@@ -213,3 +214,100 @@ def test_fixture_epsilon_override():
         get_fixture("FIX-A", epsilon=F(1, 7))
     with pytest.raises(PreconditionError):
         get_fixture("FIX-ZZ")
+
+
+@pytest.mark.parametrize("values", [("abc",), (0.5,), (True,), (None,), ("1/0",)], ids=repr)
+def test_valuation_values_are_parsed_once_at_construction(values):
+    with pytest.raises(PreconditionError):
+        Additive(values)
+    with pytest.raises(PreconditionError):
+        Table((0,) + values)
+
+
+def test_valuation_values_accept_ints_fractions_and_strings():
+    assert Additive((1, "3/2", F(5, 7))).values == (F(1), F(3, 2), F(5, 7))
+    assert Table(("0", 2, F(3), "4")).values == (F(0), F(2), F(3), F(4))
+
+
+@pytest.mark.parametrize("ranking", [(1.5, 0), ("a", 1), (True, 0), (1.0, 0)], ids=repr)
+def test_rankings_hold_integer_goods(ranking):
+    with pytest.raises(PreconditionError):
+        Lexicographic(ranking)
+
+
+@pytest.mark.parametrize(
+    "valuation",
+    [Additive((1,)), Additive((1, 2, 3)), Table((0, 1)), Table((0,) * 8), Lexicographic((0,))],
+    ids=repr,
+)
+def test_instance_checks_valuation_shapes(valuation):
+    with pytest.raises(PreconditionError, match="^agent 1: "):
+        Instance(n=2, m=2, valuations=(Lexicographic((0, 1)), valuation))
+
+
+@pytest.mark.parametrize("n,m", [("2", 2), (2, 2.0), (True, 2), (2, -1)])
+def test_instance_counts_are_non_negative_ints(n, m):
+    vals = (Lexicographic((0, 1)), Lexicographic((1, 0)))
+    with pytest.raises(PreconditionError):
+        Instance(n=n, m=m, valuations=vals)
+
+
+def test_table_valuations_are_capped():
+    big = Table((0,) * (1 << 21))
+    with pytest.raises(PreconditionError, match="capped at 20 goods"):
+        Instance(n=1, m=21, valuations=(big,))
+
+
+def test_instance_json_reports_the_agent_of_a_bad_valuation():
+    data = {
+        "n": 2,
+        "m": 2,
+        "valuations": [
+            {"kind": "additive", "values": ["1", "2"]},
+            {"kind": "additive", "values": ["1", "x"]},
+        ],
+    }
+    with pytest.raises(PreconditionError, match="^agent 1: cannot interpret 'x'"):
+        instance_from_json(data)
+    good = {**data, "valuations": data["valuations"][:1], "n": 1}
+    instance_from_json(good)
+    for key in ("n", "m", "valuations"):
+        with pytest.raises(PreconditionError, match=f"missing field '{key}'"):
+            instance_from_json({k: v for k, v in good.items() if k != key})
+
+
+def _monotone_by_definition(values, m):
+    return all(
+        values[mask ^ (1 << g)] <= values[mask]
+        for mask in range(1 << m)
+        for g in range(m)
+        if mask >> g & 1
+    )
+
+
+def test_table_monotone_agrees_with_the_definition():
+    rng = SplitMix64(91)
+    seen = set()
+    for _ in range(400):
+        m = rng.below(7)
+        den = 1 + rng.below(3)
+        values = [F(0)]
+        for mask in range(1, 1 << m):
+            # mostly increasing, sometimes a drop: both verdicts occur
+            floor = max(values[mask ^ (1 << g)] for g in range(m) if mask >> g & 1)
+            values.append(floor + F(rng.below(4) - (rng.below(6) == 0) * 2, den))
+        want = _monotone_by_definition(values, m)
+        inst = Instance(n=1, m=m, valuations=(Table(tuple(values)),))
+        assert validate_instance(inst).agents[0]["monotone"] == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_allocation_json_rejects_malformed_fields():
+    for data in ({}, {"bundles": 5}, {"bundles": [5]}, {"bundles": [[0.5]]}, {"bundles": [[True]]},
+                 {"bundles": [[0]], "pool": 1}, [[0]]):
+        with pytest.raises(PreconditionError):
+            IntegralAllocation.from_json(data)
+    for data in ({}, {"support": [{"bundles": [[0]]}]}, {"support": [{"prob": 0.5, "bundles": [[0]]}]}):
+        with pytest.raises(PreconditionError):
+            RandomizedAllocation.from_json(data)
