@@ -6,12 +6,14 @@ whatever certifies the property (e.g. the picking sequence that reproduces a
 Pareto-optimal allocation).  All comparisons are exact; there are no
 tolerances anywhere in this module.
 
-``check_efx``, ``min_exante_ratio`` and ``check_exante_ef`` read ordinal
-(``Lexicographic`` and ``Additive``) valuations as integer weights per good,
-derived once per call: the canonical powers of two, or the values scaled by
-the LCM of their denominators.  Lottery probabilities are scaled the same
-way, so these audits compare Python ints.  ``Table`` valuations are read
-through ``value_of``.
+``check_efx`` reads ordinal (``Lexicographic`` and ``Additive``) valuations
+as integer weights per good, derived once per call: the canonical powers of
+two, or the values scaled by the LCM of their denominators.  Every
+expected-value audit (``exante_ratio``, ``min_exante_ratio``,
+``check_exante_ef``, ``check_exante_prop``) reads one n x n matrix of
+E[v_i(A_j)], built in one pass over the support with probabilities scaled
+the same way, so ordinal rows compare Python ints.  ``Table`` valuations are
+read through ``value_of``.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ def _expected_matrix(dist: RandomizedAllocation, inst: Instance) -> tuple[list[l
 
 # ---------------------------------------------------------------------------
 # pairwise envy notions on integral allocations
-
-
-def envies(inst: Instance, alloc: IntegralAllocation, i: int, j: int) -> bool:
-    return value_of(inst, i, alloc.bundles[i]) < value_of(inst, i, alloc.bundles[j])
 
 
 def envies_set(inst: Instance, alloc: IntegralAllocation, i: int, goods) -> bool:
@@ -304,31 +302,28 @@ def check_sdef_instance(inst: Instance, rows: Sequence[Sequence[Fraction]]) -> A
 # ex-ante (expected-value) guarantees of lotteries
 
 
+def _ratio(own, other) -> Optional[Fraction]:
+    """own / other, or None for an infinite ratio (other is zero, so any
+    multiplicative guarantee holds)."""
+    return None if other == 0 else Fraction(own, other)
+
+
 def exante_ratio(
     dist: RandomizedAllocation, inst: Instance, i: int, j: int
 ) -> Optional[Fraction]:
-    """E[v_i(own)] / E[v_i(j's bundle)]; None encodes an infinite ratio
-    (the denominator is zero, so any multiplicative guarantee holds)."""
-    num = dist.expected_value(inst, i, i)
-    den = dist.expected_value(inst, i, j)
-    if den == 0:
-        return None
-    return num / den
+    """E[v_i(own)] / E[v_i(j's bundle)]; None encodes an infinite ratio."""
+    matrix, _ = _expected_matrix(dist, inst)
+    return _ratio(matrix[i][i], matrix[i][j])
 
 
 def min_exante_ratio(dist: RandomizedAllocation, inst: Instance) -> Optional[Fraction]:
     """Minimum of exante_ratio over ordered pairs; None if every pair's
     ratio is infinite."""
     matrix, _ = _expected_matrix(dist, inst)
-    worst: Optional[Fraction] = None
-    for i, row in enumerate(matrix):
-        for j, other in enumerate(row):
-            if i == j or other == 0:
-                continue
-            r = Fraction(row[i], other)
-            if worst is None or r < worst:
-                worst = r
-    return worst
+    ratios = (
+        _ratio(row[i], other) for i, row in enumerate(matrix) for j, other in enumerate(row) if i != j
+    )
+    return min((r for r in ratios if r is not None), default=None)
 
 
 def check_exante_ef(dist: RandomizedAllocation, inst: Instance, alpha: Fraction) -> AuditReport:
@@ -355,9 +350,10 @@ def check_exante_ef(dist: RandomizedAllocation, inst: Instance, alpha: Fraction)
 def check_exante_prop(dist: RandomizedAllocation, inst: Instance, alpha: Fraction) -> AuditReport:
     """alpha-proportionality in expectation: E[v_i(own)] >= alpha * v_i(M) / n."""
     alpha = Fraction(alpha)
+    matrix, den = _expected_matrix(dist, inst)
     everything = frozenset(range(inst.m))
     for i in inst.agents:
-        got = dist.expected_value(inst, i, i)
+        got = Fraction(matrix[i][i], den[i])
         fair_share = value_of(inst, i, everything) / inst.n
         if got < alpha * fair_share:
             return AuditReport(
@@ -377,11 +373,13 @@ def check_stochastic_dominance_half(dist: RandomizedAllocation, inst: Instance) 
     """For every pair (i, j) and every achievable threshold T of v_i:
     Pr[v_i(own) >= T] >= (1/2) Pr[v_i(j's bundle) >= T], exactly."""
     for i in inst.agents:
+        # viewer i's value of every bundle, once per outcome
+        views = [(p, [value_of(inst, i, b) for b in a.bundles]) for p, a in dist.support]
+        own_vals = [(p, values[i]) for p, values in views]
         for j in inst.agents:
             if i == j:
                 continue
-            own_vals = [(p, value_of(inst, i, a.bundles[i])) for p, a in dist.support]
-            other_vals = [(p, value_of(inst, i, a.bundles[j])) for p, a in dist.support]
+            other_vals = [(p, values[j]) for p, values in views]
             thresholds = {v for _, v in own_vals} | {v for _, v in other_vals}
             for t in thresholds:
                 p_own = sum((p for p, v in own_vals if v >= t), start=Fraction(0))

@@ -232,6 +232,8 @@ def bounded_charity(
     pool of, reach one that additionally parks fewer goods than there are
     unenvied agents.  Raises ResourceCapError (with state attached) if the
     step cap is exhausted."""
+    if step_cap is not None and step_cap < 0:
+        raise PreconditionError(f"step cap must be non-negative, got {step_cap}")
     require_monotone_integer(inst)
     pre = check_efx_with_charity(inst, start)
     if not pre.passed:

@@ -9,8 +9,9 @@ line, same output.
 ALGORITHMS is the one table of algorithm names.  Each entry says how
 `solve` builds its output (an exact lottery, one seeded draw, or a router
 between the two), how `sample` and `estimate` draw from it, which checkers
-its output owes, and which exact charity distribution `oracle` computes for
-it.  The argparse choices of solve, sample, estimate and oracle come from it.
+its outcomes owe ex post and its lottery owes ex ante, and which exact
+charity distribution `oracle` computes for it.  The argparse choices of
+solve, sample, estimate and oracle come from it.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
 3 bad input or precondition, 4 a resource cap was hit.
@@ -33,6 +34,7 @@ from .audit import (
     check_efx,
     check_efx_with_charity,
     check_exante_ef,
+    check_exante_prop,
     check_po_lex,
     check_sdef_instance,
     check_stochastic_dominance_half,
@@ -150,9 +152,10 @@ def cmd_eat(args) -> int:
 # ---------------------------------------------------------------------------
 # the algorithm table
 #
-# Builders are lambdas over this module's names and _checkers builds its map
-# per call, so every function is looked up when it runs: span tracers that
-# rebind this module's attributes (perfbench/tracer.py) see each call.
+# Builders are lambdas over this module's names and _checkers and
+# _exante_checkers build their maps per call, so every function is looked up
+# when it runs: span tracers that rebind this module's attributes
+# (perfbench/tracer.py) see each call.
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ class Algorithm:
     lottery: Optional[Callable] = None  # (inst, args) -> RandomizedAllocation
     # (inst, args) -> seed -> (allocation, trace or None); sample, estimate
     draws: Optional[Callable] = None
-    exante_half_ef: bool = False  # the lottery also owes ex-ante 1/2-EF
+    exante: tuple[str, ...] = ()  # _exante_checkers keys owed by the whole lottery
     exact: Optional[int] = None  # algorithm= of exact_distribution_charity
 
 
@@ -175,6 +178,16 @@ def _checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
         "po_lex": check_po_lex,
         "efx_with_charity": check_efx_with_charity,
         "bounded_charity": check_bounded_charity,
+    }
+    return {key: known[key] for key in keys}
+
+
+def _exante_checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
+    """Each key's audit of a whole lottery: (dist, inst) -> AuditReport."""
+    known = {
+        "exante_half_ef": lambda dist, inst: check_exante_ef(dist, inst, Fraction(1, 2)),
+        "exante_half_prop": lambda dist, inst: check_exante_prop(dist, inst, Fraction(1, 2)),
+        "stochastic_dominance_half": check_stochastic_dominance_half,
     }
     return {key: known[key] for key in keys}
 
@@ -221,16 +234,21 @@ ALGORITHMS: dict[str, Algorithm] = {
         draws=lambda inst, args: _no_trace(
             lambda seed: uniform_permutation(inst, mode="sample", seed=seed)
         ),
-        exante_half_ef=True,
+        exante=("exante_half_ef",),
     ),
     "charity": Algorithm(
         "draw",
         ("efx_with_charity",),
         draws=lambda inst, args: lambda seed: random_charity_swap(inst, seed),
+        exante=("stochastic_dominance_half",),
         exact=3,
     ),
     "bounded-charity": Algorithm(
-        "draw", ("bounded_charity",), draws=_bounded_charity_draws, exact=4
+        "draw",
+        ("bounded_charity",),
+        draws=_bounded_charity_draws,
+        exante=("exante_half_prop",),
+        exact=4,
     ),
 }
 
@@ -259,8 +277,8 @@ def cmd_solve(args) -> int:
         audits = {key: rep.to_json() for key, rep in reports.items()}
         ratio = min_exante_ratio(outcome, inst)
         audits["min_exante_ratio"] = None if ratio is None else format_rational(ratio)
-        if algo.exante_half_ef:
-            audits["exante_half_ef"] = check_exante_ef(outcome, inst, Fraction(1, 2)).to_json()
+        for key, check in _exante_checkers(algo.exante).items():
+            audits[key] = check(outcome, inst).to_json()
     else:
         result["allocation"] = outcome.to_json()
         if trace is not None:
@@ -368,7 +386,8 @@ def cmd_oracle(args) -> int:
         (checker,) = _checkers(algo.audits).values()
         reports = check_support(inst, dist, {"support": checker})
         audits = {name: rep.to_json() for name, rep in reports.items()}
-        audits["stochastic_dominance_half"] = check_stochastic_dominance_half(dist, inst).to_json()
+        for key, check in _exante_checkers(algo.exante).items():
+            audits[key] = check(dist, inst).to_json()
         _emit({"distribution": dist.to_json(), "audits": audits}, args.output)
         ok = all(rep["passed"] for rep in audits.values())
         return EXIT_OK if ok else EXIT_PROPERTY

@@ -481,12 +481,6 @@ class RandomizedAllocation:
         support = tuple(acc[k] for k in sorted(acc))
         return cls(support)
 
-    def expected_value(self, inst: Instance, viewer: int, holder: int) -> Fraction:
-        return sum(
-            (p * value_of(inst, viewer, alloc.bundles[holder]) for p, alloc in self.support),
-            start=Fraction(0),
-        )
-
     def associated_fractional(self, m: int) -> FractionalAllocation:
         n = self.support[0][1].n
         rows = [[Fraction(0)] * m for _ in range(n)]

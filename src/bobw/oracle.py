@@ -288,6 +288,8 @@ def iter_charity_branches(
 ) -> Iterator[tuple[Fraction, IntegralAllocation, SwapTrace]]:
     """Depth-first enumeration of every run of the uniform pool-swap loop;
     yields (path probability, final allocation, trace)."""
+    if leaf_cap < 0:
+        raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
     require_monotone_integer(inst)
     count = 0
 

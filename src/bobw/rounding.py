@@ -225,80 +225,57 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
 # randomized dependent rounding
 
 
-def _floating_graph(X: list[list[Fraction]]):
+def _walk_cycle_or_path(X: list[list[Fraction]]) -> Optional[list[tuple[int, int]]]:
+    """Edges (agent, good) of one cycle (preferred) or one maximal path of the
+    floating graph, whose edges are the strictly fractional entries; None
+    when none remain.  Agent i is vertex i and good j is vertex n + j, and
+    scans are lowest-index-first, so the choice is deterministic."""
     n, m = len(X), len(X[0])
-    agent_adj = [[j for j in range(m) if 0 < X[i][j] < 1] for i in range(n)]
-    good_adj = [[i for i in range(n) if 0 < X[i][j] < 1] for j in range(m)]
-    return agent_adj, good_adj
-
-
-def _walk_cycle_or_path(agent_adj, good_adj) -> Optional[list[tuple[int, int]]]:
-    """Edges of one cycle (preferred) or one maximal path of the floating
-    graph; None when no fractional entries remain.  Vertices are ('a', i) and
-    ('g', j); scans are lowest-index-first so the choice is deterministic."""
-
-    def neighbours(v):
-        kind, idx = v
-        if kind == "a":
-            return [("g", j) for j in agent_adj[idx]]
-        return [("a", i) for i in good_adj[idx]]
-
-    vertices = [("a", i) for i in range(len(agent_adj)) if agent_adj[i]]
-    if not vertices:
+    adj = [[n + j for j in range(m) if 0 < X[i][j] < 1] for i in range(n)]
+    adj += [[i for i in range(n) if 0 < X[i][j] < 1] for j in range(m)]
+    if not any(adj[:n]):
         return None
 
-    # DFS for a cycle (the graphs are tiny, so recursion depth is no concern).
-    cycle: list = []
-    seen: set = set()
+    def edges(vertices: list[int]) -> list[tuple[int, int]]:
+        return [(min(u, w), max(u, w) - n) for u, w in zip(vertices, vertices[1:])]
 
-    def dfs(v, parent, path_idx, path_e):
-        seen.add(v)
-        for w in neighbours(v):
-            if w == parent:
+    # Depth-first search for a cycle, iterative: `path` holds the open
+    # vertices, `scans` the neighbours each has left to try, and `at` each
+    # open vertex's position on the path.
+    seen: set[int] = set()
+    for root in range(n):
+        if not adj[root] or root in seen:
+            continue
+        seen.add(root)
+        path, scans, at = [root], [iter(adj[root])], {root: 0}
+        while path:
+            parent = path[-2] if len(path) > 1 else None
+            for w in scans[-1]:
+                if w == parent:
+                    continue
+                if w in at:  # a back edge closes the cycle from w onward
+                    return edges(path[at[w] :] + [w])
+                if w not in seen:
+                    break
+            else:
+                del at[path.pop()]
+                scans.pop()
                 continue
-            e = (v[1], w[1]) if v[0] == "a" else (w[1], v[1])
-            if w in path_idx:
-                # back edge: the cycle is the path from w onward plus this edge
-                cycle.extend(path_e[path_idx[w] :] + [e])
-                return True
-            if w in seen:
-                continue
-            path_idx[w] = len(path_e) + 1
-            path_e.append(e)
-            if dfs(w, v, path_idx, path_e):
-                return True
-            path_e.pop()
-            del path_idx[w]
-        return False
-
-    for root in vertices:
-        if root not in seen and dfs(root, None, {root: 0}, []):
-            return cycle
+            seen.add(w)
+            at[w] = len(path)
+            path.append(w)
+            scans.append(iter(adj[w]))
 
     # No cycle: the floating graph is a forest.  Maximal paths run between
     # two leaves; integral column sums force every leaf to be an agent.
-    deg = {}
-    for i, adj in enumerate(agent_adj):
-        if adj:
-            deg[("a", i)] = len(adj)
-    for j, adj in enumerate(good_adj):
-        if adj:
-            deg[("g", j)] = len(adj)
-    leaves = sorted(v for v, d in deg.items() if d == 1)
-    start = leaves[0]
-    if start[0] != "a":
+    v = next(u for u, nbrs in enumerate(adj) if len(nbrs) == 1)
+    if v >= n:
         raise AssertionError("a column with a single fractional entry cannot have an integral sum")
-    edges = []
-    prev = None
-    v = start
-    while True:
-        options = [w for w in neighbours(v) if w != prev]
-        if not options:
-            break
-        w = options[0]
-        edges.append((v[1], w[1]) if v[0] == "a" else (w[1], v[1]))
+    path, prev = [v], None
+    while (w := next((u for u in adj[v] if u != prev), None)) is not None:
+        path.append(w)
         prev, v = v, w
-    return edges
+    return edges(path)
 
 
 def dependent_round(
@@ -320,8 +297,7 @@ def dependent_round(
 
     rng = SplitMix64(seed)
     while True:
-        agent_adj, good_adj = _floating_graph(X)
-        walk = _walk_cycle_or_path(agent_adj, good_adj)
+        walk = _walk_cycle_or_path(X)
         if walk is None:
             break
         plus = walk[0::2]

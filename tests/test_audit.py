@@ -33,7 +33,7 @@ from bobw import (
     value_of,
 )
 from bobw import audit
-from bobw.audit import AuditReport, envied_agents, envies, unenvied_agents
+from bobw.audit import AuditReport, envied_agents, envy_edges, unenvied_agents
 from bobw.rng import SplitMix64
 
 from helpers import additive_instance, from_assignment, lex_instance, monotone_instance
@@ -53,8 +53,8 @@ def _additive_pair():
 def test_envy_primitives():
     inst = _additive_pair()
     alloc = from_assignment([0, 0, 1], 2)
-    assert envies(inst, alloc, 1, 0)
-    assert not envies(inst, alloc, 0, 1)
+    assert envy_edges(inst, alloc)[1] == [0]
+    assert 0 not in envy_edges(inst, alloc)
     assert envied_agents(inst, alloc) == {0}
     assert unenvied_agents(inst, alloc) == [1]
 
@@ -243,14 +243,18 @@ def _ref_check_efx(inst, alloc):
     return AuditReport("efx", True)
 
 
+def _ref_expected_value(dist, inst, i, j):
+    return sum((p * value_of(inst, i, alloc.bundles[j]) for p, alloc in dist.support), start=F(0))
+
+
 def _ref_min_exante_ratio(dist, inst):
     worst = None
     for i in inst.agents:
         for j in inst.agents:
             if i == j:
                 continue
-            num = dist.expected_value(inst, i, i)
-            den = dist.expected_value(inst, i, j)
+            num = _ref_expected_value(dist, inst, i, i)
+            den = _ref_expected_value(dist, inst, i, j)
             if den != 0 and (worst is None or num / den < worst):
                 worst = num / den
     return worst
@@ -258,11 +262,11 @@ def _ref_min_exante_ratio(dist, inst):
 
 def _ref_check_exante_ef(dist, inst, alpha):
     for i in inst.agents:
-        num = dist.expected_value(inst, i, i)
+        num = _ref_expected_value(dist, inst, i, i)
         for j in inst.agents:
             if i == j:
                 continue
-            den = dist.expected_value(inst, i, j)
+            den = _ref_expected_value(dist, inst, i, j)
             if num < alpha * den:
                 witness = {"viewer": i, "toward": j, "alpha": str(alpha), "own": str(num), "other": str(den)}
                 return AuditReport("exante-ef", False, witness)
@@ -328,3 +332,68 @@ def test_table_valuations_keep_the_value_of_path(monkeypatch):
     assert all(isinstance(v, Table) for v in table.valuations)
     _same_verdicts(table, from_assignment([0, 0, 1, 2, 2], 3), _random_lottery(rng, table))
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# differential check of the one-matrix ex-ante audits against per-pair loops
+
+
+def _ref_exante_ratio(dist, inst, i, j):
+    num = _ref_expected_value(dist, inst, i, i)
+    den = _ref_expected_value(dist, inst, i, j)
+    if den == 0:
+        return None
+    return num / den
+
+
+def _ref_check_exante_prop(dist, inst, alpha):
+    everything = frozenset(range(inst.m))
+    for i in inst.agents:
+        got = _ref_expected_value(dist, inst, i, i)
+        fair_share = value_of(inst, i, everything) / inst.n
+        if got < alpha * fair_share:
+            witness = {"agent": i, "alpha": str(alpha), "expected": str(got), "share": str(fair_share)}
+            return AuditReport("exante-prop", False, witness)
+    return AuditReport("exante-prop", True, {"alpha": str(alpha)})
+
+
+def _ref_check_stochastic_dominance_half(dist, inst):
+    for i in inst.agents:
+        for j in inst.agents:
+            if i == j:
+                continue
+            own_vals = [(p, value_of(inst, i, a.bundles[i])) for p, a in dist.support]
+            other_vals = [(p, value_of(inst, i, a.bundles[j])) for p, a in dist.support]
+            thresholds = {v for _, v in own_vals} | {v for _, v in other_vals}
+            for t in thresholds:
+                p_own = sum((p for p, v in own_vals if v >= t), start=F(0))
+                p_other = sum((p for p, v in other_vals if v >= t), start=F(0))
+                if 2 * p_own < p_other:
+                    witness = {"viewer": i, "toward": j, "threshold": str(t), "own": str(p_own), "other": str(p_other)}
+                    return AuditReport("stochastic-dominance-half", False, witness)
+    return AuditReport("stochastic-dominance-half", True)
+
+
+def _mixed_instance(rng, n, m):
+    # each agent lexicographic, fractional additive (ties, zeros, negatives) or a table
+    makers = (lex_instance, _fraction_additive_instance, monotone_instance)
+    vals = tuple(makers[rng.below(3)](rng, 1, m).valuations[0] for _ in range(n))
+    return Instance(n=n, m=m, valuations=vals)
+
+
+def test_exante_audits_match_per_pair_loops():
+    rng = SplitMix64(3105)
+    failing = 0
+    for _ in range(500):
+        inst = _mixed_instance(rng, 2 + rng.below(3), 1 + rng.below(6))
+        dist = _random_lottery(rng, inst)
+        for i in inst.agents:
+            for j in inst.agents:
+                assert exante_ratio(dist, inst, i, j) == _ref_exante_ratio(dist, inst, i, j)
+        reports = [(check_stochastic_dominance_half(dist, inst), _ref_check_stochastic_dominance_half(dist, inst))]
+        for alpha in (F(0), F(1, 2), F(3, 4), F(1), F(3, 2)):
+            reports.append((check_exante_prop(dist, inst, alpha), _ref_check_exante_prop(dist, inst, alpha)))
+        for got, expected in reports:
+            assert got.to_json() == expected.to_json()
+            failing += not got.passed
+    assert failing > 300

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from bobw import IntegralAllocation, get_fixture, instance_to_json, utse
-from bobw.cli import main
+from bobw.cli import ALGORITHMS, _checkers, _exante_checkers, main
 
 from helpers import from_assignment
 
@@ -405,12 +405,56 @@ def test_oracle_exact_distributions(capsys):
     code, data = _run_json(capsys, ["oracle", "FIX-E", "--op", "exact-bounded-charity"])
     assert code == 0
     assert data["audits"]["support"]["passed"] is True
+    assert data["audits"]["exante_half_prop"]["passed"] is True
+
+
+# capped additive tables (monotone, subadditive) on which the bounded-charity
+# lottery is half-proportional in expectation but not stochastic-dominance 1/2
+_SUBADDITIVE_3X5 = {
+    "n": 3,
+    "m": 5,
+    "valuations": [
+        {"kind": "table", "subadditive": True, "values": values}
+        for values in (
+            [0, 5, 3, 8, 3, 8, 6, 11, 5, 10, 8, 12, 8, 12, 11, 12, 1, 6, 4, 9, 4, 9, 7, 12, 6, 11, 9, 12, 9, 12, 12, 12],
+            [0, 2, 1, 3, 2, 4, 3, 5, 1, 3, 2, 4, 3, 5, 4, 6, 3, 5, 4, 6, 5, 6, 6, 6, 4, 6, 5, 6, 6, 6, 6, 6],
+            [0, 2, 4, 6, 5, 7, 8, 8, 1, 3, 5, 7, 6, 8, 8, 8, 5, 7, 8, 8, 8, 8, 8, 8, 6, 8, 8, 8, 8, 8, 8, 8],
+        )
+    ],
+}
+
+
+def test_oracle_exact_bounded_charity_owes_half_proportionality(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_SUBADDITIVE_3X5))
+    code, data = _run_json(capsys, ["oracle", str(path), "--op", "exact-bounded-charity"])
+    assert code == 0
+    assert list(data["audits"]) == ["support", "exante_half_prop"]
+    assert data["audits"]["exante_half_prop"]["passed"] is True
+
+
+def test_algorithm_table_keys_resolve_to_checkers():
+    for algo in ALGORITHMS.values():
+        assert list(_checkers(algo.audits)) == list(algo.audits)
+        assert list(_exante_checkers(algo.exante)) == list(algo.exante)
 
 
 def test_oracle_leaf_cap(capsys):
     code = main(["oracle", "FIX-E", "--op", "exact-charity", "--leaf-cap", "2"])
     assert code == 4
     assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("solve FIX-E --algorithm bounded-charity --seed 7 --step-cap -1", "step cap must be non-negative, got -1"),
+        ("oracle FIX-E --op exact-charity --leaf-cap -5", "leaf cap must be non-negative, got -5"),
+    ],
+)
+def test_negative_work_caps_are_precondition_errors(capsys, command, message):
+    assert main(command.split()) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -482,7 +526,7 @@ _GOLDEN = [
     ("oracle FIX-A --op enumerate-efx", 0, "2f34581a4c3ab9847cdf7b4af65157035c7871b33eb8d2db792160954fec7b82"),
     ("oracle FIX-A --op sdef-feasibility", 0, "c5892aee6b2e49cc265fd9f09255dba2594bb14fafffd22ebf228f7f214d7a9d"),
     ("oracle FIX-E --op exact-charity", 0, "35c6218986e6b3663242399febc433b2d245155ec500981a05496fe77981a538"),
-    ("oracle FIX-E --op exact-bounded-charity", 0, "fd2837dae88d16c51cbaa05049dc478526bff5471d38dcff2356a4709707f4cc"),
+    ("oracle FIX-E --op exact-bounded-charity", 0, "76b6dd6713604ce7c2c917380d218105709c9aa008d5af8c05f0c8aed6dcb635"),
     ("verify FIX-D --allocation PASS --properties efx,po-lex", 0, "87bf18905c66548653ea20776f55a65d181569a800de46c0287dd79aa8df9dcd"),
     ("verify FIX-D --allocation FAIL --properties efx", 2, "2bf8c1dbc22da897a8286f4dc855c59d5af87a0231a10f9a39abd0b4b00f7a7c"),
     ("verify FIX-D --allocation DIST --properties po-lex,sdef", 0, "a43c6c8bed161b639c41b177da3d27e7c46c565b4440a0c48fd84f66dce27839"),

@@ -15,6 +15,7 @@ from bobw import (
     RandomizedAllocation,
     Table,
     canonical_lex_values,
+    exante_ratio,
     format_rational,
     get_fixture,
     instance_from_json,
@@ -187,9 +188,9 @@ def test_randomized_allocation_expected_value_and_fractional():
     a = IntegralAllocation(bundles=(frozenset({0}), frozenset({1, 2})))
     b = IntegralAllocation(bundles=(frozenset({1, 2}), frozenset({0})))
     dist = RandomizedAllocation(support=((F(1, 2), a), (F(1, 2), b)))
-    # both rank g1 > g2 > g3 with canonical values 4, 2, 1
-    assert dist.expected_value(inst, 0, 0) == F(7, 2)
-    assert dist.expected_value(inst, 0, 1) == F(7, 2)
+    # both rank g1 > g2 > g3 with canonical values 4, 2, 1: each expects 7/2 from either bundle
+    assert exante_ratio(dist, inst, 0, 1) == 1
+    assert exante_ratio(dist, inst, 1, 0) == 1
     frac = dist.associated_fractional(inst.m)
     assert frac.entries[0] == (F(1, 2), F(1, 2), F(1, 2))
     round_trip = RandomizedAllocation.from_json(dist.to_json())

@@ -197,6 +197,15 @@ def test_dependent_round_same_seed_same_output():
     assert a == b
 
 
+def test_dependent_round_long_ring_needs_no_stack_depth():
+    # one cycle through all 1,400 vertices: a recursive walk overflows the stack
+    n = 700
+    rows = [[HALF if j in (i, (i + 1) % n) else F(0) for j in range(n)] for i in range(n)]
+    out = dependent_round(rows, seed=5)
+    assert all(sum(r[j] for r in out) == 1 for j in range(n))
+    assert all(sum(r) == 1 for r in out)
+
+
 def test_supergood_matrix_from_pair_instance():
     s = summarize(run_eating(get_fixture("FIX-C"), F(1)))
     sg = build_supergood_matrix(s)
