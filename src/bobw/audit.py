@@ -6,31 +6,31 @@ whatever certifies the property (e.g. the picking sequence that reproduces a
 Pareto-optimal allocation).  All comparisons are exact; there are no
 tolerances anywhere in this module.
 
-``check_efx`` reads ordinal (``Lexicographic`` and ``Additive``) valuations
-as integer weights per good, derived once per call: the canonical powers of
-two, or the values scaled by the LCM of their denominators.  Every
+The envy audits compare one viewer's values, so they read each
+valuation's integer form (``int_value``, ``weights``).  Every
 expected-value audit (``exante_ratio``, ``min_exante_ratio``,
-``check_exante_ef``, ``check_exante_prop``) reads one n x n matrix of
-E[v_i(A_j)], built in one pass over the support with probabilities scaled
-the same way, so ordinal rows compare Python ints.  ``Table`` valuations are
-read through ``value_of``.
+``check_exante_ef``, ``check_exante_prop``) reads one n x n integer matrix
+of E[v_i(A_j)], built from each agent's scaled probability of holding each
+bundle, so each viewer values each distinct bundle once.  The fair share and stochastic
+dominance read exact Fractions through ``value_of``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Optional, Sequence
 
 from .core import (
-    Additive,
     Instance,
     IntegralAllocation,
-    Lexicographic,
     PreconditionError,
     RandomizedAllocation,
-    canonical_lex_values,
+    Table,
+    bundle_mask,
     format_rational,
     value_of,
 )
@@ -54,53 +54,12 @@ def _pair_witness(i: int, j: int, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# integer weights of ordinal valuations
-
-
-def _integer_weights(inst: Instance) -> list[Optional[tuple[tuple[int, ...], int]]]:
-    """Per agent, (w, s) with v_i(B) = sum(w[g] for g in B) / s and s > 0,
-    or None for a Table valuation."""
-    out: list[Optional[tuple[tuple[int, ...], int]]] = []
-    for val in inst.valuations:
-        if isinstance(val, Lexicographic):
-            out.append((canonical_lex_values(val.ranking), 1))
-        elif isinstance(val, Additive):
-            ratios = [v.as_integer_ratio() for v in val.values]
-            scale = lcm(*(d for _, d in ratios))
-            out.append((tuple(p * (scale // d) for p, d in ratios), scale))
-        else:
-            out.append(None)
-    return out
-
-
-def _expected_matrix(dist: RandomizedAllocation, inst: Instance) -> tuple[list[list], list[int]]:
-    """One pass over the support: E[i][j] / den[i] = E[v_i(j's bundle)].
-
-    Probabilities are scaled by the LCM of their denominators, so entries of
-    ordinal rows are ints; Table rows hold exact Fractions."""
-    scale = lcm(*(p.denominator for p, _ in dist.support))
-    weights = _integer_weights(inst)
-    matrix = [[0] * inst.n for _ in inst.agents]
-    for p, alloc in dist.support:
-        q = p.numerator * (scale // p.denominator)
-        for i, row in enumerate(matrix):
-            if weights[i] is None:
-                for j in inst.agents:
-                    row[j] += q * value_of(inst, i, alloc.bundles[j])
-                continue
-            weight = weights[i][0].__getitem__
-            for j in inst.agents:
-                row[j] += q * sum(map(weight, alloc.bundles[j]))
-    den = [scale * (1 if w is None else w[1]) for w in weights]
-    return matrix, den
-
-
-# ---------------------------------------------------------------------------
 # pairwise envy notions on integral allocations
 
 
 def envies_set(inst: Instance, alloc: IntegralAllocation, i: int, goods) -> bool:
-    return value_of(inst, i, alloc.bundles[i]) < value_of(inst, i, goods)
+    value = inst.valuations[i].int_value
+    return value(alloc.bundles[i]) < value(goods)
 
 
 def enviers_of_set(inst: Instance, alloc: IntegralAllocation, goods) -> list[int]:
@@ -110,9 +69,9 @@ def enviers_of_set(inst: Instance, alloc: IntegralAllocation, goods) -> list[int
 def envy_edges(inst: Instance, alloc: IntegralAllocation) -> dict[int, list[int]]:
     """The envy graph: each envious agent to the agents it envies, ascending."""
     out: dict[int, list[int]] = {}
-    for i in inst.agents:
-        vi = value_of(inst, i, alloc.bundles[i])
-        targets = [j for j in inst.agents if j != i and vi < value_of(inst, i, alloc.bundles[j])]
+    for i, val in enumerate(inst.valuations):
+        vi = val.int_value(alloc.bundles[i])
+        targets = [j for j in inst.agents if j != i and vi < val.int_value(alloc.bundles[j])]
         if targets:
             out[i] = targets
     return out
@@ -137,12 +96,12 @@ def check_ef(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
 
 def check_ef1(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     """Envy bounded by one good; vacuous toward empty bundles."""
-    for i in inst.agents:
-        vi = value_of(inst, i, alloc.bundles[i])
+    for i, val in enumerate(inst.valuations):
+        vi = val.int_value(alloc.bundles[i])
         for j in inst.agents:
             if i == j or not alloc.bundles[j]:
                 continue
-            if all(vi < value_of(inst, i, alloc.bundles[j] - {g}) for g in alloc.bundles[j]):
+            if all(vi < val.int_value(alloc.bundles[j] - {g}) for g in alloc.bundles[j]):
                 return AuditReport("ef1", False, _pair_witness(i, j))
     return AuditReport("ef1", True)
 
@@ -151,23 +110,23 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     """Envy bounded by any good: removing any single good from the envied
     bundle must kill the envy.
 
-    For an additive (or lexicographic) agent the removal that leaves the most
-    is that of the least-valued good, so one comparison per pair decides;
-    only a failing pair is scanned for its first violating good."""
-    weights = _integer_weights(inst)
-    for i in inst.agents:
-        if weights[i] is None:
-            vi = value_of(inst, i, alloc.bundles[i])
+    A table looks every removal up.  For per-good weights the removal that
+    leaves the most is that of the least-weighted good, so one comparison
+    per pair decides; only a failing pair is scanned for its first
+    violating good."""
+    for i, val in enumerate(inst.valuations):
+        w = val.weights
+        vi = val.int_value(alloc.bundles[i])
+        if isinstance(val, Table):
             for j in inst.agents:
                 if i == j:
                     continue
+                mask = bundle_mask(alloc.bundles[j])
                 for g in alloc.bundles[j]:
-                    if vi < value_of(inst, i, alloc.bundles[j] - {g}):
+                    if vi < w[mask ^ (1 << g)]:
                         return AuditReport("efx", False, _pair_witness(i, j, good=g))
             continue
-        w = weights[i][0]
         weight = w.__getitem__
-        vi = sum(map(weight, alloc.bundles[i]))
         least = min(w, default=0)  # bounds every bundle's least weight from below
         for j in inst.agents:
             bundle = alloc.bundles[j]
@@ -230,32 +189,38 @@ def check_po_lex(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
         for g in bundle:
             owner[g] = i
     remaining = set(range(inst.m))
-    cursors = [0] * inst.n
+    cursors = [0] * inst.n  # each agent's top remaining good, or len(ranking)
+    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
+    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
     sequence: list[int] = []
 
-    def top_remaining(i: int) -> Optional[int]:
+    def place(i: int) -> None:
         r = rankings[i]
-        while cursors[i] < len(r) and r[cursors[i]] not in remaining:
-            cursors[i] += 1
-        return r[cursors[i]] if cursors[i] < len(r) else None
+        c = cursors[i]
+        while c < len(r) and r[c] not in remaining:
+            c += 1
+        cursors[i] = c
+        if c < len(r):
+            if owner[r[c]] == i:
+                heappush(ready, i)
+            else:
+                waiting.setdefault(r[c], []).append(i)
 
-    progress = True
-    while remaining and progress:
-        progress = False
-        for i in inst.agents:
-            g = top_remaining(i)
-            if g is not None and owner.get(g) == i:
-                sequence.append(i)
-                remaining.discard(g)
-                progress = True
-                break
+    for i in inst.agents:
+        place(i)
+    # the lowest ready agent picks; a pick moves only the picker's top and
+    # the tops of the agents waiting on the picked good
+    while ready:
+        i = heappop(ready)
+        g = rankings[i][cursors[i]]
+        sequence.append(i)
+        remaining.discard(g)
+        place(i)
+        for k in waiting.pop(g, ()):
+            place(k)
     if remaining:
-        stuck = {i: top_remaining(i) for i in inst.agents}
-        return AuditReport(
-            "po-lex",
-            False,
-            {"unconsumed": sorted(remaining), "top_choices": {str(i): g for i, g in stuck.items()}},
-        )
+        top = {str(i): r[c] if c < len(r) else None for i, (r, c) in enumerate(zip(rankings, cursors))}
+        return AuditReport("po-lex", False, {"unconsumed": sorted(remaining), "top_choices": top})
     return AuditReport("po-lex", True, {"sequence": sequence})
 
 
@@ -300,6 +265,22 @@ def check_sdef_instance(inst: Instance, rows: Sequence[Sequence[Fraction]]) -> A
 
 # ---------------------------------------------------------------------------
 # ex-ante (expected-value) guarantees of lotteries
+
+
+def _expected_matrix(dist: RandomizedAllocation, inst: Instance) -> tuple[list[list[int]], list[int]]:
+    """E[i][j] / den[i] = E[v_i(j's bundle)], every entry an int.
+
+    One pass over the support sums each agent's probability of holding each
+    bundle, scaled by the LCM of the probabilities' denominators; each
+    viewer then values each distinct bundle once, in its integer form."""
+    scale = lcm(*(p.denominator for p, _ in dist.support))
+    mass = [Counter() for _ in inst.agents]  # j -> bundle -> scaled probability
+    for p, alloc in dist.support:
+        q = p.numerator * (scale // p.denominator)
+        for j in inst.agents:
+            mass[j][alloc.bundles[j]] += q
+    matrix = [[sum(q * val.int_value(b) for b, q in held.items()) for held in mass] for val in inst.valuations]
+    return matrix, [scale * val.scale for val in inst.valuations]
 
 
 def _ratio(own, other) -> Optional[Fraction]:

@@ -163,35 +163,36 @@ def replay_swap_trace(
 
 
 def _find_cycle(edges: dict[int, list[int]], n: int) -> Optional[list[int]]:
-    """Lowest-index-first DFS; returns one directed cycle as an agent list."""
+    """Lowest-index-first DFS; returns one directed cycle as an agent list.
+    The DFS keeps its own stack of (agent, remaining targets), so its depth
+    is not bounded by Python's recursion limit."""
     color = [0] * n  # 0 new, 1 on stack, 2 done
     parent: dict[int, int] = {}
-
-    def dfs(v: int) -> Optional[list[int]]:
-        color[v] = 1
-        for w in edges.get(v, ()):
-            if color[w] == 1:
-                # back edge: walk parents from v up to w, then flip forward
-                chain = [w]
-                cur = v
-                while cur != w:
-                    chain.append(cur)
-                    cur = parent[cur]
-                chain.reverse()
-                return chain
-            if color[w] == 0:
-                parent[w] = v
-                found = dfs(w)
-                if found is not None:
-                    return found
-        color[v] = 2
-        return None
-
-    for v in range(n):
-        if color[v] == 0:
-            found = dfs(v)
-            if found is not None:
-                return found
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(edges.get(root, ())))]
+        while stack:
+            v, targets = stack[-1]
+            for w in targets:
+                if color[w] == 1:
+                    # back edge: walk parents from v up to w, then flip forward
+                    chain = [w]
+                    cur = v
+                    while cur != w:
+                        chain.append(cur)
+                        cur = parent[cur]
+                    chain.reverse()
+                    return chain
+                if color[w] == 0:
+                    parent[w] = v
+                    color[w] = 1
+                    stack.append((w, iter(edges.get(w, ()))))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
     return None
 
 

@@ -13,9 +13,13 @@ supported:
 * ``Table`` -- an explicit set function over all 2^m bundles, used for the
   monotone / subadditive algorithms.  Capped at 20 goods.
 
-The constructors parse every value once (``parse_rational``) and
-``Instance`` checks that each valuation fits its goods (``shape_error``), so
-code past construction may index freely.
+Each valuation holds an integer form: a positive ``scale`` and integer
+``weights`` (per good, or per table bitmask), with v(B) = ``int_value(B)``
+/ ``scale``.  ``Additive`` and ``Table`` build it from their values when
+constructed, parsing with ``int()`` first (``parse_exact``);
+``Lexicographic`` derives its powers of two once, on first use.
+``Instance`` checks that each valuation fits its goods (``shape_error``),
+so code past construction may index freely.
 
 Allocation containers come in three flavours: integral (bundles plus an
 optional unallocated pool), fractional (a matrix of consumption shares), and
@@ -48,21 +52,33 @@ class ResourceCapError(FairDivisionError):
     """An enumeration or iteration cap was exhausted."""
 
 
-def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Accept ints, Fractions, or 'p/q' / 'p' strings; bools, floats and
-    anything else are a PreconditionError."""
-    if type(value) is Fraction:
+def parse_exact(value: Union[int, str, Fraction]) -> Union[int, Fraction]:
+    """Accept ints, Fractions, or 'p/q' / 'p' / decimal strings; bools, floats
+    and anything else are a PreconditionError.  Ints and the strings int()
+    reads come back as ints (int() agrees with Fraction(str) wherever it
+    succeeds), everything else as a Fraction."""
+    if type(value) is int or type(value) is Fraction:
         return value
-    if isinstance(value, bool):
-        raise PreconditionError("booleans are not rationals")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
     if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise PreconditionError(f"cannot interpret {value!r} as a rational") from None
+    if isinstance(value, bool):
+        raise PreconditionError("booleans are not rationals")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     raise PreconditionError(f"cannot interpret {value!r} as a rational")
+
+
+def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
+    """parse_exact's number as a Fraction."""
+    x = parse_exact(value)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def format_rational(x: Fraction) -> str:
@@ -94,32 +110,65 @@ def _as_bundle(goods: Iterable[int]) -> frozenset[int]:
 # valuations
 
 
+def _integer_form(values: Iterable) -> tuple[int, tuple[int, ...]]:
+    """(scale, weights) with value k = weights[k] / scale: the scale is the
+    LCM of the reduced denominators, so it is 1 iff every value is an integer."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int, str}:  # parse_exact's int() path, in one pass
+        try:
+            return 1, tuple(map(int, values))
+        except ValueError:
+            pass
+    exact = [parse_exact(v) for v in values]
+    scale = lcm(*(x.denominator for x in exact))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in exact)
+
+
 def _monotone_integer_error(val: Valuation) -> Optional[str]:
-    """Why the pool-swap algorithms cannot take an additive or table
-    valuation, or None; each valuation caches it."""
-    if any(v.denominator != 1 for v in val.values):
+    """Why the pool-swap algorithms cannot take a valuation, or None; each
+    valuation caches it."""
+    if val.scale != 1:
         return "non-integer valuations"
-    if any(v.numerator < 0 for v in val.values):  # denominators are positive
+    if min(val.weights, default=0) < 0:
         return "negative valuations"
-    if isinstance(val, Table) and val.values[0] != 0:
+    if isinstance(val, Table) and val.weights[0] != 0:
         return "empty-set value nonzero"
-    if isinstance(val, Table) and not _table_monotone(val.values):
+    if isinstance(val, Table) and not _table_monotone(val.weights):
         return "non-monotone table"
     return None
 
 
-@dataclass(frozen=True)
-class Additive:
-    values: tuple[Fraction, ...]
+class _IntegerForm:
+    """v(B) = int_value(B) / scale, with int_value summing per-good weights
+    (a table overrides it with one lookup)."""
 
-    kind = "additive"
     monotone_integer_error = cached_property(_monotone_integer_error)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(parse_rational, self.values)))
+    def int_value(self, bundle: Iterable[int]) -> int:
+        return sum(map(self.weights.__getitem__, bundle))
 
     def value(self, bundle: Iterable[int]) -> Fraction:
-        return sum((self.values[g] for g in bundle), start=Fraction(0))
+        return Fraction(self.int_value(bundle), self.scale)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:  # rebuilt on every call
+        return tuple(Fraction(w, self.scale) for w in self.weights)
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class Additive(_IntegerForm):
+    scale: int
+    weights: tuple[int, ...]
+
+    kind = "additive"
+
+    def __init__(self, values: Iterable):
+        scale, weights = _integer_form(values)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", weights)
+
+    def __repr__(self) -> str:
+        return f"Additive(values={self.values!r})"
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         """Goods sorted by decreasing value; errors on ties (no strict order)."""
@@ -130,71 +179,82 @@ class Additive:
     @cached_property
     def _strict_ranking(self) -> Optional[tuple[int, ...]]:
         # audits ask for the ranking once per outcome; values never change
-        if len(set(self.values)) != len(self.values):
+        w = self.weights
+        if len(set(w)) != len(w):
             return None
-        return tuple(sorted(range(len(self.values)), key=lambda g: (-self.values[g], g)))
+        return tuple(sorted(range(len(w)), key=lambda g: (-w[g], g)))
 
 
 @dataclass(frozen=True)
-class Lexicographic:
+class Lexicographic(_IntegerForm):
     ranking: tuple[int, ...]  # most preferred first
 
     kind = "lexicographic"
-    monotone_integer_error = None  # canonical values are positive ints
+    scale = 1
 
     def __post_init__(self):
         object.__setattr__(self, "ranking", tuple(self.ranking))
         if any(type(g) is not int for g in self.ranking):
             raise PreconditionError("a ranking lists goods as integers")
 
-    def value(self, bundle: Iterable[int]) -> Fraction:
-        values = canonical_lex_values(self.ranking)
-        return Fraction(sum(values[g] for g in bundle))
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        # derived on first use: code that never compares values (eating,
+        # rounding) keeps m big ints per agent out of memory
+        return canonical_lex_values(self.ranking)
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         return self.ranking
 
 
-@dataclass(frozen=True)
-class Table:
-    values: tuple[Fraction, ...]  # indexed by bundle bitmask, length 2^m
-    subadditive: bool = False
+@dataclass(frozen=True, init=False, repr=False)
+class Table(_IntegerForm):
+    scale: int
+    weights: tuple[int, ...]  # indexed by bundle bitmask, length 2^m
+    subadditive: bool
 
     kind = "table"
-    monotone_integer_error = cached_property(_monotone_integer_error)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(parse_rational, self.values)))
+    def __init__(self, values: Iterable, subadditive: bool = False):
+        scale, weights = _integer_form(values)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "subadditive", subadditive)
+
+    def __repr__(self) -> str:
+        return f"Table(values={self.values!r}, subadditive={self.subadditive!r})"
 
     @property
     def num_goods(self) -> int:
-        return max(len(self.values) - 1, 0).bit_length()
+        return max(len(self.weights) - 1, 0).bit_length()
 
-    def value(self, bundle: Iterable[int]) -> Fraction:
-        mask = 0
-        for g in bundle:
-            mask |= 1 << g
-        return self.values[mask]
+    def int_value(self, bundle: Iterable[int]) -> int:
+        return self.weights[bundle_mask(bundle)]
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         raise PreconditionError("table valuations carry no strict ordinal ranking")
 
 
-def _table_monotone(values: Sequence[Fraction]) -> bool:
-    """v(S \\ {g}) <= v(S) for every S and g in S (enough, by induction), on
-    values scaled to ints.  For good g = log2(step) each mask without g pairs
-    with the mask `step` above it; the pairs are sliced out by residue
-    modulo 2 * step while step is small, and by block once it is large, so
-    that each good takes at most sqrt(2^m / 2) slice pairs."""
-    scale = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    size, step = len(ints), 1
+def bundle_mask(bundle: Iterable[int]) -> int:
+    mask = 0
+    for g in bundle:
+        mask |= 1 << g
+    return mask
+
+
+def _table_monotone(weights: Sequence[int]) -> bool:
+    """v(S \\ {g}) <= v(S) for every S and g in S (enough, by induction).
+    For good g = log2(step) each mask without g pairs with the mask `step`
+    above it; the pairs are sliced out by residue modulo 2 * step while step
+    is small, and by block once it is large, so that each good takes at most
+    sqrt(2^m / 2) slice pairs."""
+    size, step = len(weights), 1
     while step < size:
         span = 2 * step
         if step * span <= size:
-            pairs = ((ints[r::span], ints[r + step :: span]) for r in range(step))
+            pairs = ((weights[r::span], weights[r + step :: span]) for r in range(step))
         else:
-            pairs = ((ints[lo : lo + step], ints[lo + step : lo + span]) for lo in range(0, size, span))
+            pairs = ((weights[lo : lo + step], weights[lo + step : lo + span]) for lo in range(0, size, span))
         if not all(all(map(le, low, high)) for low, high in pairs):
             return False
         step = span
@@ -213,13 +273,13 @@ def canonical_lex_values(ranking: Sequence[int]) -> tuple[int, ...]:
     return tuple(values)
 
 
-def is_lexicographic_additive(values: Sequence[Fraction]) -> bool:
+def is_lexicographic_additive(values: Sequence[Union[int, Fraction]]) -> bool:
     """True iff all values are distinct and each exceeds the sum of all
     strictly smaller values (so that single goods dominate bundles below)."""
     if len(set(values)) != len(values):
         return False
     ordered = sorted(values)
-    below = Fraction(0)
+    below = 0
     for v in ordered:
         if v <= below:
             return False
@@ -306,16 +366,16 @@ def shape_error(val: Valuation, m: int) -> Optional[str]:
     ranking that is not a permutation of range(m), an additive vector not of
     length m, a table over more than TABLE_GOODS_CAP goods or not of length
     2^m."""
-    if isinstance(val, Additive) and len(val.values) != m:
-        return f"additive values length {len(val.values)} != m"
+    if isinstance(val, Additive) and len(val.weights) != m:
+        return f"additive values length {len(val.weights)} != m"
     if isinstance(val, Lexicographic) and (
         len(val.ranking) != m or sorted(val.ranking) != list(range(m))
     ):
         return "ranking is not a permutation of the goods"
     if isinstance(val, Table) and m > TABLE_GOODS_CAP:
         return f"table valuations capped at {TABLE_GOODS_CAP} goods"
-    if isinstance(val, Table) and len(val.values) != (1 << m):
-        return f"table length {len(val.values)} != 2^m"
+    if isinstance(val, Table) and len(val.weights) != (1 << m):
+        return f"table length {len(val.weights)} != 2^m"
     return None
 
 
@@ -331,19 +391,19 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for i, val in enumerate(inst.valuations):
         info: dict = {"agent": i, "kind": val.kind}
         if isinstance(val, Additive):
-            if any(v < 0 for v in val.values):
+            if min(val.weights, default=0) < 0:
                 errors.append(f"agent {i}: negative value")
-            info["lexicographic_consistent"] = is_lexicographic_additive(val.values)
+            info["lexicographic_consistent"] = is_lexicographic_additive(val.weights)
         elif isinstance(val, Table):
-            if val.values[0] != 0:
+            if val.weights[0] != 0:
                 errors.append(f"agent {i}: empty-set value nonzero")
-            if any(v < 0 for v in val.values):
+            if min(val.weights, default=0) < 0:
                 errors.append(f"agent {i}: negative value")
-            info["monotone"] = _table_monotone(val.values)
+            info["monotone"] = _table_monotone(val.weights)
             if not info["monotone"]:
                 errors.append(f"agent {i}: non-monotone table")
             if val.subadditive:
-                sub = _table_subadditive(val.values, inst.m)
+                sub = _table_subadditive(val.weights, inst.m)
                 info["subadditive"] = sub
                 if not sub:
                     errors.append(f"agent {i}: table flagged subadditive but is not")
@@ -351,7 +411,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(ok=not errors, agents=tuple(agents), errors=tuple(errors))
 
 
-def _table_subadditive(values: Sequence[Fraction], m: int) -> bool:
+def _table_subadditive(weights: Sequence[int], m: int) -> bool:
     # Under monotonicity, checking disjoint pairs covers the general case:
     # v(S u T) <= v(S) + v(T \ S) <= v(S) + v(T).
     full = (1 << m) - 1
@@ -359,7 +419,7 @@ def _table_subadditive(values: Sequence[Fraction], m: int) -> bool:
         rest = full & ~s
         t = rest
         while t:
-            if values[s] + values[t] < values[s | t]:
+            if weights[s] + weights[t] < weights[s | t]:
                 return False
             t = (t - 1) & rest
     return True

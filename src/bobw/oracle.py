@@ -1,5 +1,5 @@
 """Independent ground-truth references: brute-force enumeration, exact linear
-feasibility, exact branch distributions, and seeded Monte Carlo estimation.
+feasibility, exact branch distributions, and seeded Monte Carlo envy ratios.
 
 Everything here is deliberately simple and exhaustive; these routines exist
 to check the fast constructions, not to be fast themselves.  The linear
@@ -12,7 +12,6 @@ inequality, and a feasible one yields explicit witness weights.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -329,43 +328,7 @@ def exact_distribution_charity(
 
 
 # ---------------------------------------------------------------------------
-# seeded Monte Carlo estimation
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    mean: float
-    stderr: float
-    ci_low: float
-    ci_high: float
-    n: int
-
-    def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "ci99_7": [self.ci_low, self.ci_high],
-            "n": self.n,
-        }
-
-
-def estimate(
-    sampler: Callable[[int], object],
-    statistic: Callable[[object], float],
-    n_samples: int,
-    seed: int,
-) -> EstimateResult:
-    """Mean of `statistic` over n_samples independent replicas, each drawn
-    with a seed derived from (seed, replica index); three-sigma interval."""
-    if n_samples < 1000:
-        raise PreconditionError("estimates need at least 1000 samples")
-    values = [float(statistic(sampler(derive_seed(seed, r)))) for r in range(n_samples)]
-    mean = statistics.fmean(values)
-    sd = statistics.stdev(values)
-    se = sd / math.sqrt(n_samples)
-    return EstimateResult(
-        mean=mean, stderr=se, ci_low=mean - 3 * se, ci_high=mean + 3 * se, n=n_samples
-    )
+# seeded Monte Carlo envy ratios
 
 
 def ratio_table(

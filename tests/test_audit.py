@@ -33,7 +33,8 @@ from bobw import (
     value_of,
 )
 from bobw import audit
-from bobw.audit import AuditReport, envied_agents, envy_edges, unenvied_agents
+from bobw.audit import AuditReport, envied_agents, enviers_of_set, envy_edges, unenvied_agents
+from bobw.eating import ordinal_rankings
 from bobw.rng import SplitMix64
 
 from helpers import additive_instance, from_assignment, lex_instance, monotone_instance
@@ -316,7 +317,109 @@ def test_integer_audits_match_value_of_loops():
     assert failing > 300  # most random allocations are not EFX
 
 
-def test_table_valuations_keep_the_value_of_path(monkeypatch):
+def _ref_envy_edges(inst, alloc):
+    out = {}
+    for i in inst.agents:
+        vi = value_of(inst, i, alloc.bundles[i])
+        targets = [j for j in inst.agents if j != i and vi < value_of(inst, i, alloc.bundles[j])]
+        if targets:
+            out[i] = targets
+    return out
+
+
+def _ref_enviers_of_set(inst, alloc, goods):
+    return [i for i in inst.agents if value_of(inst, i, alloc.bundles[i]) < value_of(inst, i, goods)]
+
+
+def _ref_check_ef(inst, alloc):
+    for i in inst.agents:
+        for j in inst.agents:
+            if i != j and value_of(inst, i, alloc.bundles[i]) < value_of(inst, i, alloc.bundles[j]):
+                return AuditReport("ef", False, {"viewer": i, "toward": j})
+    return AuditReport("ef", True)
+
+
+def _ref_check_ef1(inst, alloc):
+    for i in inst.agents:
+        vi = value_of(inst, i, alloc.bundles[i])
+        for j in inst.agents:
+            if i == j or not alloc.bundles[j]:
+                continue
+            if all(vi < value_of(inst, i, alloc.bundles[j] - {g}) for g in alloc.bundles[j]):
+                return AuditReport("ef1", False, {"viewer": i, "toward": j})
+    return AuditReport("ef1", True)
+
+
+def _ref_check_efx_with_charity(inst, alloc):
+    efx = _ref_check_efx(inst, alloc)
+    if not efx.passed:
+        return AuditReport("efx-with-charity", False, efx.witness)
+    enviers = _ref_enviers_of_set(inst, alloc, alloc.pool)
+    if enviers:
+        witness = {"viewer": enviers[0], "toward": "pool", "pool": sorted(alloc.pool)}
+        return AuditReport("efx-with-charity", False, witness)
+    return AuditReport("efx-with-charity", True)
+
+
+def _ref_check_bounded_charity(inst, alloc):
+    base = _ref_check_efx_with_charity(inst, alloc)
+    if not base.passed:
+        return AuditReport("bounded-charity", False, base.witness)
+    envied = {j for targets in _ref_envy_edges(inst, alloc).values() for j in targets}
+    free = [i for i in inst.agents if i not in envied]
+    if not free:
+        return AuditReport("bounded-charity", False, {"reason": "no unenvied agent exists"})
+    witness = {"pool_size": len(alloc.pool), "unenvied": len(free)}
+    if len(alloc.pool) >= len(free):
+        return AuditReport("bounded-charity", False, {"reason": "pool too large", **witness})
+    return AuditReport("bounded-charity", True, witness)
+
+
+def _same_envy_verdicts(inst, alloc):
+    """The envy audits against value_of loops; returns the EFX verdict."""
+    assert envy_edges(inst, alloc) == _ref_envy_edges(inst, alloc)
+    for goods in (alloc.pool, set(inst.goods), *alloc.bundles):
+        assert enviers_of_set(inst, alloc, goods) == _ref_enviers_of_set(inst, alloc, goods)
+    pairs = ((check_ef, _ref_check_ef), (check_ef1, _ref_check_ef1), (check_efx, _ref_check_efx),
+             (check_efx_with_charity, _ref_check_efx_with_charity), (check_bounded_charity, _ref_check_bounded_charity))
+    for checker, ref in pairs:
+        assert checker(inst, alloc).to_json() == ref(inst, alloc).to_json()
+    return check_efx(inst, alloc).passed
+
+
+def _fraction_table_instance(rng, n, m):
+    # arbitrary tables over mixed denominators: not monotone, with ties,
+    # zeros and negatives, which the audits accept
+    vals = tuple(
+        Table(values=tuple(F(rng.below(13) - 2, 1 + rng.below(6)) for _ in range(1 << m))) for _ in range(n)
+    )
+    return Instance(n=n, m=m, valuations=vals)
+
+
+def _random_partial_allocation(rng, inst):
+    # agent index n stands for the pool
+    owners = [rng.below(inst.n + 1) for _ in inst.goods]
+    bundles = tuple(frozenset(g for g, o in enumerate(owners) if o == i) for i in inst.agents)
+    return IntegralAllocation(bundles=bundles, pool=frozenset(g for g, o in enumerate(owners) if o == inst.n))
+
+
+def test_integer_audits_match_value_of_loops_on_tables_and_mixed_kinds():
+    rng = SplitMix64(6203)
+    makers = (monotone_instance, _fraction_table_instance, _mixed_instance)
+    seen = set()
+    for case in range(600):
+        inst = makers[case % 3](rng, 2 + rng.below(4), 1 + rng.below(6))
+        alloc = _random_partial_allocation(rng, inst)
+        efx = _same_envy_verdicts(inst, alloc)
+        charity = check_efx_with_charity(inst, alloc).passed
+        bounded = check_bounded_charity(inst, alloc).passed
+        complete = _random_allocation(rng, inst)
+        seen.add((efx, charity, bounded, _same_verdicts(inst, complete, _random_lottery(rng, inst))))
+    # every audit both passes and fails somewhere
+    assert all({flags[k] for flags in seen} == {True, False} for k in range(4))
+
+
+def test_integer_audits_never_call_value_of(monkeypatch):
     calls = []
 
     def counted(inst, i, bundle):
@@ -325,13 +428,89 @@ def test_table_valuations_keep_the_value_of_path(monkeypatch):
 
     monkeypatch.setattr(audit, "value_of", counted)
     rng = SplitMix64(77)
-    lex = lex_instance(rng, 3, 5)
-    _same_verdicts(lex, from_assignment([0, 1, 2, 0, 1], 3), uniform_permutation(lex))
+    for inst in (lex_instance(rng, 3, 5), additive_instance(rng, 3, 5), _fraction_additive_instance(rng, 3, 5),
+                 monotone_instance(rng, 3, 5), _fraction_table_instance(rng, 3, 4), _mixed_instance(rng, 4, 5)):
+        for _ in range(10):
+            partial = _random_partial_allocation(rng, inst)
+            _same_envy_verdicts(inst, partial)
+            _same_verdicts(inst, _random_allocation(rng, inst), _random_lottery(rng, inst))
     assert calls == []
-    table = monotone_instance(rng, 3, 5)
-    assert all(isinstance(v, Table) for v in table.valuations)
-    _same_verdicts(table, from_assignment([0, 0, 1, 2, 2], 3), _random_lottery(rng, table))
-    assert calls
+
+
+# ---------------------------------------------------------------------------
+# differential check of the heap-driven Pareto audit against the rescanning loop
+
+
+def _ref_check_po_lex(inst, alloc):
+    if alloc.pool or not alloc.is_complete(inst.m):
+        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
+    rankings = ordinal_rankings(inst)
+    owner = {}
+    for i, bundle in enumerate(alloc.bundles):
+        for g in bundle:
+            owner[g] = i
+    remaining = set(range(inst.m))
+    cursors = [0] * inst.n
+    sequence = []
+
+    def top_remaining(i):
+        r = rankings[i]
+        while cursors[i] < len(r) and r[cursors[i]] not in remaining:
+            cursors[i] += 1
+        return r[cursors[i]] if cursors[i] < len(r) else None
+
+    progress = True
+    while remaining and progress:
+        progress = False
+        for i in inst.agents:
+            g = top_remaining(i)
+            if g is not None and owner.get(g) == i:
+                sequence.append(i)
+                remaining.discard(g)
+                progress = True
+                break
+    if remaining:
+        stuck = {i: top_remaining(i) for i in inst.agents}
+        return AuditReport(
+            "po-lex",
+            False,
+            {"unconsumed": sorted(remaining), "top_choices": {str(i): g for i, g in stuck.items()}},
+        )
+    return AuditReport("po-lex", True, {"sequence": sequence})
+
+
+def _picking_allocation(rng, inst):
+    # a random picking sequence: every agent takes its top remaining good
+    rankings = ordinal_rankings(inst)
+    remaining = set(inst.goods)
+    bundles = [set() for _ in inst.agents]
+    while remaining:
+        i = rng.below(inst.n)
+        g = next(g for g in rankings[i] if g in remaining)
+        bundles[i].add(g)
+        remaining.discard(g)
+    return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+
+
+def test_po_lex_heap_matches_the_rescanning_loop():
+    rng = SplitMix64(5151)
+    verdicts = []
+    for case in range(600):
+        maker = (lex_instance, additive_instance)[case % 2]
+        inst = maker(rng, 2 + rng.below(7), 1 + rng.below(16))
+        # picking outcomes pass; random ones and picking outcomes with two
+        # goods traded mostly fail, often deep into the sequence
+        alloc = _random_allocation(rng, inst) if case % 3 == 0 else _picking_allocation(rng, inst)
+        i, j = rng.below(inst.n), rng.below(inst.n)
+        if case % 3 == 2 and i != j and alloc.bundles[i] and alloc.bundles[j]:
+            g, h = min(alloc.bundles[i]), min(alloc.bundles[j])
+            bundles = list(alloc.bundles)
+            bundles[i], bundles[j] = bundles[i] - {g} | {h}, bundles[j] - {h} | {g}
+            alloc = IntegralAllocation(bundles=tuple(bundles))
+        rep = check_po_lex(inst, alloc)
+        assert rep.to_json() == _ref_check_po_lex(inst, alloc).to_json()
+        verdicts.append(rep.passed)
+    assert 100 < sum(verdicts) < 500
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from bobw import (
 from bobw import audit, core
 from bobw.audit import envies_set
 from bobw.charity_algos import (
+    _find_cycle,
     _utility_sum,
     empty_start,
     envy_edges,
@@ -161,10 +162,62 @@ def test_cycle_resolution_preserves_bundles_and_raises_utility():
         out = resolve_envy_cycles(inst, alloc)
         assert sorted(map(sorted, out.bundles)) == sorted(map(sorted, alloc.bundles))
         assert _utility_sum(inst, out) >= _utility_sum(inst, alloc)
-        edges = envy_edges(inst, out)
-        from bobw.charity_algos import _find_cycle
+        assert _find_cycle(envy_edges(inst, out), inst.n) is None
 
-        assert _find_cycle(edges, inst.n) is None
+
+def _ref_find_cycle(edges, n):
+    # the recursive lowest-index-first DFS the iterative one replaced
+    color = [0] * n
+    parent = {}
+
+    def dfs(v):
+        color[v] = 1
+        for w in edges.get(v, ()):
+            if color[w] == 1:
+                chain = [w]
+                cur = v
+                while cur != w:
+                    chain.append(cur)
+                    cur = parent[cur]
+                chain.reverse()
+                return chain
+            if color[w] == 0:
+                parent[w] = v
+                found = dfs(w)
+                if found is not None:
+                    return found
+        color[v] = 2
+        return None
+
+    for v in range(n):
+        if color[v] == 0:
+            found = dfs(v)
+            if found is not None:
+                return found
+    return None
+
+
+def test_find_cycle_matches_the_recursive_search():
+    rng = SplitMix64(4417)
+    found = 0
+    for _ in range(2000):
+        n = 1 + rng.below(12)
+        density = 1 + rng.below(4)
+        edges = {}
+        for v in range(n):
+            targets = sorted({rng.below(n) for _ in range(rng.below(density + 1))} - {v})
+            if targets:
+                edges[v] = targets
+        cycle = _find_cycle(edges, n)
+        assert cycle == _ref_find_cycle(edges, n)
+        found += cycle is not None
+    assert 500 < found < 1900
+
+
+def test_find_cycle_on_a_long_ring_needs_no_stack_depth():
+    n = 5000
+    cycle = _find_cycle({i: [(i + 1) % n] for i in range(n)}, n)
+    assert cycle == list(range(1, n)) + [0]
 
 
 def test_bounded_charity_reaches_small_pool():
@@ -252,6 +305,8 @@ def test_pool_swap_algorithms_reject_non_monotone_tables():
 def test_monotone_integer_verdicts_name_the_first_failure():
     assert Table((0, 1, 1, 2)).monotone_integer_error is None
     assert Table((0, F(1, 2), 1, 2)).monotone_integer_error == "non-integer valuations"
+    # halves scale to the monotone integer weights 0, 1, 1, 2, yet are not integers
+    assert Table(("0", "1/2", "1/2", "1")).monotone_integer_error == "non-integer valuations"
     assert Table((0, -1, 1, 2)).monotone_integer_error == "negative valuations"
     assert Table((1, 1, 1, 2)).monotone_integer_error == "empty-set value nonzero"
     assert Table((0, 3, 1, 2)).monotone_integer_error == "non-monotone table"

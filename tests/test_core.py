@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,45 @@ def test_valuation_values_are_parsed_once_at_construction(values):
 def test_valuation_values_accept_ints_fractions_and_strings():
     assert Additive((1, "3/2", F(5, 7))).values == (F(1), F(3, 2), F(5, 7))
     assert Table(("0", 2, F(3), "4")).values == (F(0), F(2), F(3), F(4))
+
+
+_READ_AS = {"1_000": F(1000), " 3 ": F(3), "+4": F(4), "007": F(7), "\u0663": F(3), "3.0": F(3),
+            "1e3": F(1000), "0.5": F(1, 2)}
+
+
+@pytest.mark.parametrize("text", list(_READ_AS), ids=repr)
+def test_value_strings_keep_their_exact_value(text):
+    want = _READ_AS[text]
+    assert Additive((text,)).values == (want,)
+    assert Table(("0", text)).values == (F(0), want)
+    data = {"n": 1, "m": 1, "valuations": [{"kind": "additive", "values": [text]}]}
+    assert value_of(instance_from_json(data), 0, {0}) == want
+    assert parse_rational(text) == want
+
+
+@pytest.mark.parametrize("text", ["0x10", "3/", "", "1/0"], ids=repr)
+def test_unreadable_value_strings_are_refused_with_their_text(text):
+    message = re.escape(f"cannot interpret {text!r} as a rational")
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        Additive((text,))
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        Table(("0", text))
+    data = {"n": 1, "m": 1, "valuations": [{"kind": "additive", "values": [text]}]}
+    with pytest.raises(PreconditionError, match=f"^agent 0: {message}$"):
+        instance_from_json(data)
+
+
+def test_valuations_hold_an_integer_form():
+    v = Additive((1, "3/2", F(5, 7)))
+    assert (v.scale, v.weights) == (14, (14, 21, 10))
+    assert v.int_value({1, 2}) == 31 and v.value({1, 2}) == F(31, 14)
+    assert Additive(("2/2", 4)) == Additive((1, "4"))
+    t = Table(("0", "1/2", "1/3", "1"))
+    assert (t.scale, t.weights) == (6, (0, 3, 2, 6))
+    assert t.int_value({0, 1}) == 6 and t.value({1}) == F(1, 3)
+    lex = Lexicographic((2, 0, 1))
+    assert (lex.scale, lex.weights) == (1, canonical_lex_values((2, 0, 1)))
+    assert repr(Table((0, 1))) == "Table(values=(Fraction(0, 1), Fraction(1, 1)), subadditive=False)"
 
 
 @pytest.mark.parametrize("ranking", [(1.5, 0), ("a", 1), (True, 0), (1.0, 0)], ids=repr)

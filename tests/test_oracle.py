@@ -10,7 +10,6 @@ from bobw import (
     ResourceCapError,
     check_sdef_instance,
     enumerate_efx,
-    estimate,
     exact_distribution_charity,
     get_fixture,
     iter_charity_branches,
@@ -135,24 +134,3 @@ def test_branch_caps_and_algorithm_validation():
         exact_distribution_charity(inst, algorithm=3, leaf_cap=2)
     with pytest.raises(PreconditionError):
         exact_distribution_charity(inst, algorithm=5)
-
-
-def test_estimate_is_deterministic_and_calibrated():
-    def sampler(seed):
-        return seed
-
-    def coin(seed):
-        return float(SplitMix64(seed).below(2))
-
-    a = estimate(sampler, coin, n_samples=2000, seed=42)
-    b = estimate(sampler, coin, n_samples=2000, seed=42)
-    assert a == b
-    assert a.n == 2000
-    assert abs(a.mean - 0.5) <= 3 * a.stderr
-    assert a.ci_low == a.mean - 3 * a.stderr
-    assert a.ci_high == a.mean + 3 * a.stderr
-
-
-def test_estimate_rejects_small_sample_counts():
-    with pytest.raises(PreconditionError):
-        estimate(lambda s: s, float, n_samples=999, seed=1)
