@@ -10,20 +10,24 @@ left in the pool.  The uniform choice is what buys the distributional
 guarantee: each agent ends at least half as likely as any other agent to
 clear any fixed value threshold.
 
+`pool_envy` finds that step's subset and enviers; the sampler, the trace
+replay, the post-pass and `oracle`'s exact branch enumerator all take their
+swaps from it.
+
 The deterministic post-pass shrinks the pool below the number of unenvied
 agents: resolve envy cycles by rotating bundles, then grow unenvied agents'
 bundles one pool good at a time while EFX survives; when no growth step
 survives, a single swap reshuffles the offending bundle and the loop
 restarts.  A step cap (pseudopolynomial in the total integer value) bounds
-the restarts; exhausting it raises a diagnostic error rather than looping
-silently.
+the pool swaps and growth moves, and exhausting it raises a diagnostic error
+rather than looping silently.  Cycle rotations are not counted: each one
+strictly raises every cycle member's value, so they end on their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .audit import check_efx, check_efx_with_charity, enviers_of_set, envy_edges, unenvied_agents
 from .core import (
@@ -31,7 +35,6 @@ from .core import (
     IntegralAllocation,
     PreconditionError,
     ResourceCapError,
-    value_of,
 )
 from .rng import SplitMix64
 
@@ -72,6 +75,17 @@ def minimal_envied_subset(
     return frozenset(z)
 
 
+def pool_envy(
+    inst: Instance, alloc: IntegralAllocation
+) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
+    """One pool-swap step's choices: the canonical minimal envied pool subset
+    and its enviers in ascending order; None once nobody envies the pool."""
+    subset = minimal_envied_subset(inst, alloc)
+    if subset is None:
+        return None
+    return subset, tuple(enviers_of_set(inst, alloc, subset))
+
+
 # ---------------------------------------------------------------------------
 # the randomized pool-swap loop
 
@@ -102,20 +116,15 @@ def empty_start(inst: Instance) -> IntegralAllocation:
     )
 
 
-def random_charity_swap(
-    inst: Instance, seed: int, start: Optional[IntegralAllocation] = None
-) -> tuple[IntegralAllocation, SwapTrace]:
-    """Run the uniform-envier pool-swap loop from `start` (default: all goods
-    pooled) until no agent envies the pool."""
+def random_charity_swap(inst: Instance, seed: int) -> tuple[IntegralAllocation, SwapTrace]:
+    """Run the uniform-envier pool-swap loop from all goods pooled until no
+    agent envies the pool."""
     require_monotone_integer(inst)
-    alloc = empty_start(inst) if start is None else start
+    alloc = empty_start(inst)
     rng = SplitMix64(seed)
     steps = []
-    while True:
-        subset = minimal_envied_subset(inst, alloc)
-        if subset is None:
-            break
-        enviers = tuple(enviers_of_set(inst, alloc, subset))  # ascending agent ids
+    while (envy := pool_envy(inst, alloc)) is not None:
+        subset, enviers = envy
         chosen = enviers[rng.below(len(enviers))]
         steps.append(SwapStep(subset=subset, enviers=enviers, chosen=chosen))
         alloc = _apply_swap(alloc, subset, chosen)
@@ -132,24 +141,21 @@ def _apply_swap(alloc: IntegralAllocation, subset: frozenset[int], chosen: int) 
     return IntegralAllocation(bundles=tuple(bundles), pool=pool)
 
 
-def _utility_sum(inst: Instance, alloc: IntegralAllocation) -> Fraction:
-    return sum(
-        (value_of(inst, i, alloc.bundles[i]) for i in inst.agents), start=Fraction(0)
-    )
+def _utility_sum(inst: Instance, alloc: IntegralAllocation) -> int:
+    # exact where every scale is 1, or where two sums differ in one agent only
+    return sum(val.int_value(bundle) for val, bundle in zip(inst.valuations, alloc.bundles))
 
 
-def replay_swap_trace(
-    inst: Instance, trace: SwapTrace, start: Optional[IntegralAllocation] = None
-) -> IntegralAllocation:
-    """Re-apply a recorded trace; validates each step's subset and enviers,
-    and that the chosen agent's gain raises the utility sum every step."""
-    alloc = empty_start(inst) if start is None else start
+def replay_swap_trace(inst: Instance, trace: SwapTrace) -> IntegralAllocation:
+    """Re-apply a recorded trace from all goods pooled; validates each step's
+    subset and enviers, and that the chosen agent's gain raises the utility
+    sum every step."""
+    alloc = empty_start(inst)
     for idx, step in enumerate(trace.steps):
-        expect = minimal_envied_subset(inst, alloc)
-        if expect != step.subset:
+        envy = pool_envy(inst, alloc)
+        if envy is None or envy[0] != step.subset:
             raise PreconditionError(f"step {idx}: recorded subset diverges from the canonical one")
-        enviers = tuple(enviers_of_set(inst, alloc, step.subset))
-        if enviers != step.enviers or step.chosen not in enviers:
+        if envy[1] != step.enviers or step.chosen not in step.enviers:
             raise PreconditionError(f"step {idx}: recorded enviers diverge")
         before = _utility_sum(inst, alloc)
         alloc = _apply_swap(alloc, step.subset, step.chosen)
@@ -220,10 +226,8 @@ def _rotate(alloc: IntegralAllocation, cycle: list[int]) -> IntegralAllocation:
 
 
 def default_step_cap(inst: Instance) -> int:
-    total = sum(
-        (value_of(inst, i, frozenset(range(inst.m))) for i in inst.agents), start=Fraction(0)
-    )
-    return inst.n * inst.m * (1 + int(total))
+    total = sum(val.int_value(range(inst.m)) for val in inst.valuations)
+    return inst.n * inst.m * (1 + total)
 
 
 def bounded_charity(
@@ -240,7 +244,7 @@ def bounded_charity(
     if not pre.passed:
         raise PreconditionError(f"start must be EFX with an unenvied pool: {pre.witness}")
     cap = default_step_cap(inst) if step_cap is None else step_cap
-    stats = {"phase_a": 0, "phase_b": 0, "phase_c_commits": 0, "phase_c_swaps": 0}
+    stats = {"phase_a": 0, "phase_c_commits": 0, "phase_c_swaps": 0}
     alloc = start
     spent = 0
 
@@ -255,28 +259,17 @@ def bounded_charity(
 
     while True:
         # Phase A: hand envied pool subsets to the smallest-index envier.
-        while True:
-            subset = minimal_envied_subset(inst, alloc)
-            if subset is None:
-                break
-            chosen = enviers_of_set(inst, alloc, subset)[0]
+        while (envy := pool_envy(inst, alloc)) is not None:
+            subset, enviers = envy
             before = _utility_sum(inst, alloc)
-            alloc = _apply_swap(alloc, subset, chosen)
+            alloc = _apply_swap(alloc, subset, enviers[0])
             assert _utility_sum(inst, alloc) > before
             stats["phase_a"] += 1
             spend()
 
         # Phase B: rotate envy cycles away (own utilities only rise, so pool
         # envy cannot reappear here).
-        while True:
-            cycle = _find_cycle(envy_edges(inst, alloc), inst.n)
-            if cycle is None:
-                break
-            before = _utility_sum(inst, alloc)
-            alloc = _rotate(alloc, cycle)
-            assert _utility_sum(inst, alloc) > before
-            stats["phase_b"] += 1
-            spend()
+        alloc = resolve_envy_cycles(inst, alloc)
 
         sources = unenvied_agents(inst, alloc)
         if not sources:  # pragma: no cover - acyclic envy graphs have sources

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -538,6 +539,7 @@ def _seed_type(text: str) -> int:
     return value
 
 
+@cache  # choices come from the static ALGORITHMS table
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bobw",
@@ -562,7 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     p.add_argument("--seed", type=_seed_type)
     p.add_argument("--decomposition", help="JSON file pinning the lottery decomposition (utse only)")
-    p.add_argument("--step-cap", type=int, help="work limit for bounded-charity")
+    p.add_argument(
+        "--step-cap", type=int, help="bounded-charity's limit on pool swaps and growth moves, not cycle rotations"
+    )
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("verify", help="audit an allocation or distribution file")

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .audit import check_efx, check_sdef, enviers_of_set
+from .audit import check_efx, check_sdef
 from .charity_algos import (
     SwapStep,
     SwapTrace,
     _apply_swap,
     bounded_charity,
     empty_start,
-    minimal_envied_subset,
+    pool_envy,
     require_monotone_integer,
 )
 from .core import (
@@ -286,29 +286,28 @@ def iter_charity_branches(
     inst: Instance, leaf_cap: int = DEFAULT_LEAF_CAP
 ) -> Iterator[tuple[Fraction, IntegralAllocation, SwapTrace]]:
     """Depth-first enumeration of every run of the uniform pool-swap loop;
-    yields (path probability, final allocation, trace)."""
+    yields (path probability, final allocation, trace).  An explicit stack of
+    (allocation, probability, steps) lets runs outgrow Python's recursion
+    limit; children go on in reverse, so the lowest envier's branch is first."""
     if leaf_cap < 0:
         raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
     require_monotone_integer(inst)
     count = 0
-
-    def walk(alloc, prob, steps):
-        nonlocal count
-        subset = minimal_envied_subset(inst, alloc)
-        if subset is None:
+    stack = [(empty_start(inst), Fraction(1), ())]
+    while stack:
+        alloc, prob, steps = stack.pop()
+        envy = pool_envy(inst, alloc)
+        if envy is None:
             count += 1
             if count > leaf_cap:
                 raise ResourceCapError(f"branch enumeration exceeded {leaf_cap} leaves")
-            yield prob, alloc, SwapTrace(steps=tuple(steps))
-            return
-        enviers = tuple(enviers_of_set(inst, alloc, subset))
+            yield prob, alloc, SwapTrace(steps=steps)
+            continue
+        subset, enviers = envy
         share = prob / len(enviers)
-        for k in enviers:
-            steps.append(SwapStep(subset=subset, enviers=enviers, chosen=k))
-            yield from walk(_apply_swap(alloc, subset, k), share, steps)
-            steps.pop()
-
-    yield from walk(empty_start(inst), Fraction(1), [])
+        for k in reversed(enviers):
+            step = SwapStep(subset=subset, enviers=enviers, chosen=k)
+            stack.append((_apply_swap(alloc, subset, k), share, steps + (step,)))
 
 
 def exact_distribution_charity(

@@ -97,24 +97,33 @@ class Decomposition:
 
 def _kuhn_matching(adj: list[list[int]], n: int) -> dict[int, int]:
     """Matching saturating every row vertex; ascending-index augmenting paths.
-    Returns {column: row}."""
+    Returns {column: row}.  Each search keeps its own stack of (row, column
+    iterator) with the column each row is trying, so the length of an
+    augmenting path is not bounded by Python's recursion limit."""
     match_col: dict[int, int] = {}
-    match_row: dict[int, int] = {}
-
-    def extend(i: int, seen: set[int]) -> bool:
-        for g in adj[i]:
-            if g in seen:
+    for root in range(n):
+        seen: set[int] = set()
+        stack = [(root, iter(adj[root]))]
+        path: list[int] = []  # path[k] is the column stack[k] is trying
+        while stack:
+            for g in stack[-1][1]:
+                if g not in seen:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen.add(g)
-            if g not in match_col or extend(match_col[g], seen):
-                match_col[g] = i
-                match_row[i] = g
-                return True
-        return False
-
-    for i in range(n):
-        if not extend(i, set()):
+            path.append(g)
+            row = match_col.get(g)
+            if row is None:
+                break
+            stack.append((row, iter(adj[row])))
+        else:
             raise PreconditionError("no agent-saturating matching: matrix violates its shape preconditions")
+        for (row, _), g in zip(stack, path):
+            match_col[g] = row
     return match_col
 
 

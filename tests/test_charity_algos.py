@@ -263,6 +263,13 @@ def test_bounded_charity_step_cap_carries_state():
     assert sum(err.stats.values()) == 1
 
 
+def test_bounded_charity_step_cap_leaves_cycle_rotations_free():
+    inst = Instance(n=2, m=2, valuations=(Additive(values=(4, 1)), Additive(values=(1, 4))))
+    crossed = from_assignment([1, 0], 2)
+    out = bounded_charity(inst, crossed, step_cap=0)
+    assert out.bundles == (frozenset({0}), frozenset({1}))
+
+
 def test_bounded_charity_random_capped_instances():
     rng = SplitMix64(603)
     for _ in range(15):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from bobw import IntegralAllocation, get_fixture, instance_to_json, utse
-from bobw.cli import ALGORITHMS, _checkers, _exante_checkers, main
+from bobw.cli import ALGORITHMS, _checkers, _exante_checkers, build_parser, main
 
 from helpers import from_assignment
 
@@ -20,6 +20,10 @@ def _run(capsys, argv):
 def _run_json(capsys, argv):
     code, out = _run(capsys, argv)
     return code, json.loads(out)
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_validate_fixture_ok(capsys):

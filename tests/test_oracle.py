@@ -1,24 +1,35 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from bobw import (
+    Additive,
     FeasibilityResult,
+    Instance,
     PreconditionError,
     ResourceCapError,
+    SwapStep,
+    SwapTrace,
     check_sdef_instance,
     enumerate_efx,
     exact_distribution_charity,
     get_fixture,
+    instance_to_json,
     iter_charity_branches,
+    minimal_envied_subset,
+    random_charity_swap,
     replay_swap_trace,
     sdef_feasibility,
 )
+from bobw.audit import enviers_of_set
+from bobw.charity_algos import _apply_swap, empty_start
+from bobw.cli import main
 from bobw.rng import SplitMix64
 
-from helpers import lex_instance
+from helpers import capped_additive_instance, lex_instance, monotone_instance
 
 F = Fraction
 
@@ -106,6 +117,52 @@ def test_branch_enumeration_covers_the_whole_tree():
     for prob, alloc, trace in branches:
         assert prob > 0
         assert replay_swap_trace(inst, trace) == alloc
+
+
+def _ref_iter_charity_branches(inst):
+    # the recursive enumerator the iterative one replaced
+    def walk(alloc, prob, steps):
+        subset = minimal_envied_subset(inst, alloc)
+        if subset is None:
+            yield prob, alloc, SwapTrace(steps=tuple(steps))
+            return
+        enviers = tuple(enviers_of_set(inst, alloc, subset))
+        share = prob / len(enviers)
+        for k in enviers:
+            steps.append(SwapStep(subset=subset, enviers=enviers, chosen=k))
+            yield from walk(_apply_swap(alloc, subset, k), share, steps)
+            steps.pop()
+
+    yield from walk(empty_start(inst), F(1), [])
+
+
+def test_branch_enumeration_matches_the_recursive_walk():
+    rng = SplitMix64(4419)
+    instances = [get_fixture("FIX-E")]
+    for k in range(60):
+        make = (monotone_instance, capped_additive_instance)[k % 2]
+        instances.append(make(rng, 2 + rng.below(3), 2 + rng.below(5)))
+    leaves = 0
+    for inst in instances:
+        branches = list(iter_charity_branches(inst))
+        assert branches == list(_ref_iter_charity_branches(inst))
+        leaves += len(branches)
+    assert leaves > 500
+
+
+def test_long_swap_run_needs_no_stack_depth(capsys, tmp_path):
+    # one additive agent valuing goods 80, 79, ..., 1: a single branch of
+    # 1,620 swap steps, deeper than Python's default recursion limit
+    inst = Instance(n=1, m=80, valuations=(Additive(values=tuple(range(80, 0, -1))),))
+    alloc, trace = random_charity_swap(inst, seed=0)
+    assert len(trace.steps) == 1620
+    dist = exact_distribution_charity(inst, algorithm=3)
+    assert dist.support == ((F(1), alloc),)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    assert main(["oracle", str(path), "--op", "exact-charity"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["distribution"]["support"] == [{"prob": "1", **alloc.to_json()}]
 
 
 def test_exact_distribution_of_the_swap_loop():

@@ -16,6 +16,7 @@ from bobw import (
     unit_run,
 )
 from bobw.rng import SplitMix64
+from bobw.rounding import _kuhn_matching
 
 from helpers import lex_instance
 
@@ -204,6 +205,53 @@ def test_dependent_round_long_ring_needs_no_stack_depth():
     out = dependent_round(rows, seed=5)
     assert all(sum(r[j] for r in out) == 1 for j in range(n))
     assert all(sum(r) == 1 for r in out)
+
+
+def _ref_kuhn_matching(adj, n):
+    # the recursive augmenting-path search the iterative one replaced
+    match_col = {}
+
+    def extend(i, seen):
+        for g in adj[i]:
+            if g in seen:
+                continue
+            seen.add(g)
+            if g not in match_col or extend(match_col[g], seen):
+                match_col[g] = i
+                return True
+        return False
+
+    for i in range(n):
+        if not extend(i, set()):
+            raise PreconditionError("no agent-saturating matching: matrix violates its shape preconditions")
+    return match_col
+
+
+def test_kuhn_matching_matches_the_recursive_search():
+    rng = SplitMix64(4421)
+    failed = 0
+    for _ in range(3000):
+        n = 1 + rng.below(9)
+        m = n + rng.below(4)
+        adj = [sorted({rng.below(m) for _ in range(rng.below(4))}) for _ in range(n)]
+        try:
+            expected = _ref_kuhn_matching(adj, n)
+        except PreconditionError as err:
+            with pytest.raises(PreconditionError, match=str(err)):
+                _kuhn_matching(adj, n)
+            failed += 1
+        else:
+            got = _kuhn_matching(adj, n)
+            assert got == expected and list(got) == list(expected)
+    assert 300 < failed < 2700
+
+
+def test_kuhn_matching_long_augmenting_path_needs_no_stack_depth():
+    # the circulant X[i][i] = X[i][i+1 mod n] = 1/2: the last row's
+    # augmenting path runs through every other row
+    n = 5000
+    adj = [sorted({i, (i + 1) % n}) for i in range(n)]
+    assert _kuhn_matching(adj, n) == {(i + 1) % n: i for i in range(n)}
 
 
 def test_supergood_matrix_from_pair_instance():
