@@ -6,13 +6,13 @@ whatever certifies the property (e.g. the picking sequence that reproduces a
 Pareto-optimal allocation).  All comparisons are exact; there are no
 tolerances anywhere in this module.
 
-The envy audits compare one viewer's values, so they read each
-valuation's integer form (``int_value``, ``weights``).  Every
+Every audit reads each valuation's integer form (``int_value``,
+``weights``, ``scale``) and never ``value_of``.  The envy audits, the fair
+share and stochastic dominance compare one viewer's values.  Every
 expected-value audit (``exante_ratio``, ``min_exante_ratio``,
 ``check_exante_ef``, ``check_exante_prop``) reads one n x n integer matrix
 of E[v_i(A_j)], built from each agent's scaled probability of holding each
-bundle, so each viewer values each distinct bundle once.  The fair share and stochastic
-dominance read exact Fractions through ``value_of``.
+bundle, so each viewer values each distinct bundle once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .core import (
     Table,
     bundle_mask,
     format_rational,
-    value_of,
 )
 from .eating import ordinal_rankings
 
@@ -332,10 +331,10 @@ def check_exante_prop(dist: RandomizedAllocation, inst: Instance, alpha: Fractio
     """alpha-proportionality in expectation: E[v_i(own)] >= alpha * v_i(M) / n."""
     alpha = Fraction(alpha)
     matrix, den = _expected_matrix(dist, inst)
-    everything = frozenset(range(inst.m))
     for i in inst.agents:
         got = Fraction(matrix[i][i], den[i])
-        fair_share = value_of(inst, i, everything) / inst.n
+        val = inst.valuations[i]
+        fair_share = Fraction(val.int_value(range(inst.m)), val.scale * inst.n)
         if got < alpha * fair_share:
             return AuditReport(
                 "exante-prop",
@@ -352,17 +351,18 @@ def check_exante_prop(dist: RandomizedAllocation, inst: Instance, alpha: Fractio
 
 def check_stochastic_dominance_half(dist: RandomizedAllocation, inst: Instance) -> AuditReport:
     """For every pair (i, j) and every achievable threshold T of v_i:
-    Pr[v_i(own) >= T] >= (1/2) Pr[v_i(j's bundle) >= T], exactly."""
+    Pr[v_i(own) >= T] >= (1/2) Pr[v_i(j's bundle) >= T], exactly.  A failing
+    pair's witness is its least failing threshold."""
     for i in inst.agents:
-        # viewer i's value of every bundle, once per outcome
-        views = [(p, [value_of(inst, i, b) for b in a.bundles]) for p, a in dist.support]
+        # viewer i's integer value of every bundle, once per outcome
+        val = inst.valuations[i]
+        views = [(p, [val.int_value(b) for b in a.bundles]) for p, a in dist.support]
         own_vals = [(p, values[i]) for p, values in views]
         for j in inst.agents:
             if i == j:
                 continue
             other_vals = [(p, values[j]) for p, values in views]
-            thresholds = {v for _, v in own_vals} | {v for _, v in other_vals}
-            for t in thresholds:
+            for t in sorted({v for _, v in own_vals} | {v for _, v in other_vals}):
                 p_own = sum((p for p, v in own_vals if v >= t), start=Fraction(0))
                 p_other = sum((p for p, v in other_vals if v >= t), start=Fraction(0))
                 if 2 * p_own < p_other:
@@ -372,7 +372,7 @@ def check_stochastic_dominance_half(dist: RandomizedAllocation, inst: Instance) 
                         _pair_witness(
                             i,
                             j,
-                            threshold=format_rational(t),
+                            threshold=format_rational(Fraction(t, val.scale)),
                             own=format_rational(p_own),
                             other=format_rational(p_other),
                         ),

@@ -325,10 +325,7 @@ def cmd_verify(args) -> int:
     else:
         for p in props:
             if p == "sdef":
-                rows = [
-                    [Fraction(1) if g in target.bundles[i] else Fraction(0) for g in inst.goods]
-                    for i in inst.agents
-                ]
+                rows = RandomizedAllocation(((1, target),)).associated_fractional(inst.m).entries
                 audits["sdef"] = check_sdef_instance(inst, rows).to_json()
             else:
                 audits[p] = _VERIFY_CHECKERS[p](inst, target).to_json()

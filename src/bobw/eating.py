@@ -132,15 +132,11 @@ def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> Eating
 
 
 def summarize(trace: EatingTrace) -> TraceSummary:
+    if not all(trace.segments):
+        raise PreconditionError("agent with empty trace")
     m = trace.m_total
-    X = [[Fraction(0)] * m for _ in range(trace.n)]
-    last = []
-    for i, segs in enumerate(trace.segments):
-        if not segs:
-            raise PreconditionError("agent with empty trace")
-        for g, a, b in segs:
-            X[i][g] += b - a
-        last.append(segs[-1][0])
+    X = prefix_allocation(trace, trace.duration)
+    last = tuple(segs[-1][0] for segs in trace.segments)
     eaten = tuple(sum((X[i][g] for i in range(trace.n)), start=Fraction(0)) for g in range(m))
     L = frozenset(last)
     U = frozenset(g for g in range(m) if eaten[g] == 0)
@@ -148,8 +144,8 @@ def summarize(trace: EatingTrace) -> TraceSummary:
     if trace.duration == 1 and k.denominator != 1:
         raise AssertionError(f"last-good mass k = {k} is not integral on a duration-one run")
     return TraceSummary(
-        X=tuple(tuple(row) for row in X),
-        last_goods=tuple(last),
+        X=X,
+        last_goods=last,
         L=L,
         U=U,
         k=k,
@@ -169,9 +165,11 @@ def prefix_allocation(trace: EatingTrace, z: Fraction) -> tuple[tuple[Fraction, 
     X = [[Fraction(0)] * m for _ in range(trace.n)]
     for i, segs in enumerate(trace.segments):
         for g, a, b in segs:
-            if a >= z:
+            if b > z:  # segments run in time order: the first past z is the last to count
+                if a < z:
+                    X[i][g] += z - a
                 break
-            X[i][g] += min(b, z) - a
+            X[i][g] += b - a
     return tuple(tuple(row) for row in X)
 
 

@@ -33,7 +33,6 @@ from .core import (
     RandomizedAllocation,
     ResourceCapError,
     format_rational,
-    value_of,
 )
 from .eating import ordinal_rankings
 from .rng import derive_seed
@@ -348,7 +347,7 @@ def ratio_table(
     cross = [[0.0] * n for _ in range(n)]  # v_i(X_i) * v_i(X_j) per pair
     for r in range(N):
         alloc = sampler(derive_seed(seed, r))
-        vals = [[float(value_of(inst, i, alloc.bundles[j])) for j in range(n)] for i in range(n)]
+        vals = [[val.int_value(b) / val.scale for b in alloc.bundles] for val in inst.valuations]
         for i in range(n):
             for j in range(n):
                 own[i][j] += vals[i][j]

@@ -62,11 +62,6 @@ class SplitMix64:
             return p.numerator == 1
         return self.below(p.denominator) < p.numerator
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() from an empty sequence")
-        return seq[self.below(len(seq))]
-
     def permutation(self, n: int) -> tuple[int, ...]:
         """Fisher-Yates shuffle of range(n)."""
         items = list(range(n))

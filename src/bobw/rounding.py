@@ -21,31 +21,38 @@ entry a martingale.  Column sums never change (fractional columns always
 have two or more fractional entries, so path endpoints are row vertices),
 per-entry marginals equal the input, and entries sharing a column are
 negatively correlated.
+
+Both scale their input once: every entry is read as an exact rational, the
+matrix is multiplied by D, the LCM of the entries' denominators, and the
+pivots run on the resulting ints, where "one" is D.  Only the pivot odds
+(reduced, so the random draws are those of the rational odds) and the
+emitted term weights are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from .core import PreconditionError, format_rational, json_field, json_goods, parse_rational
+from .core import PreconditionError, format_rational, json_field, json_goods, parse_exact, parse_rational
 from .eating import TraceSummary
 from .rng import SplitMix64
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _freeze(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if not out or any(len(r) != len(out[0]) for r in out):
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(D, Y) for a rectangular nonempty matrix: D is the LCM of the entries'
+    denominators and Y[i][j] = rows[i][j] * D, an int.  Entries parse like
+    every other exact value (``parse_exact``), so floats and bools are a
+    PreconditionError."""
+    X = [[parse_exact(x) for x in row] for row in rows]
+    if not X or any(len(r) != len(X[0]) for r in X):
         raise PreconditionError("matrix must be rectangular and nonempty")
-    return out
-
-
-def _column_sums(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    m = len(rows[0])
-    return [sum((r[j] for r in rows), start=Fraction(0)) for j in range(m)]
+    D = lcm(*(x.denominator for row in X for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in X]
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +180,21 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
     """Decompose a unit-row-sum matrix (column sums <= 1) into assignment
     terms with exact weights.  Term count never exceeds the number of nonzero
     entries plus the number of initially unsaturated columns."""
-    X = [list(r) for r in _freeze(rows)]
+    D, X = _scaled(rows)
     n, m = len(X), len(X[0])
     for i, row in enumerate(X):
-        if sum(row) != 1:
+        if sum(row) != D:
             raise PreconditionError(f"row {i} must sum to exactly one")
         if any(x < 0 for x in row):
             raise PreconditionError("entries must be nonnegative")
-    for j, s in enumerate(_column_sums(X)):
-        if s > 1:
+    for j, s in enumerate(map(sum, zip(*X))):
+        if s > D:
             raise PreconditionError(f"column {j} sums above one")
 
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    remaining = Fraction(1)
+    remaining = D
     while remaining > 0:
-        col_sums = _column_sums(X)
+        col_sums = list(map(sum, zip(*X)))
         adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
         full = {j for j in range(m) if col_sums[j] == remaining}
         match_col = _kuhn_matching(adj, n)
@@ -220,7 +227,7 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         if weight <= 0:  # pragma: no cover - shape invariants forbid this
             raise AssertionError("nonpositive extraction weight")
         vector = tuple(g for _, g in sorted((i, g) for g, i in match_col.items()))
-        terms.append((weight, vector))
+        terms.append((Fraction(weight, D), vector))
         for i, g in enumerate(vector):
             X[i][g] -= weight
         remaining -= weight
@@ -234,14 +241,15 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
 # randomized dependent rounding
 
 
-def _walk_cycle_or_path(X: list[list[Fraction]]) -> Optional[list[tuple[int, int]]]:
+def _walk_cycle_or_path(X: list[list[int]], D: int) -> Optional[list[tuple[int, int]]]:
     """Edges (agent, good) of one cycle (preferred) or one maximal path of the
-    floating graph, whose edges are the strictly fractional entries; None
-    when none remain.  Agent i is vertex i and good j is vertex n + j, and
-    scans are lowest-index-first, so the choice is deterministic."""
+    floating graph, whose edges are the strictly fractional entries (0 < x < D
+    in the matrix scaled by D); None when none remain.  Agent i is vertex i
+    and good j is vertex n + j, and scans are lowest-index-first, so the
+    choice is deterministic."""
     n, m = len(X), len(X[0])
-    adj = [[n + j for j in range(m) if 0 < X[i][j] < 1] for i in range(n)]
-    adj += [[i for i in range(n) if 0 < X[i][j] < 1] for j in range(m)]
+    adj = [[n + j for j in range(m) if 0 < X[i][j] < D] for i in range(n)]
+    adj += [[i for i in range(n) if 0 < X[i][j] < D] for j in range(m)]
     if not any(adj[:n]):
         return None
 
@@ -293,33 +301,33 @@ def dependent_round(
     """Round a fractional matrix with integral column sums to 0/1, exactly
     preserving every column sum, with per-entry marginals equal to the input
     and negative correlation within columns."""
-    X = [list(r) for r in _freeze(rows)]
+    D, X = _scaled(rows)
     n, m = len(X), len(X[0])
     for row in X:
         for x in row:
-            if x < 0 or x > 1:
+            if x < 0 or x > D:
                 raise PreconditionError("entries must lie in [0, 1]")
-    target = _column_sums(X)
+    target = [Fraction(s, D) for s in map(sum, zip(*X))]
     for j, s in enumerate(target):
         if s.denominator != 1:
             raise PreconditionError(f"column {j} sum {s} is not an integer")
 
     rng = SplitMix64(seed)
     while True:
-        walk = _walk_cycle_or_path(X)
+        walk = _walk_cycle_or_path(X, D)
         if walk is None:
             break
         plus = walk[0::2]
         minus = walk[1::2]
         alpha = min(
-            min(1 - X[i][j] for i, j in plus),
+            min(D - X[i][j] for i, j in plus),
             min(X[i][j] for i, j in minus),
         )
         beta = min(
             min(X[i][j] for i, j in plus),
-            min(1 - X[i][j] for i, j in minus),
+            min(D - X[i][j] for i, j in minus),
         )
-        if rng.event(beta / (alpha + beta)):
+        if rng.event(Fraction(beta, alpha + beta)):
             delta_plus, delta_minus = alpha, -alpha
         else:
             delta_plus, delta_minus = -beta, beta
@@ -328,7 +336,7 @@ def dependent_round(
         for i, j in minus:
             X[i][j] += delta_minus
 
-    out = tuple(tuple(int(x) for x in row) for row in X)
+    out = tuple(tuple(x // D for x in row) for row in X)
     for j in range(m):
         if sum(r[j] for r in out) != target[j]:  # hard guarantee, never tolerated
             raise AssertionError(f"column {j} sum drifted during rounding")

@@ -27,12 +27,13 @@ from bobw import (
     exante_ratio,
     get_fixture,
     min_exante_ratio,
+    ratio_table,
     summarize,
     uniform_permutation,
     unit_run,
     value_of,
 )
-from bobw import audit
+from bobw import audit, core, oracle
 from bobw.audit import AuditReport, envied_agents, enviers_of_set, envy_edges, unenvied_agents
 from bobw.eating import ordinal_rankings
 from bobw.rng import SplitMix64
@@ -420,20 +421,32 @@ def test_integer_audits_match_value_of_loops_on_tables_and_mixed_kinds():
 
 
 def test_integer_audits_never_call_value_of(monkeypatch):
-    calls = []
-
-    def counted(inst, i, bundle):
-        calls.append(i)
-        return value_of(inst, i, bundle)
-
-    monkeypatch.setattr(audit, "value_of", counted)
     rng = SplitMix64(77)
+    cases = []
     for inst in (lex_instance(rng, 3, 5), additive_instance(rng, 3, 5), _fraction_additive_instance(rng, 3, 5),
                  monotone_instance(rng, 3, 5), _fraction_table_instance(rng, 3, 4), _mixed_instance(rng, 4, 5)):
         for _ in range(10):
             partial = _random_partial_allocation(rng, inst)
             _same_envy_verdicts(inst, partial)
-            _same_verdicts(inst, _random_allocation(rng, inst), _random_lottery(rng, inst))
+            alloc, dist = _random_allocation(rng, inst), _random_lottery(rng, inst)
+            _same_verdicts(inst, alloc, dist)
+            cases.append((inst, partial, alloc, dist))
+
+    # value_of and every other exact-value read go through Valuation.value
+    calls = []
+    monkeypatch.setattr(core._IntegerForm, "value", lambda self, bundle: calls.append(bundle))
+    assert not hasattr(audit, "value_of") and not hasattr(oracle, "value_of")
+    for inst, partial, alloc, dist in cases:
+        envy_edges(inst, partial)
+        enviers_of_set(inst, partial, partial.pool)
+        for checker in (check_ef, check_ef1, check_efx, check_efx_with_charity, check_bounded_charity):
+            checker(inst, partial)
+        check_efx(inst, alloc)
+        min_exante_ratio(dist, inst)
+        check_exante_ef(dist, inst, F(1, 2))
+        check_exante_prop(dist, inst, F(1, 2))
+        check_stochastic_dominance_half(dist, inst)
+        ratio_table(inst, lambda seed: alloc, 3, 0)
     assert calls == []
 
 
@@ -543,8 +556,7 @@ def _ref_check_stochastic_dominance_half(dist, inst):
                 continue
             own_vals = [(p, value_of(inst, i, a.bundles[i])) for p, a in dist.support]
             other_vals = [(p, value_of(inst, i, a.bundles[j])) for p, a in dist.support]
-            thresholds = {v for _, v in own_vals} | {v for _, v in other_vals}
-            for t in thresholds:
+            for t in sorted({v for _, v in own_vals} | {v for _, v in other_vals}):
                 p_own = sum((p for p, v in own_vals if v >= t), start=F(0))
                 p_other = sum((p for p, v in other_vals if v >= t), start=F(0))
                 if 2 * p_own < p_other:

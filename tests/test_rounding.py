@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 import pytest
 
@@ -10,15 +11,18 @@ from bobw import (
     build_supergood_matrix,
     bvn_decompose,
     dependent_round,
+    full_run,
     get_fixture,
+    representative_matrix,
     run_eating,
     summarize,
     unit_run,
 )
-from bobw.rng import SplitMix64
-from bobw.rounding import _kuhn_matching
+from bobw.rng import SplitMix64, derive_seed
+from bobw.rounding import _kuhn_matching, _repair_matching
 
 from helpers import lex_instance
+from test_acceptance import _BATTERY
 
 F = Fraction
 HALF = F(1, 2)
@@ -297,3 +301,234 @@ def test_supergood_rounding_gives_exactly_k_holders():
         assert len(holders) == 2
         for j in range(len(sg.base_goods)):
             assert sum(row[j] for row in out) == 1
+
+
+@pytest.mark.parametrize("entry", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: bvn_decompose(((e, 1 - e), (1 - e, e))),
+        lambda e: dependent_round(((e,), (1 - e,)), seed=1),
+    ],
+    ids=["bvn_decompose", "dependent_round"],
+)
+def test_rounding_refuses_floats_and_booleans(call, entry):
+    # entries parse like every other exact value: no float or bool slips in
+    with pytest.raises(PreconditionError):
+        call(entry)
+
+
+# The Fraction-per-entry rounding core the integer-scaled one replaced, kept
+# verbatim as the reference for the differential test below.
+
+
+def _ref_freeze(rows):
+    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    if not out or any(len(r) != len(out[0]) for r in out):
+        raise PreconditionError("matrix must be rectangular and nonempty")
+    return out
+
+
+def _ref_column_sums(rows):
+    m = len(rows[0])
+    return [sum((r[j] for r in rows), start=Fraction(0)) for j in range(m)]
+
+
+def _ref_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
+    X = [list(r) for r in _ref_freeze(rows)]
+    n, m = len(X), len(X[0])
+    for i, row in enumerate(X):
+        if sum(row) != 1:
+            raise PreconditionError(f"row {i} must sum to exactly one")
+        if any(x < 0 for x in row):
+            raise PreconditionError("entries must be nonnegative")
+    for j, s in enumerate(_ref_column_sums(X)):
+        if s > 1:
+            raise PreconditionError(f"column {j} sums above one")
+
+    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    remaining = Fraction(1)
+    while remaining > 0:
+        col_sums = _ref_column_sums(X)
+        adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
+        full = {j for j in range(m) if col_sums[j] == remaining}
+        match_col = _kuhn_matching(adj, n)
+        for c in sorted(full):
+            if not _repair_matching(adj, match_col, c, protected=full):
+                raise AssertionError("a saturated column could not be matched")
+
+        banned: set[int] = set()
+        forced = set(full)
+        while True:
+            entry_min = min(X[match_col[g]][g] for g in match_col)
+            slack = {
+                j: remaining - col_sums[j]
+                for j in range(m)
+                if j not in match_col and col_sums[j] > 0
+            }
+            binding = [j for j, s in sorted(slack.items()) if s < entry_min and j not in banned]
+            if not binding:
+                weight = min([entry_min] + list(slack.values()))
+                break
+            c = binding[0]
+            if _repair_matching(adj, match_col, c, protected=forced):
+                forced.add(c)
+            else:
+                banned.add(c)
+
+        if weight <= 0:
+            raise AssertionError("nonpositive extraction weight")
+        vector = tuple(g for _, g in sorted((i, g) for g, i in match_col.items()))
+        terms.append((weight, vector))
+        for i, g in enumerate(vector):
+            X[i][g] -= weight
+        remaining -= weight
+
+    if any(x != 0 for row in X for x in row):
+        raise AssertionError("decomposition left mass behind")
+    return Decomposition(tuple(terms))
+
+
+def _ref_walk_cycle_or_path(X: list[list[Fraction]]) -> Optional[list[tuple[int, int]]]:
+    n, m = len(X), len(X[0])
+    adj = [[n + j for j in range(m) if 0 < X[i][j] < 1] for i in range(n)]
+    adj += [[i for i in range(n) if 0 < X[i][j] < 1] for j in range(m)]
+    if not any(adj[:n]):
+        return None
+
+    def edges(vertices: list[int]) -> list[tuple[int, int]]:
+        return [(min(u, w), max(u, w) - n) for u, w in zip(vertices, vertices[1:])]
+
+    seen: set[int] = set()
+    for root in range(n):
+        if not adj[root] or root in seen:
+            continue
+        seen.add(root)
+        path, scans, at = [root], [iter(adj[root])], {root: 0}
+        while path:
+            parent = path[-2] if len(path) > 1 else None
+            for w in scans[-1]:
+                if w == parent:
+                    continue
+                if w in at:
+                    return edges(path[at[w] :] + [w])
+                if w not in seen:
+                    break
+            else:
+                del at[path.pop()]
+                scans.pop()
+                continue
+            seen.add(w)
+            at[w] = len(path)
+            path.append(w)
+            scans.append(iter(adj[w]))
+
+    v = next(u for u, nbrs in enumerate(adj) if len(nbrs) == 1)
+    if v >= n:
+        raise AssertionError("a column with a single fractional entry cannot have an integral sum")
+    path, prev = [v], None
+    while (w := next((u for u in adj[v] if u != prev), None)) is not None:
+        path.append(w)
+        prev, v = v, w
+    return edges(path)
+
+
+def _ref_dependent_round(rows: Sequence[Sequence[Fraction]], seed: int) -> tuple[tuple[int, ...], ...]:
+    X = [list(r) for r in _ref_freeze(rows)]
+    n, m = len(X), len(X[0])
+    for row in X:
+        for x in row:
+            if x < 0 or x > 1:
+                raise PreconditionError("entries must lie in [0, 1]")
+    target = _ref_column_sums(X)
+    for j, s in enumerate(target):
+        if s.denominator != 1:
+            raise PreconditionError(f"column {j} sum {s} is not an integer")
+
+    rng = SplitMix64(seed)
+    while True:
+        walk = _ref_walk_cycle_or_path(X)
+        if walk is None:
+            break
+        plus = walk[0::2]
+        minus = walk[1::2]
+        alpha = min(
+            min(1 - X[i][j] for i, j in plus),
+            min(X[i][j] for i, j in minus),
+        )
+        beta = min(
+            min(X[i][j] for i, j in plus),
+            min(1 - X[i][j] for i, j in minus),
+        )
+        if rng.event(beta / (alpha + beta)):
+            delta_plus, delta_minus = alpha, -alpha
+        else:
+            delta_plus, delta_minus = -beta, beta
+        for i, j in plus:
+            X[i][j] += delta_plus
+        for i, j in minus:
+            X[i][j] += delta_minus
+
+    out = tuple(tuple(int(x) for x in row) for row in X)
+    for j in range(m):
+        if sum(r[j] for r in out) != target[j]:
+            raise AssertionError(f"column {j} sum drifted during rounding")
+    return out
+
+
+def _permutation_mixture(rng: SplitMix64, n: int, m: int) -> list[list[Fraction]]:
+    # unit rows, columns at most one: a mixture of up to eight
+    # one-good-per-agent assignments with weights over a random denominator
+    rows = [[F(0)] * m for _ in range(n)]
+    weights = [1 + rng.below(9) for _ in range(1 + rng.below(8))]
+    for w in weights:
+        for i, g in enumerate(rng.permutation(m)[:n]):
+            rows[i][g] += F(w, sum(weights))
+    return rows
+
+
+def _integral_columns(rng: SplitMix64, n: int, m: int) -> list[list[Fraction]]:
+    # entries in [0, 1] with integral column sums: each column spreads a whole
+    # number of units over its rows in pieces of 1/q
+    q = 2 + rng.below(6)
+    rows = [[F(0)] * m for _ in range(n)]
+    for j in range(m):
+        for _ in range(q * rng.below(n)):
+            free = [i for i in range(n) if rows[i][j] < 1]
+            rows[free[rng.below(len(free))]][j] += F(1, q)
+    return rows
+
+
+def _k2_supergood_matrices(count: int):
+    rng = SplitMix64(8080)
+    while count:
+        n = 2 + rng.below(4)
+        inst = lex_instance(rng, n, n + rng.below(max(1, 9 - n)))
+        summary = summarize(unit_run(inst))
+        if summary.k == 2:
+            count -= 1
+            yield build_supergood_matrix(summary).matrix
+
+
+def test_integer_rounding_matches_the_fraction_reference():
+    rng = SplitMix64(8081)
+    # square inputs are doubly stochastic, so both routines take them
+    square = [_permutation_mixture(rng, n, n) for n in (2, 3, 4, 6) for _ in range(5)]
+    square += [
+        representative_matrix(full_run(lex_instance(rng, 2 + rng.below(3), 3 + rng.below(6))))
+        for _ in range(10)
+    ]
+    # rectangular mixtures and unit runs leave columns unsaturated, so the
+    # slack cap binds and forces (or, rarely, bans) columns
+    sizes = [1 + rng.below(5) for _ in range(400)]
+    bvn_inputs = square + [_permutation_mixture(rng, n, n + 1 + rng.below(3)) for n in sizes]
+    bvn_inputs += [summarize(unit_run(lex_instance(rng, 3 + rng.below(4), 6 + rng.below(6)))).X for _ in range(10)]
+    for rows in bvn_inputs:
+        assert bvn_decompose(rows).terms == _ref_bvn_decompose(rows).terms
+
+    round_inputs = list(_BATTERY) + list(_k2_supergood_matrices(8)) + square
+    round_inputs += [_integral_columns(rng, 2 + rng.below(4), 1 + rng.below(5)) for _ in range(20)]
+    for idx, rows in enumerate(round_inputs):
+        for r in range(12):
+            seed = derive_seed(idx, r)
+            assert dependent_round(rows, seed) == _ref_dependent_round(rows, seed), (idx, r)
