@@ -12,7 +12,7 @@ from bobw import (
     bvn_decompose,
     check_ef1,
     check_po_lex,
-    check_sdef_instance,
+    check_sdef,
     format_rational,
     fractional_outcome,
     full_run,
@@ -34,12 +34,12 @@ def main() -> None:
     )
 
     trace = full_run(inst)
-    frac = fractional_outcome(trace)
+    shares = fractional_outcome(trace)
     print("fractional shares from the eating run:")
-    for i, row in enumerate(frac.entries):
+    for i, row in enumerate(shares):
         print(f"  agent {i}: " + "  ".join(format_rational(x) for x in row))
 
-    sdef = check_sdef_instance(inst, frac.entries)
+    sdef = check_sdef(inst, shares)
     print(f"prefix-dominance envy-freeness: {'pass' if sdef.passed else sdef.witness}")
 
     decomp = bvn_decompose(representative_matrix(trace))

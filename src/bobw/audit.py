@@ -227,11 +227,11 @@ def check_po_lex(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
 # stochastic-dominance envy-freeness of fractional outcomes
 
 
-def check_sdef(
-    rows: Sequence[Sequence[Fraction]], rankings: Sequence[Sequence[int]]
-) -> AuditReport:
-    """Prefix-mass dominance: for every pair (i, j) and every prefix of i's
-    ranking, i's share of the prefix is at least j's."""
+def check_sdef(inst: Instance, rows: Sequence[Sequence[Fraction]]) -> AuditReport:
+    """Prefix-mass dominance of a share matrix: for every pair (i, j) and
+    every prefix of i's ordinal ranking, i's share of the prefix is at
+    least j's."""
+    rankings = ordinal_rankings(inst)
     n = len(rows)
     for i in range(n):
         ranking = rankings[i]
@@ -256,10 +256,6 @@ def check_sdef(
                         ),
                     )
     return AuditReport("sd-ef", True)
-
-
-def check_sdef_instance(inst: Instance, rows: Sequence[Sequence[Fraction]]) -> AuditReport:
-    return check_sdef(rows, ordinal_rankings(inst))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .audit import (
     check_exante_ef,
     check_exante_prop,
     check_po_lex,
-    check_sdef_instance,
+    check_sdef,
     check_stochastic_dominance_half,
     check_support,
     exante_ratio,
@@ -161,9 +161,10 @@ def cmd_eat(args) -> int:
 
 @dataclass(frozen=True)
 class Algorithm:
-    # what `solve` prints: "lottery" (exact), "draw" (one draw at the
-    # required --seed) or "router" (solve_lex_bobw picks one by k)
-    solve: str
+    """`solve` prints the exact lottery if there is one, else one draw at the
+    required --seed; a row with neither is the lex-bobw router, where
+    solve_lex_bobw picks one of the two by k."""
+
     # _checkers keys owed ex post, by every support allocation of a lottery
     audits: tuple[str, ...]
     lottery: Optional[Callable] = None  # (inst, args) -> RandomizedAllocation
@@ -220,16 +221,12 @@ def _bounded_charity_draws(inst: Instance, args) -> Callable:
 
 ALGORITHMS: dict[str, Algorithm] = {
     "utse": Algorithm(
-        "lottery",
         ("efx", "po_lex"),
         lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(inst, args)),
     ),
-    "depround-k2": Algorithm(
-        "draw", ("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))
-    ),
-    "lex-bobw": Algorithm("router", ("efx", "po_lex")),
+    "depround-k2": Algorithm(("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))),
+    "lex-bobw": Algorithm(("efx", "po_lex")),
     "uniform-perm": Algorithm(
-        "lottery",
         ("po_lex",),
         lottery=lambda inst, args: uniform_permutation(inst, mode="exact"),
         draws=lambda inst, args: _no_trace(
@@ -238,14 +235,12 @@ ALGORITHMS: dict[str, Algorithm] = {
         exante=("exante_half_ef",),
     ),
     "charity": Algorithm(
-        "draw",
         ("efx_with_charity",),
         draws=lambda inst, args: lambda seed: random_charity_swap(inst, seed),
         exante=("stochastic_dominance_half",),
         exact=3,
     ),
     "bounded-charity": Algorithm(
-        "draw",
         ("bounded_charity",),
         draws=_bounded_charity_draws,
         exante=("exante_half_prop",),
@@ -260,9 +255,9 @@ def cmd_solve(args) -> int:
     algo = ALGORITHMS[name]
     result: dict = {"algorithm": name}
     trace = None
-    if algo.solve == "lottery":
+    if algo.lottery:
         outcome = algo.lottery(inst, args)
-    elif algo.solve == "draw":
+    elif algo.draws:
         if args.seed is None:
             raise PreconditionError(f"--seed is required for the {name} sampler")
         outcome, trace = algo.draws(inst, args)(args.seed)
@@ -320,13 +315,12 @@ def cmd_verify(args) -> int:
         for name, rep in check_support(inst, target, named).items():
             audits[name] = rep.to_json()
         if "sdef" in props:
-            rows = target.associated_fractional(inst.m).entries
-            audits["sdef"] = check_sdef_instance(inst, rows).to_json()
+            audits["sdef"] = check_sdef(inst, target.associated_fractional(inst.m)).to_json()
     else:
         for p in props:
             if p == "sdef":
-                rows = RandomizedAllocation(((1, target),)).associated_fractional(inst.m).entries
-                audits["sdef"] = check_sdef_instance(inst, rows).to_json()
+                rows = RandomizedAllocation(((1, target),)).associated_fractional(inst.m)
+                audits["sdef"] = check_sdef(inst, rows).to_json()
             else:
                 audits[p] = _VERIFY_CHECKERS[p](inst, target).to_json()
 
@@ -417,14 +411,13 @@ def _repro_example_4_1(args) -> dict:
     eps = parse_rational(args.epsilon) if args.epsilon else fixtures.DEFAULT_EPSILON
     inst = fixtures.fix_b(eps)
     dist = uniform_permutation(inst, mode="exact")
-    frac = dist.associated_fractional(inst.m)
     ratio = exante_ratio(dist, inst, 0, 1)
     expected = Fraction(432) + 5808 * eps
     expected /= Fraction(576) + 528 * eps
     report = {
         "scenario": "example-4-1",
         "epsilon": format_rational(eps),
-        "matrix": [[format_rational(x) for x in row] for row in frac.entries],
+        "matrix": [[format_rational(x) for x in row] for row in dist.associated_fractional(inst.m)],
         "ratio_pair_1_2": format_rational(ratio),
         "expected_ratio": format_rational(expected),
     }
@@ -471,8 +464,7 @@ def _repro_utse_tight(args) -> dict:
 def _repro_ps_baseline(args) -> dict:
     inst = _load(args)
     trace = full_run(inst)
-    frac = fractional_outcome(trace)
-    sdef = check_sdef_instance(inst, frac.entries)
+    sdef = check_sdef(inst, fractional_outcome(trace))
     matrix = representative_matrix(trace)
     decomp = bvn_decompose(matrix)
     term_reports = []

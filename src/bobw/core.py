@@ -21,10 +21,10 @@ constructed, parsing with ``int()`` first (``parse_exact``);
 ``Instance`` checks that each valuation fits its goods (``shape_error``),
 so code past construction may index freely.
 
-Allocation containers come in three flavours: integral (bundles plus an
-optional unallocated pool), fractional (a matrix of consumption shares), and
-randomized (a finitely supported lottery over integral allocations whose
-probabilities sum to exactly one).
+Allocation containers come in two flavours: integral (bundles plus an
+optional unallocated pool) and randomized (a finitely supported lottery over
+integral allocations whose probabilities sum to exactly one).  A fractional
+allocation is a plain share matrix, a tuple of ``Fraction`` rows.
 """
 
 from __future__ import annotations
@@ -224,10 +224,6 @@ class Table(_IntegerForm):
     def __repr__(self) -> str:
         return f"Table(values={self.values!r}, subadditive={self.subadditive!r})"
 
-    @property
-    def num_goods(self) -> int:
-        return max(len(self.weights) - 1, 0).bit_length()
-
     def int_value(self, bundle: Iterable[int]) -> int:
         return self.weights[bundle_mask(bundle)]
 
@@ -287,22 +283,6 @@ def is_lexicographic_additive(values: Sequence[Union[int, Fraction]]) -> bool:
     return True
 
 
-def lex_compare_bundles(ranking: Sequence[int], left: Iterable[int], right: Iterable[int]) -> int:
-    """Compare two bundles under a lexicographic ranking: -1, 0, or +1.
-
-    Scan goods from most to least preferred; the first good held by exactly
-    one side decides.  Agrees with comparing canonical cardinal sums.
-    """
-    ls, rs = _as_bundle(left), _as_bundle(right)
-    for g in ranking:
-        in_l, in_r = g in ls, g in rs
-        if in_l and not in_r:
-            return 1
-        if in_r and not in_l:
-            return -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # instances
 
@@ -340,11 +320,6 @@ class Instance:
     @property
     def agents(self) -> range:
         return range(self.n)
-
-    def good_label(self, g: int) -> str:
-        if self.labels is not None and 0 <= g < len(self.labels):
-            return self.labels[g]
-        return f"g{g + 1}"
 
 
 def value_of(inst: Instance, agent: int, bundle: Iterable[int]) -> Fraction:
@@ -475,48 +450,6 @@ class IntegralAllocation:
 
 
 @dataclass(frozen=True)
-class FractionalAllocation:
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(map(parse_rational, row)) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if not rows:
-            raise PreconditionError("empty matrix")
-        m = len(rows[0])
-        if any(len(r) != m for r in rows):
-            raise PreconditionError("ragged matrix")
-        for row in rows:
-            for x in row:
-                if x < 0 or x > 1:
-                    raise PreconditionError("entries must lie in [0, 1]")
-        for j in range(m):
-            if sum(r[j] for r in rows) > 1:
-                raise PreconditionError(f"column {j} sums above one")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def m(self) -> int:
-        return len(self.entries[0])
-
-    def column_sum(self, j: int) -> Fraction:
-        return sum((row[j] for row in self.entries), start=Fraction(0))
-
-    def is_complete(self) -> bool:
-        return all(self.column_sum(j) == 1 for j in range(self.m))
-
-    def to_json(self) -> dict:
-        return {"entries": [[format_rational(x) for x in row] for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FractionalAllocation":
-        return cls(json_field(data, "entries", list))
-
-
-@dataclass(frozen=True)
 class RandomizedAllocation:
     support: tuple[tuple[Fraction, IntegralAllocation], ...]
 
@@ -541,14 +474,15 @@ class RandomizedAllocation:
         support = tuple(acc[k] for k in sorted(acc))
         return cls(support)
 
-    def associated_fractional(self, m: int) -> FractionalAllocation:
+    def associated_fractional(self, m: int) -> tuple[tuple[Fraction, ...], ...]:
+        """The share matrix: rows[i][g] is the probability that agent i holds g."""
         n = self.support[0][1].n
         rows = [[Fraction(0)] * m for _ in range(n)]
         for p, alloc in self.support:
             for i, bundle in enumerate(alloc.bundles):
                 for g in bundle:
                     rows[i][g] += p
-        return FractionalAllocation(tuple(tuple(row) for row in rows))
+        return tuple(tuple(row) for row in rows)
 
     def to_json(self) -> dict:
         return {
@@ -619,8 +553,3 @@ def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_json(json.load(fh))
 
-
-def dump_instance(inst: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2)
-        fh.write("\n")

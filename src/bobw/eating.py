@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import FractionalAllocation, Instance, IntegralAllocation, PreconditionError, format_rational
+from .core import Instance, IntegralAllocation, PreconditionError, format_rational
 
 Segment = tuple[int, Fraction, Fraction]  # (good, start, end)
 
@@ -173,10 +173,6 @@ def prefix_allocation(trace: EatingTrace, z: Fraction) -> tuple[tuple[Fraction, 
     return tuple(tuple(row) for row in X)
 
 
-def strip_dummy_columns(rows: Sequence[Sequence[Fraction]], m_real: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(row[:m_real]) for row in rows)
-
-
 def unit_run(inst: Instance) -> EatingTrace:
     """Duration-one run, padding with dummies when there are fewer goods than
     agents so the run is feasible."""
@@ -191,10 +187,9 @@ def full_run(inst: Instance) -> EatingTrace:
     return run_eating(inst, Fraction(m_total, inst.n), n_dummies=n_dummies)
 
 
-def fractional_outcome(trace: EatingTrace) -> FractionalAllocation:
-    """Real-goods consumption matrix as a checked fractional allocation."""
-    summary = summarize(trace)
-    return FractionalAllocation(strip_dummy_columns(summary.X, trace.m_real))
+def fractional_outcome(trace: EatingTrace) -> tuple[tuple[Fraction, ...], ...]:
+    """Real-goods consumption matrix of the whole run, dummy columns dropped."""
+    return tuple(row[: trace.m_real] for row in prefix_allocation(trace, trace.duration))
 
 
 def representative_matrix(trace: EatingTrace) -> tuple[tuple[Fraction, ...], ...]:

@@ -41,7 +41,7 @@ from .core import (
 )
 from .eating import ordinal_rankings, summarize, unit_run
 from .rng import SplitMix64, derive_seed
-from .rounding import Decomposition, SuperGoodMatrix, build_supergood_matrix, bvn_decompose, dependent_round
+from .rounding import Decomposition, build_supergood_matrix, bvn_decompose, dependent_round
 
 EXACT_PERMUTATION_CAP = 8
 
@@ -146,21 +146,20 @@ def k2_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:
     summary = summarize(trace)
     if summary.k != 2:
         raise PreconditionError(f"this sampler needs last-good mass exactly 2, got {summary.k}")
-    sg = build_supergood_matrix(summary)
-    return lambda seed: _k2_from_rounding(inst, trace.m_real, summary, sg, seed)
+    base_goods, matrix = build_supergood_matrix(summary)
+    return lambda seed: _k2_from_rounding(inst, trace.m_real, summary, base_goods, matrix, seed)
 
 
-def _k2_from_rounding(inst, m_real, summary, sg: SuperGoodMatrix, seed: int) -> IntegralAllocation:
-    rounded = dependent_round(sg.matrix, derive_seed(seed, 1))
-    super_idx = len(sg.base_goods)
-    holders = [i for i in range(inst.n) if rounded[i][super_idx] == 1]
+def _k2_from_rounding(inst, m_real, summary, base_goods, matrix, seed: int) -> IntegralAllocation:
+    rounded = dependent_round(matrix, derive_seed(seed, 1))
+    holders = [i for i in range(inst.n) if rounded[i][-1] == 1]
     if len(holders) != 2:
         raise AssertionError("the aggregated column must land on exactly two agents")
     coin = SplitMix64(derive_seed(seed, 2))
     a, b = (holders[0], holders[1]) if coin.event(Fraction(1, 2)) else (holders[1], holders[0])
     bundles = [set() for _ in inst.agents]
     for i in range(inst.n):
-        for idx, g in enumerate(sg.base_goods):
+        for idx, g in enumerate(base_goods):
             if rounded[i][idx] == 1:
                 bundles[i].add(g)
     leftovers = summary.L | summary.U

@@ -240,12 +240,8 @@ def sdef_feasibility(
     # verify the witness before handing it out
     if any(w < 0 for w in weights) or sum(weights) != 1:  # pragma: no cover
         raise AssertionError("witness weights are not a distribution")
-    mix = [[Fraction(0)] * inst.m for _ in inst.agents]
-    for w, alloc in zip(weights, supports):
-        for i, bundle in enumerate(alloc.bundles):
-            for g in bundle:
-                mix[i][g] += w
-    verdict = check_sdef(mix, rankings)
+    mix = RandomizedAllocation(tuple((w, a) for w, a in zip(weights, supports) if w > 0))
+    verdict = check_sdef(inst, mix.associated_fractional(inst.m))
     if not verdict.passed:  # pragma: no cover
         raise AssertionError(f"witness mixture fails the dominance check: {verdict.witness}")
     return FeasibilityResult(feasible=True, weights=weights)

@@ -347,23 +347,12 @@ def dependent_round(
 # the capacity-k aggregated column for last goods
 
 
-@dataclass(frozen=True)
-class SuperGoodMatrix:
-    base: Matrix  # n x |base_goods| shares of fully eaten ordinary goods
-    base_goods: tuple[int, ...]  # ascending good indices for base columns
-    super_column: tuple[Fraction, ...]  # per-agent share of its own last good
-    k: int  # capacity of the aggregated column
-
-    @property
-    def matrix(self) -> Matrix:
-        return tuple(
-            tuple(row) + (self.super_column[i],) for i, row in enumerate(self.base)
-        )
-
-
-def build_supergood_matrix(summary: TraceSummary) -> SuperGoodMatrix:
+def build_supergood_matrix(summary: TraceSummary) -> tuple[tuple[int, ...], Matrix]:
     """Aggregate all last goods of a duration-one run into one column of
-    capacity k; ordinary columns keep their (fully eaten) goods."""
+    capacity k: (base_goods, matrix), where base_goods lists the fully eaten
+    ordinary goods in ascending order, matrix column c < len(base_goods)
+    holds good base_goods[c], and the last column holds each agent's share
+    of its own last good."""
     if summary.duration != 1:
         raise PreconditionError("the aggregated column is defined for duration-one runs")
     if summary.k.denominator != 1:
@@ -381,11 +370,11 @@ def build_supergood_matrix(summary: TraceSummary) -> SuperGoodMatrix:
         for g in summary.L:
             if g != summary.last_goods[i] and summary.X[i][g] != 0:
                 raise AssertionError("an agent consumed a last good that is not its own")
-    base = tuple(tuple(summary.X[i][g] for g in base_goods) for i in range(n))
-    super_col = tuple(summary.X[i][summary.last_goods[i]] for i in range(n))
-    for i in range(n):
-        if sum(base[i], start=Fraction(0)) + super_col[i] != 1:
-            raise AssertionError("agent consumption does not add to one")
-    return SuperGoodMatrix(
-        base=base, base_goods=tuple(base_goods), super_column=super_col, k=int(summary.k)
+    matrix = tuple(
+        tuple(summary.X[i][g] for g in base_goods) + (summary.X[i][summary.last_goods[i]],)
+        for i in range(n)
     )
+    for row in matrix:
+        if sum(row) != 1:
+            raise AssertionError("agent consumption does not add to one")
+    return tuple(base_goods), matrix

@@ -21,7 +21,6 @@ from bobw import (
     check_exante_prop,
     check_po_lex,
     check_sdef,
-    check_sdef_instance,
     check_stochastic_dominance_half,
     check_support,
     exante_ratio,
@@ -148,17 +147,19 @@ def test_po_lex_needs_complete_pool_free_allocation():
 
 def test_check_sdef_prefix_shares():
     rows = ((F(1), F(0)), (F(0), F(1)))
-    assert check_sdef(rows, ((0, 1), (1, 0))).passed
-    rep = check_sdef(rows, ((0, 1), (0, 1)))
+    opposed = Instance(n=2, m=2, valuations=(Lexicographic((0, 1)), Lexicographic((1, 0))))
+    assert check_sdef(opposed, rows).passed
+    shared = Instance(n=2, m=2, valuations=(Lexicographic((0, 1)), Lexicographic((0, 1))))
+    rep = check_sdef(shared, rows)
     assert not rep.passed
     assert rep.witness["viewer"] == 1
     assert rep.witness["prefix_depth"] == 1
 
 
-def test_check_sdef_instance_on_eating_output():
+def test_check_sdef_on_eating_output():
     inst = get_fixture("FIX-D")
     s = summarize(unit_run(inst))
-    assert check_sdef_instance(inst, s.X).passed
+    assert check_sdef(inst, s.X).passed
 
 
 def _dist(inst, assignments, weights):

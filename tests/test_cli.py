@@ -534,6 +534,12 @@ _GOLDEN = [
     ("verify FIX-D --allocation PASS --properties efx,po-lex", 0, "87bf18905c66548653ea20776f55a65d181569a800de46c0287dd79aa8df9dcd"),
     ("verify FIX-D --allocation FAIL --properties efx", 2, "2bf8c1dbc22da897a8286f4dc855c59d5af87a0231a10f9a39abd0b4b00f7a7c"),
     ("verify FIX-D --allocation DIST --properties po-lex,sdef", 0, "a43c6c8bed161b639c41b177da3d27e7c46c565b4440a0c48fd84f66dce27839"),
+    ("verify FIX-D --allocation PASS --properties sdef,efx", 2, "aa1002f3a47ef75a9e387bd6e322b99ace79fafb7898667ca603e10683cee61f"),
+    ("repro impossibility", 0, "2f36290cc8f2b58fc8a491ad9c306d0da32616294cb204aae8d53e8e0ec5f964"),
+    ("repro example-4-1", 0, "2d6730f26e0f8887db1c56767fdf3d6b136a4f5ddd70674ff92a733da5d98892"),
+    ("repro utse-tight", 0, "d1d5356706b1fdafb4299662efec514c0a57fcf52c575331ddf27b238da01a88"),
+    ("repro ps-baseline", 0, "d61d9bda4ae575b052014d1e2c213878a18edc4ac290e8a9ce077c9b0de4e79e"),
+    ("eat FIX-C", 0, "18c8e65b38573f9ef808b4e47131870ac1803292985b4d786c695dc0260290a7"),
     ("solve FIX-C --algorithm lex-bobw", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("solve FIX-D --algorithm depround-k2 --seed 1", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("solve FIX-E --algorithm charity", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

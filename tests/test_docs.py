@@ -1,8 +1,9 @@
-"""The README's command lines and the demos run and exit 0.
+"""The README's command lines, its library tour and the demos run and exit 0.
 
 The CLI section of README.md holds two shell blocks: independent `bobw`
 commands, and a `solve -o` / `python3 -c` / `verify` sequence that writes
-files, which runs in a temporary directory.
+files, which runs in a temporary directory.  The library tour is the
+README's one python block.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ def test_readme_verify_sequence_exits_zero(tmp_path, monkeypatch):
     for argv in SEQUENCE:
         assert _run(argv, tmp_path) == 0, shlex.join(argv)
     assert (tmp_path / "dist.json").exists()
+
+
+def test_readme_library_tour_exits_zero():
+    (tour,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    done = subprocess.run([sys.executable, "-c", tour], cwd=ROOT, env=ENV, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

@@ -12,7 +12,6 @@ from bobw import (
     fractional_outcome,
     full_run,
     get_fixture,
-    ordinal_rankings,
     prefix_allocation,
     representative_matrix,
     rounds_allocation,
@@ -20,7 +19,7 @@ from bobw import (
     summarize,
     unit_run,
 )
-from bobw.eating import EatingTrace, eat_report, event_times, strip_dummy_columns
+from bobw.eating import EatingTrace, eat_report, event_times
 from bobw.rng import SplitMix64
 
 from helpers import lex_instance
@@ -136,8 +135,7 @@ def test_padding_added_when_goods_are_scarce():
     assert len(s.X[0]) == 3
     for row in s.X:
         assert sum(row, start=F(0)) == 1
-    stripped = strip_dummy_columns(s.X, 2)
-    assert all(len(row) == 2 for row in stripped)
+    assert all(len(row) == 2 for row in fractional_outcome(trace))
 
 
 def test_prefix_allocation_truncates_exactly():
@@ -158,19 +156,19 @@ def test_anytime_prefix_dominance_at_event_times():
     for _ in range(15):
         inst = lex_instance(rng, 2 + rng.below(3), 3 + rng.below(4))
         trace = full_run(inst)
-        rankings = ordinal_rankings(inst)
         for z in event_times(trace):
-            rows = strip_dummy_columns(prefix_allocation(trace, z), inst.m)
-            assert check_sdef(rows, rankings).passed
+            rows = tuple(row[: inst.m] for row in prefix_allocation(trace, z))
+            assert check_sdef(inst, rows).passed
 
 
 def test_full_run_consumes_everything():
     rng = SplitMix64(104)
     for _ in range(20):
         inst = lex_instance(rng, 2 + rng.below(4), 2 + rng.below(7))
-        frac = fractional_outcome(full_run(inst))
-        for j in range(inst.m):
-            assert frac.column_sum(j) == 1
+        shares = fractional_outcome(full_run(inst))
+        assert len(shares[0]) == inst.m
+        for column in zip(*shares):
+            assert sum(column) == 1
 
 
 def test_representative_matrix_is_doubly_stochastic_and_consistent():

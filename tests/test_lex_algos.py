@@ -170,7 +170,7 @@ def test_k2_with_shared_last_good():
 def test_uniform_permutation_exact_matrix():
     inst = get_fixture("FIX-B")
     dist = uniform_permutation(inst, mode="exact")
-    rows = dist.associated_fractional(inst.m).entries
+    rows = dist.associated_fractional(inst.m)
     assert rows[0] == (F(2, 5), F(1, 5), F(1, 10), F(2, 15), F(1, 6), F(0))
     assert rows[1] == (F(0), F(4, 5), F(1, 30), F(1, 15), F(1, 10), F(0))
     for i in (2, 3, 4, 5):

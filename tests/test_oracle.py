@@ -13,7 +13,7 @@ from bobw import (
     ResourceCapError,
     SwapStep,
     SwapTrace,
-    check_sdef_instance,
+    check_sdef,
     enumerate_efx,
     exact_distribution_charity,
     get_fixture,
@@ -69,7 +69,7 @@ def test_mixture_feasibility_finds_the_unique_weights():
          for g in range(inst.m)]
         for i in range(inst.n)
     ]
-    assert check_sdef_instance(inst, rows).passed
+    assert check_sdef(inst, rows).passed
 
 
 def test_mixture_infeasibility_yields_a_certificate():

@@ -260,30 +260,27 @@ def test_kuhn_matching_long_augmenting_path_needs_no_stack_depth():
 
 def test_supergood_matrix_from_pair_instance():
     s = summarize(run_eating(get_fixture("FIX-C"), F(1)))
-    sg = build_supergood_matrix(s)
-    assert sg.k == 2
-    assert sg.super_column == (HALF, HALF, HALF, HALF)
-    assert sg.base_goods == (0, 3)
-    for row in sg.matrix:
+    base_goods, matrix = build_supergood_matrix(s)
+    assert tuple(row[-1] for row in matrix) == (HALF, HALF, HALF, HALF)
+    assert base_goods == (0, 3)
+    for row in matrix:
         assert sum(row, start=F(0)) == 1
 
 
 def test_supergood_matrix_from_shared_ranking_instance():
     s = summarize(run_eating(get_fixture("FIX-D"), F(1)))
-    sg = build_supergood_matrix(s)
-    assert sg.k == 1
-    assert sg.super_column == (HALF, HALF)
-    assert sg.base_goods == (0,)
+    base_goods, matrix = build_supergood_matrix(s)
+    assert tuple(row[-1] for row in matrix) == (HALF, HALF)
+    assert base_goods == (0,)
 
 
 def test_supergood_matrix_single_agent():
     from bobw import Instance, Lexicographic
 
     inst = Instance(n=1, m=2, valuations=(Lexicographic(ranking=(0, 1)),))
-    sg = build_supergood_matrix(summarize(run_eating(inst, F(1))))
-    assert sg.k == 1
-    assert sg.super_column == (F(1),)
-    assert sg.base_goods == ()
+    base_goods, matrix = build_supergood_matrix(summarize(run_eating(inst, F(1))))
+    assert matrix == ((F(1),),)
+    assert base_goods == ()
 
 
 def test_supergood_rejects_partial_runs():
@@ -294,12 +291,12 @@ def test_supergood_rejects_partial_runs():
 
 def test_supergood_rounding_gives_exactly_k_holders():
     s = summarize(run_eating(get_fixture("FIX-C"), F(1)))
-    sg = build_supergood_matrix(s)
+    base_goods, matrix = build_supergood_matrix(s)
     for seed in range(300):
-        out = dependent_round(sg.matrix, seed=seed)
+        out = dependent_round(matrix, seed=seed)
         holders = [i for i in range(4) if out[i][-1] == 1]
         assert len(holders) == 2
-        for j in range(len(sg.base_goods)):
+        for j in range(len(base_goods)):
             assert sum(row[j] for row in out) == 1
 
 
@@ -507,7 +504,7 @@ def _k2_supergood_matrices(count: int):
         summary = summarize(unit_run(inst))
         if summary.k == 2:
             count -= 1
-            yield build_supergood_matrix(summary).matrix
+            yield build_supergood_matrix(summary)[1]
 
 
 def test_integer_rounding_matches_the_fraction_reference():
