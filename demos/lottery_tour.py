@@ -15,6 +15,7 @@ from bobw import (
     get_fixture,
     k2_sampler,
     min_exante_ratio,
+    permutation_sampler,
     solve_lex_bobw,
     summarize,
     uniform_permutation,
@@ -23,10 +24,13 @@ from bobw import (
 )
 
 
+def _bundles(alloc) -> str:
+    return " | ".join(repr(sorted(b)) for b in alloc.bundles)
+
+
 def _show_distribution(dist) -> None:
     for weight, alloc in dist.support:
-        bundles = " | ".join(repr(sorted(b)) for b in alloc.bundles)
-        print(f"  {format_rational(weight):>5}  {bundles}")
+        print(f"  {format_rational(weight):>5}  {_bundles(alloc)}")
 
 
 def main() -> None:
@@ -45,20 +49,19 @@ def main() -> None:
     print(f"\nfour-agent fixture has k = {k}; drawing three samples:")
     sample = k2_sampler(inst_c)
     for seed in (0, 1, 2):
-        alloc = sample(seed)
-        bundles = " | ".join(repr(sorted(b)) for b in alloc.bundles)
-        print(f"  seed {seed}: {bundles}")
+        print(f"  seed {seed}: {_bundles(sample(seed))}")
 
-    routed = solve_lex_bobw(inst_c, seed=0)
-    print(f"  dispatcher route for this fixture: kind={routed.kind}, k={routed.k}")
+    routed_k, outcome = solve_lex_bobw(inst_c, seed=0)
+    print(f"  router (k = {routed_k}) draws one outcome at seed 0: {_bundles(outcome)}")
 
     # baseline: uniform random picking order, half envy-free in expectation
     inst_b = get_fixture("FIX-B")
-    baseline = uniform_permutation(inst_b, mode="exact")
+    baseline = uniform_permutation(inst_b)
     half_ef = check_exante_ef(baseline, inst_b, Fraction(1, 2))
     print("\nuniform random-order baseline on the six-agent fixture:")
     print("  half envy-free in expectation:", half_ef.passed)
     print("  worst ratio:", format_rational(min_exante_ratio(baseline, inst_b)))
+    print("  one seeded order at seed 0:", _bundles(permutation_sampler(inst_b)(0)))
 
 
 if __name__ == "__main__":

@@ -9,9 +9,10 @@ line, same output.
 ALGORITHMS is the one table of algorithm names.  Each entry says how
 `solve` builds its output (an exact lottery, one seeded draw, or a router
 between the two), how `sample` and `estimate` draw from it, which checkers
-its outcomes owe ex post and its lottery owes ex ante, and which exact
-charity distribution `oracle` computes for it.  The argparse choices of
-solve, sample, estimate and oracle come from it.
+its outcomes owe ex post and its lottery owes ex ante, which exact charity
+distribution `oracle` computes for it, and which of solve's optional flags
+(--decomposition, --step-cap) it reads; solve refuses the others.  The
+argparse choices of solve, sample, estimate and oracle come from it.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
 3 bad input or precondition, 4 a resource cap was hit.
@@ -66,7 +67,7 @@ from .eating import (
     summarize,
     unit_run,
 )
-from .lex_algos import k2_sampler, solve_lex_bobw, uniform_permutation, utse
+from .lex_algos import k2_sampler, permutation_sampler, solve_lex_bobw, uniform_permutation, utse
 from .oracle import enumerate_efx, exact_distribution_charity, ratio_table, sdef_feasibility
 from .rng import derive_seed
 from .rounding import Decomposition, bvn_decompose
@@ -172,6 +173,7 @@ class Algorithm:
     draws: Optional[Callable] = None
     exante: tuple[str, ...] = ()  # _exante_checkers keys owed by the whole lottery
     exact: Optional[int] = None  # algorithm= of exact_distribution_charity
+    flags: tuple[str, ...] = ()  # optional solve flags it reads
 
 
 def _checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
@@ -223,15 +225,14 @@ ALGORITHMS: dict[str, Algorithm] = {
     "utse": Algorithm(
         ("efx", "po_lex"),
         lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(inst, args)),
+        flags=("--decomposition",),
     ),
     "depround-k2": Algorithm(("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))),
     "lex-bobw": Algorithm(("efx", "po_lex")),
     "uniform-perm": Algorithm(
         ("po_lex",),
-        lottery=lambda inst, args: uniform_permutation(inst, mode="exact"),
-        draws=lambda inst, args: _no_trace(
-            lambda seed: uniform_permutation(inst, mode="sample", seed=seed)
-        ),
+        lottery=lambda inst, args: uniform_permutation(inst),
+        draws=lambda inst, args: _no_trace(permutation_sampler(inst)),
         exante=("exante_half_ef",),
     ),
     "charity": Algorithm(
@@ -245,14 +246,22 @@ ALGORITHMS: dict[str, Algorithm] = {
         draws=_bounded_charity_draws,
         exante=("exante_half_prop",),
         exact=4,
+        flags=("--step-cap",),
     ),
 }
 
 
+def _flag_readers(flag: str) -> str:
+    return ", ".join(name for name, algo in ALGORITHMS.items() if flag in algo.flags)
+
+
 def cmd_solve(args) -> int:
-    inst = _load(args)
     name = args.algorithm
     algo = ALGORITHMS[name]
+    for flag in (f for row in ALGORITHMS.values() for f in row.flags if f not in algo.flags):
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise PreconditionError(f"{flag} applies only to {_flag_readers(flag)}, not {name}")
+    inst = _load(args)
     result: dict = {"algorithm": name}
     trace = None
     if algo.lottery:
@@ -262,9 +271,8 @@ def cmd_solve(args) -> int:
             raise PreconditionError(f"--seed is required for the {name} sampler")
         outcome, trace = algo.draws(inst, args)(args.seed)
     else:  # router
-        solved = solve_lex_bobw(inst, seed=args.seed)
-        result["k"], result["kind"] = solved.k, solved.kind
-        outcome = solved.distribution if solved.kind == "distribution" else solved.sample
+        result["k"], outcome = solve_lex_bobw(inst, seed=args.seed)
+        result["kind"] = "distribution" if isinstance(outcome, RandomizedAllocation) else "sample"
 
     checkers = _checkers(algo.audits)
     if isinstance(outcome, RandomizedAllocation):
@@ -410,7 +418,7 @@ def _repro_impossibility(args) -> dict:
 def _repro_example_4_1(args) -> dict:
     eps = parse_rational(args.epsilon) if args.epsilon else fixtures.DEFAULT_EPSILON
     inst = fixtures.fix_b(eps)
-    dist = uniform_permutation(inst, mode="exact")
+    dist = uniform_permutation(inst)
     ratio = exante_ratio(dist, inst, 0, 1)
     expected = Fraction(432) + 5808 * eps
     expected /= Fraction(576) + 528 * eps
@@ -552,9 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--algorithm", required=True, choices=list(ALGORITHMS))
     p.add_argument("--seed", type=_seed_type)
-    p.add_argument("--decomposition", help="JSON file pinning the lottery decomposition (utse only)")
     p.add_argument(
-        "--step-cap", type=int, help="bounded-charity's limit on pool swaps and growth moves, not cycle rotations"
+        "--decomposition",
+        help=f"JSON file pinning the lottery decomposition ({_flag_readers('--decomposition')} only)",
+    )
+    p.add_argument(
+        "--step-cap",
+        type=int,
+        help=f"limit on pool swaps and growth moves, not cycle rotations ({_flag_readers('--step-cap')} only)",
     )
     p.set_defaults(fn=cmd_solve)
 

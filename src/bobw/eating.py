@@ -52,18 +52,6 @@ class EatingTrace:
     def m_total(self) -> int:
         return self.m_real + self.n_dummies
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m_real,
-            "dummies": self.n_dummies,
-            "duration": format_rational(self.duration),
-            "segments": [
-                [[g, format_rational(a), format_rational(b)] for g, a, b in segs]
-                for segs in self.segments
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class TraceSummary:
@@ -74,8 +62,6 @@ class TraceSummary:
     k: Fraction
     eaten: tuple[Fraction, ...]  # per good total
     duration: Fraction
-    m_real: int
-    n_dummies: int
 
 
 def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> EatingTrace:
@@ -151,8 +137,6 @@ def summarize(trace: EatingTrace) -> TraceSummary:
         k=k,
         eaten=eaten,
         duration=trace.duration,
-        m_real=trace.m_real,
-        n_dummies=trace.n_dummies,
     )
 
 

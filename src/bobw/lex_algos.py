@@ -6,7 +6,9 @@ the consumption matrix into assignment terms, and then hands each term's
 unallocated tail to one of the agents holding a last good, chosen uniformly.
 The tail always fits: every term assigns all fully-eaten ordinary goods, so
 exactly k agents sit on last goods and the leftover tail is shared among
-those k candidates with weight split evenly.  The result is envy-free in
+those k candidates with weight split evenly.  With fewer goods than agents,
+dummy goods pad the run, every term is a perfect matching, the tail is empty
+and dummies are dropped from the bundles.  The result is envy-free in
 expectation up to the factor 3k/(3k+1) and each support outcome is EFX and
 Pareto optimal.
 
@@ -17,17 +19,21 @@ coin decide which of the two winners keeps just its own last good while the
 other takes every remaining good.  This is a sampler (its support can be
 exponential), with a 9/10 envy guarantee in expectation.
 
+utse and k2_sampler each run eating once; solve_lex_bobw runs it once, reads
+k, and hands the same summary to one of the two, returning (k, outcome): the
+tail lottery, or one seeded k = 2 draw.
+
 A baseline for comparison: draw a uniform random agent order, let agents pick
 their favorite remaining good in that order, and give all leftovers to the
 last agent.  Exactly envy-free up to factor 1/2 in expectation, EFX and
-Pareto optimal ex post.
+Pareto optimal ex post.  uniform_permutation is its exact lottery over all n!
+orders; permutation_sampler maps a seed to one draw.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +45,7 @@ from .core import (
     RandomizedAllocation,
     ResourceCapError,
 )
-from .eating import ordinal_rankings, summarize, unit_run
+from .eating import TraceSummary, ordinal_rankings, summarize, unit_run
 from .rng import SplitMix64, derive_seed
 from .rounding import Decomposition, build_supergood_matrix, bvn_decompose, dependent_round
 
@@ -91,10 +97,6 @@ def sigma_unenvied_sequence(
 # eating + decomposition + uniform tail
 
 
-def _strip(bundle: frozenset[int], m_real: int) -> frozenset[int]:
-    return frozenset(g for g in bundle if g < m_real)
-
-
 def utse(inst: Instance, decomposition: Optional[Decomposition] = None) -> RandomizedAllocation:
     """Exact output lottery of the eating pipeline with a uniform tail.
 
@@ -102,26 +104,20 @@ def utse(inst: Instance, decomposition: Optional[Decomposition] = None) -> Rando
     is validated against the matrix exactly); otherwise the deterministic
     pivot of bvn_decompose is used.
     """
-    trace = unit_run(inst)
-    summary = summarize(trace)
-    m_total = trace.m_total
+    return _tail_lottery(inst, summarize(unit_run(inst)), decomposition)
+
+
+def _tail_lottery(
+    inst: Instance, summary: TraceSummary, decomposition: Optional[Decomposition] = None
+) -> RandomizedAllocation:
     if decomposition is None:
         decomposition = bvn_decompose(summary.X)
-    else:
-        if decomposition.reconstruct(inst.n, m_total) != summary.X:
-            raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
-
-    if trace.n_dummies > 0:
-        # fewer goods than agents: every (padded) good is fully eaten, each
-        # term is a perfect matching, and no tail phase is needed
-        support = [
-            (w, IntegralAllocation(bundles=tuple(_strip(frozenset({g}), inst.m) for g in assignment)))
-            for w, assignment in decomposition.terms
-        ]
-        return RandomizedAllocation.merged(support)
-
+    elif decomposition.reconstruct(inst.n, len(summary.eaten)) != summary.X:
+        raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
+    # with dummy goods (m < n) every term is a perfect matching: the tail is
+    # empty and the k winners' copies of one outcome merge back to weight w
     k = int(summary.k)
-    goods = frozenset(range(m_total))
+    goods = frozenset(range(inst.m))
     support = []
     for w, assignment in decomposition.terms:
         tail = goods - frozenset(assignment)
@@ -130,8 +126,9 @@ def utse(inst: Instance, decomposition: Optional[Decomposition] = None) -> Rando
         winners = [i for i in inst.agents if assignment[i] in summary.L]
         if len(winners) != k:
             raise AssertionError("a term does not hold exactly k last goods")
+        held = [frozenset({g}) if g < inst.m else frozenset() for g in assignment]
         for i in winners:
-            bundles = [frozenset({assignment[j]}) for j in inst.agents]
+            bundles = list(held)
             bundles[i] = bundles[i] | tail
             support.append((w / k, IntegralAllocation(bundles=tuple(bundles))))
     return RandomizedAllocation.merged(support)
@@ -142,15 +139,17 @@ def k2_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:
     computed once.  One draw: dependent rounding on the aggregated-column
     matrix, then a fair coin orders the two winners; the first keeps only its
     own last good, the second takes all other remaining goods."""
-    trace = unit_run(inst)
-    summary = summarize(trace)
+    return _k2_draws(inst, summarize(unit_run(inst)))
+
+
+def _k2_draws(inst: Instance, summary: TraceSummary) -> Callable[[int], IntegralAllocation]:
     if summary.k != 2:
         raise PreconditionError(f"this sampler needs last-good mass exactly 2, got {summary.k}")
     base_goods, matrix = build_supergood_matrix(summary)
-    return lambda seed: _k2_from_rounding(inst, trace.m_real, summary, base_goods, matrix, seed)
+    return lambda seed: _k2_from_rounding(inst, summary, base_goods, matrix, seed)
 
 
-def _k2_from_rounding(inst, m_real, summary, base_goods, matrix, seed: int) -> IntegralAllocation:
+def _k2_from_rounding(inst, summary, base_goods, matrix, seed: int) -> IntegralAllocation:
     rounded = dependent_round(matrix, derive_seed(seed, 1))
     holders = [i for i in range(inst.n) if rounded[i][-1] == 1]
     if len(holders) != 2:
@@ -165,7 +164,7 @@ def _k2_from_rounding(inst, m_real, summary, base_goods, matrix, seed: int) -> I
     leftovers = summary.L | summary.U
     bundles[a] = {summary.last_goods[a]}
     bundles[b] = set(leftovers - {summary.last_goods[a]})
-    return IntegralAllocation(bundles=tuple(_strip(frozenset(x), m_real) for x in bundles))
+    return IntegralAllocation(bundles=tuple(frozenset(g for g in x if g < inst.m) for x in bundles))
 
 
 # ---------------------------------------------------------------------------
@@ -180,52 +179,40 @@ def _permutation_outcome(inst: Instance, order: Sequence[int]) -> IntegralAlloca
     return IntegralAllocation(bundles=tuple(bundles))
 
 
-def uniform_permutation(
-    inst: Instance, mode: str = "exact", seed: Optional[int] = None
-):
-    """Uniform lottery over agent orders.
+def uniform_permutation(inst: Instance) -> RandomizedAllocation:
+    """Exact uniform lottery over agent orders: all n! orders enumerated
+    (n <= 8), duplicate outcomes merged."""
+    if inst.n > EXACT_PERMUTATION_CAP:
+        raise ResourceCapError(
+            f"the uniform-order lottery enumerates n! orders and is capped at n = {EXACT_PERMUTATION_CAP}"
+        )
+    weight = Fraction(1, math.factorial(inst.n))
+    support = [
+        (weight, _permutation_outcome(inst, order))
+        for order in itertools.permutations(range(inst.n))
+    ]
+    return RandomizedAllocation.merged(support)
 
-    mode="exact": full distribution by enumerating all n! orders (n <= 8),
-    duplicate outcomes merged.  mode="sample": one seeded draw.
-    """
-    if mode == "exact":
-        if inst.n > EXACT_PERMUTATION_CAP:
-            raise ResourceCapError(
-                f"exact mode enumerates n! orders and is capped at n = {EXACT_PERMUTATION_CAP}"
-            )
-        weight = Fraction(1, math.factorial(inst.n))
-        support = [
-            (weight, _permutation_outcome(inst, order))
-            for order in itertools.permutations(range(inst.n))
-        ]
-        return RandomizedAllocation.merged(support)
-    if mode == "sample":
-        if seed is None:
-            raise PreconditionError("sample mode needs a seed")
-        order = SplitMix64(seed).permutation(inst.n)
-        return _permutation_outcome(inst, order)
-    raise PreconditionError(f"unknown mode {mode!r}")
+
+def permutation_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:
+    """The uniform-order lottery as a seed -> outcome map: one seeded order."""
+    return lambda seed: _permutation_outcome(inst, SplitMix64(seed).permutation(inst.n))
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
 
 
-@dataclass(frozen=True)
-class LexBobwResult:
-    k: int
-    kind: str  # "distribution" | "sample"
-    distribution: Optional[RandomizedAllocation] = None
-    sample: Optional[IntegralAllocation] = None
-
-
-def solve_lex_bobw(inst: Instance, seed: Optional[int] = None) -> LexBobwResult:
-    """Route by last-good mass: k = 2 gets the dependent-rounding sampler
-    (strictly better envy ratio), everything else the exact tail lottery."""
+def solve_lex_bobw(
+    inst: Instance, seed: Optional[int] = None
+) -> tuple[int, RandomizedAllocation | IntegralAllocation]:
+    """Route by last-good mass k over one eating run: k = 2 gets one draw of
+    the dependent-rounding sampler (strictly better envy ratio), everything
+    else the exact tail lottery.  Returns (k, outcome)."""
     summary = summarize(unit_run(inst))
     k = int(summary.k)
-    if k == 2:
-        if seed is None:
-            raise PreconditionError("k = 2 routes to a sampler: a seed is required")
-        return LexBobwResult(k=k, kind="sample", sample=k2_sampler(inst)(seed))
-    return LexBobwResult(k=k, kind="distribution", distribution=utse(inst))
+    if k != 2:
+        return k, _tail_lottery(inst, summary)
+    if seed is None:
+        raise PreconditionError("k = 2 routes to a sampler: a seed is required")
+    return k, _k2_draws(inst, summary)(seed)

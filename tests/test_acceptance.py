@@ -101,7 +101,7 @@ def test_criterion_01_no_fair_mixture_over_efx(tmp_path):
 def test_criterion_02_permutation_lottery_closed_form(tmp_path):
     def body():
         inst = get_fixture("FIX-B")
-        dist = uniform_permutation(inst, mode="exact")
+        dist = uniform_permutation(inst)
         rows = dist.associated_fractional(inst.m)
         assert rows[0] == (F(288, 720), F(144, 720), F(72, 720), F(96, 720), F(120, 720), F(0))
         assert rows[1] == (F(0), F(4, 5), F(1, 30), F(1, 15), F(1, 10), F(0))
@@ -379,7 +379,7 @@ def test_criterion_11_permutation_lottery_half_ef():
             n = 2 + rng.below(5)
             m = 1 + rng.below(8)
             inst = lex_instance(rng, n, m)
-            dist = uniform_permutation(inst, mode="exact")
+            dist = uniform_permutation(inst)
             rep = check_exante_ef(dist, inst, HALF)
             assert rep.passed, rep.witness
 

@@ -461,6 +461,17 @@ def test_negative_work_caps_are_precondition_errors(capsys, command, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_solve_refuses_step_cap_outside_bounded_charity(capsys):
+    assert main("solve FIX-E --algorithm charity --seed 7 --step-cap 1".split()) == 3
+    assert capsys.readouterr() == ("", "error: --step-cap applies only to bounded-charity, not charity\n")
+
+
+def test_solve_refuses_decomposition_outside_utse(capsys):
+    # refused before the file is read: missing.json does not exist
+    assert main("solve FIX-D --algorithm uniform-perm --decomposition missing.json".split()) == 3
+    assert capsys.readouterr() == ("", "error: --decomposition applies only to utse, not uniform-perm\n")
+
+
 @pytest.mark.parametrize(
     "scenario", ["impossibility", "example-4-1", "utse-tight", "ps-baseline"]
 )

@@ -222,10 +222,10 @@ def test_eat_report_strips_dummies_and_formats():
 
 def test_trace_json_has_rational_times():
     trace = run_eating(get_fixture("FIX-D"), F(1))
-    data = trace.to_json()
-    assert data["duration"] == "1"
-    assert data["segments"][0][0] == [0, "0", "1/2"]
-    assert data["segments"][0][1] == [1, "1/2", "1"]
+    assert trace.duration == 1
+    first, second = trace.segments[0][:2]
+    assert (first, second) == ((0, F(0), F(1, 2)), (1, F(1, 2), F(1)))
+    assert all(type(t) is Fraction for t in first[1:] + second[1:])
 
 
 def test_table_valuation_rejected():

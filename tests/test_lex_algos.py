@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
 from bobw import (
     Decomposition,
     Instance,
+    IntegralAllocation,
     Lexicographic,
     PreconditionError,
+    RandomizedAllocation,
     ResourceCapError,
     bvn_decompose,
     check_efx,
@@ -18,6 +21,7 @@ from bobw import (
     get_fixture,
     k2_sampler,
     min_exante_ratio,
+    permutation_sampler,
     run_picking_sequence,
     sigma_unenvied_sequence,
     solve_lex_bobw,
@@ -26,9 +30,10 @@ from bobw import (
     unit_run,
     utse,
 )
+from bobw import lex_algos
 from bobw.rng import SplitMix64
 
-from helpers import lex_instance
+from helpers import additive_instance, lex_instance
 
 F = Fraction
 
@@ -169,7 +174,7 @@ def test_k2_with_shared_last_good():
 
 def test_uniform_permutation_exact_matrix():
     inst = get_fixture("FIX-B")
-    dist = uniform_permutation(inst, mode="exact")
+    dist = uniform_permutation(inst)
     rows = dist.associated_fractional(inst.m)
     assert rows[0] == (F(2, 5), F(1, 5), F(1, 10), F(2, 15), F(1, 6), F(0))
     assert rows[1] == (F(0), F(4, 5), F(1, 30), F(1, 15), F(1, 10), F(0))
@@ -180,7 +185,7 @@ def test_uniform_permutation_exact_matrix():
 
 def test_uniform_permutation_single_agent():
     inst = Instance(n=1, m=3, valuations=(Lexicographic(ranking=(2, 0, 1)),))
-    dist = uniform_permutation(inst, mode="exact")
+    dist = uniform_permutation(inst)
     assert len(dist.support) == 1
     w, alloc = dist.support[0]
     assert w == 1
@@ -191,20 +196,16 @@ def test_uniform_permutation_caps_exact_enumeration():
     rng = SplitMix64(501)
     inst = lex_instance(rng, 9, 9)
     with pytest.raises(ResourceCapError):
-        uniform_permutation(inst, mode="exact")
+        uniform_permutation(inst)
 
 
-def test_uniform_permutation_sample_mode():
+def test_permutation_sampler_draws_from_the_exact_lottery():
     inst = get_fixture("FIX-A")
-    exact = uniform_permutation(inst, mode="exact")
+    exact = uniform_permutation(inst)
     outcomes = {_bundles(a) for _, a in exact.support}
-    draw = uniform_permutation(inst, mode="sample", seed=4)
-    assert draw == uniform_permutation(inst, mode="sample", seed=4)
+    draw = permutation_sampler(inst)(4)
+    assert draw == permutation_sampler(inst)(4)
     assert _bundles(draw) in outcomes
-    with pytest.raises(PreconditionError):
-        uniform_permutation(inst, mode="sample")
-    with pytest.raises(PreconditionError):
-        uniform_permutation(inst, mode="middle")
 
 
 def test_uniform_permutation_is_half_ef_in_expectation():
@@ -213,21 +214,94 @@ def test_uniform_permutation_is_half_ef_in_expectation():
         n = 2 + rng.below(4)
         m = max(n, 2 + rng.below(5))
         inst = lex_instance(rng, n, m)
-        dist = uniform_permutation(inst, mode="exact")
+        dist = uniform_permutation(inst)
         assert check_exante_ef(dist, inst, F(1, 2)).passed
 
 
 def test_solver_routes_by_last_good_mass():
     d = get_fixture("FIX-D")
-    res = solve_lex_bobw(d)
-    assert (res.k, res.kind) == (1, "distribution")
-    assert res.distribution == utse(d)
-    assert res.sample is None
+    assert solve_lex_bobw(d) == (1, utse(d))
 
     c = get_fixture("FIX-C")
     with pytest.raises(PreconditionError):
         solve_lex_bobw(c)
-    res = solve_lex_bobw(c, seed=9)
-    assert (res.k, res.kind) == (2, "sample")
-    assert res.sample == k2_sampler(c)(9)
-    assert res.distribution is None
+    assert solve_lex_bobw(c, seed=9) == (2, k2_sampler(c)(9))
+
+
+def test_solver_runs_eating_once(monkeypatch):
+    calls = []
+
+    def counted(inst):
+        calls.append(inst)
+        return unit_run(inst)
+
+    monkeypatch.setattr(lex_algos, "unit_run", counted)
+    for name, seed in (("FIX-D", None), ("FIX-C", 5)):
+        calls.clear()
+        solve_lex_bobw(get_fixture(name), seed=seed)
+        assert len(calls) == 1, name
+
+
+# reference: utse with its own dummy-goods branch, kept verbatim (helper
+# renamed); the single tail loop must give the same lottery
+
+
+def _ref_strip(bundle: frozenset[int], m_real: int) -> frozenset[int]:
+    return frozenset(g for g in bundle if g < m_real)
+
+
+def _ref_utse(inst: Instance, decomposition: Optional[Decomposition] = None) -> RandomizedAllocation:
+    trace = unit_run(inst)
+    summary = summarize(trace)
+    m_total = trace.m_total
+    if decomposition is None:
+        decomposition = bvn_decompose(summary.X)
+    else:
+        if decomposition.reconstruct(inst.n, m_total) != summary.X:
+            raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
+
+    if trace.n_dummies > 0:
+        # fewer goods than agents: every (padded) good is fully eaten, each
+        # term is a perfect matching, and no tail phase is needed
+        support = [
+            (w, IntegralAllocation(bundles=tuple(_ref_strip(frozenset({g}), inst.m) for g in assignment)))
+            for w, assignment in decomposition.terms
+        ]
+        return RandomizedAllocation.merged(support)
+
+    k = int(summary.k)
+    goods = frozenset(range(m_total))
+    support = []
+    for w, assignment in decomposition.terms:
+        tail = goods - frozenset(assignment)
+        if not tail <= (summary.L | summary.U):
+            raise AssertionError("unallocated tail reaches outside the last/untouched goods")
+        winners = [i for i in inst.agents if assignment[i] in summary.L]
+        if len(winners) != k:
+            raise AssertionError("a term does not hold exactly k last goods")
+        for i in winners:
+            bundles = [frozenset({assignment[j]}) for j in inst.agents]
+            bundles[i] = bundles[i] | tail
+            support.append((w / k, IntegralAllocation(bundles=tuple(bundles))))
+    return RandomizedAllocation.merged(support)
+
+
+def _differential_instances():
+    for name in ("FIX-A", "FIX-B", "FIX-C", "FIX-D"):
+        yield get_fixture(name)
+    rng = SplitMix64(503)
+    for n in range(1, 10):
+        for m in range(1, 13):  # m < n pads with dummy goods
+            yield lex_instance(rng, n, m)
+            yield additive_instance(rng, n, m)
+
+
+def test_utse_matches_the_two_branch_reference():
+    padded = 0
+    for inst in _differential_instances():
+        pinned = bvn_decompose(summarize(unit_run(inst)).X)
+        for decomposition in (None, pinned):
+            got = utse(inst, decomposition)
+            assert got.to_json() == _ref_utse(inst, decomposition).to_json()
+        padded += inst.m < inst.n
+    assert padded == 2 * 36
