@@ -15,7 +15,8 @@ distribution `oracle` computes for it, and which of solve's optional flags
 argparse choices of solve, sample, estimate and oracle come from it.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
-3 bad input or precondition, 4 a resource cap was hit.
+3 bad input or precondition (argparse usage errors included), 4 a resource
+cap was hit.
 """
 
 from __future__ import annotations
@@ -530,15 +531,27 @@ def _add_common(p, instance=True):
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {text!r}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input, so it exits 3; argparse's own 2 would
+    read as a failed property.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PRECONDITION, f"{self.prog}: error: {message}\n")
 
 
 @cache  # choices come from the static ALGORITHMS table
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="bobw",
         description="Lotteries over indivisible-goods allocations that are fair "
         "both in expectation and in every realized outcome.",

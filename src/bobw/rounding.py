@@ -10,7 +10,9 @@ scans), repair it so that every column whose sum equals the common row sum
 stays matched (such columns must lose mass every round or they could never
 finish), extract the largest weight that keeps the residual well-shaped, and
 subtract.  Each extraction either zeroes an entry or saturates a column, so
-the loop terminates with an exact reconstruction.
+the loop terminates with an exact reconstruction.  The column sums and each
+row's positive entries are kept across terms: a term lowers only its
+matched entries and their columns.
 
 ``dependent_round`` rounds a fractional matrix with integral column sums to a
 0/1 matrix by randomized pipage: repeatedly pick a cycle (else a maximal
@@ -20,7 +22,9 @@ largest feasible amounts, choosing the direction with odds that keep every
 entry a martingale.  Column sums never change (fractional columns always
 have two or more fractional entries, so path endpoints are row vertices),
 per-entry marginals equal the input, and entries sharing a column are
-negatively correlated.
+negatively correlated.  The floating graph is built once per call and only
+loses edges: a pivot moves only the walk's entries, all fractional, so it
+drops the walk edges that reached 0 or 1 and nothing else.
 
 Both scale their input once: every entry is read as an exact rational, the
 matrix is multiplied by D, the LCM of the entries' denominators, and the
@@ -135,25 +139,22 @@ def _kuhn_matching(adj: list[list[int]], n: int) -> dict[int, int]:
 
 
 def _repair_matching(
-    adj: list[list[int]], match_col: dict[int, int], target: int, protected: set[int]
+    col_adj: list[list[int]], match_col: dict[int, int], target: int, protected: set[int]
 ) -> bool:
     """Try to bring `target` into the matching by flipping an alternating
-    path that ends at a droppable (unprotected) matched column.  Mutates the
-    matching on success.  BFS, lowest-index-first, deterministic."""
+    path that ends at a droppable (unprotected) matched column.  `col_adj[g]`
+    lists, ascending, the rows with a positive entry in column g.  Mutates
+    the matching on success.  BFS, lowest-index-first, deterministic."""
     if target in match_col:
         return True
     col_of = {i: g for g, i in match_col.items()}
-    col_adj: dict[int, list[int]] = {}
-    for i, goods in enumerate(adj):
-        for g in goods:
-            col_adj.setdefault(g, []).append(i)
     parent: dict[int, tuple[int, int]] = {}  # column -> (prev column, row used)
     frontier = [target]
     seen = {target}
     while frontier:
         nxt = []
         for c in frontier:
-            for i in sorted(col_adj.get(c, ())):
+            for i in col_adj[c]:
                 c2 = col_of.get(i)
                 if c2 is None or c2 in seen:
                     continue
@@ -187,19 +188,23 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
             raise PreconditionError(f"row {i} must sum to exactly one")
         if any(x < 0 for x in row):
             raise PreconditionError("entries must be nonnegative")
-    for j, s in enumerate(map(sum, zip(*X))):
+    col_sums = list(map(sum, zip(*X)))
+    for j, s in enumerate(col_sums):
         if s > D:
             raise PreconditionError(f"column {j} sums above one")
 
+    adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
     remaining = D
     while remaining > 0:
-        col_sums = list(map(sum, zip(*X)))
-        adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
+        col_adj: list[list[int]] = [[] for _ in range(m)]
+        for i, goods in enumerate(adj):
+            for g in goods:
+                col_adj[g].append(i)
         full = {j for j in range(m) if col_sums[j] == remaining}
         match_col = _kuhn_matching(adj, n)
         for c in sorted(full):
-            if not _repair_matching(adj, match_col, c, protected=full):
+            if not _repair_matching(col_adj, match_col, c, protected=full):
                 raise AssertionError("a saturated column could not be matched")
 
         # Cap the weight so no unmatched column can outgrow the residual row
@@ -219,7 +224,7 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
                 weight = min([entry_min] + list(slack.values()))
                 break
             c = binding[0]
-            if _repair_matching(adj, match_col, c, protected=forced):
+            if _repair_matching(col_adj, match_col, c, protected=forced):
                 forced.add(c)
             else:
                 banned.add(c)
@@ -230,6 +235,9 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         terms.append((Fraction(weight, D), vector))
         for i, g in enumerate(vector):
             X[i][g] -= weight
+            col_sums[g] -= weight
+            if X[i][g] == 0:
+                adj[i].remove(g)
         remaining -= weight
 
     if any(x != 0 for row in X for x in row):  # pragma: no cover
@@ -241,20 +249,16 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
 # randomized dependent rounding
 
 
-def _walk_cycle_or_path(X: list[list[int]], D: int) -> Optional[list[tuple[int, int]]]:
+def _walk_cycle_or_path(adj: list[dict[int, None]], n: int) -> Optional[list[tuple[int, int]]]:
     """Edges (agent, good) of one cycle (preferred) or one maximal path of the
-    floating graph, whose edges are the strictly fractional entries (0 < x < D
-    in the matrix scaled by D); None when none remain.  Agent i is vertex i
-    and good j is vertex n + j, and scans are lowest-index-first, so the
-    choice is deterministic."""
-    n, m = len(X), len(X[0])
-    adj = [[n + j for j in range(m) if 0 < X[i][j] < D] for i in range(n)]
-    adj += [[i for i in range(n) if 0 < X[i][j] < D] for j in range(m)]
+    floating graph `adj`; None when it has no edges.  Agent i is vertex i and
+    good j is vertex n + j, each vertex's neighbours are in ascending order,
+    and scans are lowest-index-first, so the choice is deterministic."""
     if not any(adj[:n]):
         return None
 
     def edges(vertices: list[int]) -> list[tuple[int, int]]:
-        return [(min(u, w), max(u, w) - n) for u, w in zip(vertices, vertices[1:])]
+        return [(u, w - n) if u < w else (w, u - n) for u, w in zip(vertices, vertices[1:])]
 
     # Depth-first search for a cycle, iterative: `path` holds the open
     # vertices, `scans` the neighbours each has left to try, and `at` each
@@ -312,9 +316,13 @@ def dependent_round(
         if s.denominator != 1:
             raise PreconditionError(f"column {j} sum {s} is not an integer")
 
+    # The floating graph, an edge per entry with 0 < x < D: deleting from
+    # insertion-ordered dicts keeps every neighbour scan ascending.
+    adj = [dict.fromkeys(n + j for j in range(m) if 0 < X[i][j] < D) for i in range(n)]
+    adj += [dict.fromkeys(i for i in range(n) if 0 < X[i][j] < D) for j in range(m)]
     rng = SplitMix64(seed)
     while True:
-        walk = _walk_cycle_or_path(X, D)
+        walk = _walk_cycle_or_path(adj, n)
         if walk is None:
             break
         plus = walk[0::2]
@@ -335,6 +343,9 @@ def dependent_round(
             X[i][j] += delta_plus
         for i, j in minus:
             X[i][j] += delta_minus
+        for i, j in walk:
+            if X[i][j] in (0, D):
+                del adj[i][n + j], adj[n + j][i]
 
     out = tuple(tuple(x // D for x in row) for row in X)
     for j in range(m):

@@ -497,6 +497,33 @@ def test_seed_type_rejects_out_of_range(capsys):
         main(["solve", "FIX-C", "--algorithm", "depround-k2", "--seed", "-1"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("solve FIX-C --algorithm depround-k2 --seed 18446744073709551616", "seed must be an unsigned 64-bit integer"),
+        ("solve FIX-C --algorithm depround-k2 --seed abc", "seed must be an unsigned 64-bit integer, got 'abc'"),
+        ("solve FIX-C --algorithm nope", "invalid choice: 'nope'"),
+        ("sample FIX-C --algorithm depround-k2 --seed 1 --count x", "invalid int value: 'x'"),
+        ("nope FIX-C", "invalid choice: 'nope'"),
+    ],
+    ids=["seed-too-large", "seed-not-an-integer", "unknown-algorithm", "count-not-an-integer", "unknown-command"],
+)
+def test_usage_errors_are_bad_input(capsys, argv, message):
+    # exit 2 means a checked property failed; a malformed command line is exit 3
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", ["--help", "solve --help"])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bobw")
+
+
 # ---------------------------------------------------------------------------
 # golden outputs: exit code and sha256 of stdout for one invocation of every
 # algorithm, sampler, oracle op and verify mode, so a refactor of the command

@@ -242,6 +242,23 @@ def test_solver_runs_eating_once(monkeypatch):
         assert len(calls) == 1, name
 
 
+def test_k2_draw_rounds_through_the_module_binding(monkeypatch):
+    # each draw must reach `lex_algos.dependent_round` once, so a tracer
+    # wrapped around that binding sees every pivot of the draw
+    calls = []
+    original = lex_algos.dependent_round
+
+    def counted(rows, seed):
+        calls.append(seed)
+        return original(rows, seed)
+
+    inst = get_fixture("FIX-C")
+    expected = k2_sampler(inst)(13)
+    monkeypatch.setattr(lex_algos, "dependent_round", counted)
+    assert k2_sampler(inst)(13) == expected
+    assert len(calls) == 1
+
+
 # reference: utse with its own dummy-goods branch, kept verbatim (helper
 # renamed); the single tail loop must give the same lottery
 

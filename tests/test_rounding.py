@@ -19,7 +19,7 @@ from bobw import (
     unit_run,
 )
 from bobw.rng import SplitMix64, derive_seed
-from bobw.rounding import _kuhn_matching, _repair_matching
+from bobw.rounding import _kuhn_matching
 
 from helpers import lex_instance
 from test_acceptance import _BATTERY
@@ -331,6 +331,43 @@ def _ref_column_sums(rows):
     return [sum((r[j] for r in rows), start=Fraction(0)) for j in range(m)]
 
 
+def _ref_repair_matching(adj, match_col, target, protected):
+    # the repair step as it was before bvn_decompose kept `col_adj` per term
+    if target in match_col:
+        return True
+    col_of = {i: g for g, i in match_col.items()}
+    col_adj: dict[int, list[int]] = {}
+    for i, goods in enumerate(adj):
+        for g in goods:
+            col_adj.setdefault(g, []).append(i)
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = [target]
+    seen = {target}
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in sorted(col_adj.get(c, ())):
+                c2 = col_of.get(i)
+                if c2 is None or c2 in seen:
+                    continue
+                parent[c2] = (c, i)
+                if c2 not in protected:
+                    moves = []
+                    cur = c2
+                    while cur != target:
+                        prev, row = parent[cur]
+                        moves.append((prev, row))
+                        cur = prev
+                    del match_col[c2]
+                    for col, row in moves:
+                        match_col[col] = row
+                    return True
+                seen.add(c2)
+                nxt.append(c2)
+        frontier = nxt
+    return False
+
+
 def _ref_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
     X = [list(r) for r in _ref_freeze(rows)]
     n, m = len(X), len(X[0])
@@ -351,7 +388,7 @@ def _ref_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         full = {j for j in range(m) if col_sums[j] == remaining}
         match_col = _kuhn_matching(adj, n)
         for c in sorted(full):
-            if not _repair_matching(adj, match_col, c, protected=full):
+            if not _ref_repair_matching(adj, match_col, c, protected=full):
                 raise AssertionError("a saturated column could not be matched")
 
         banned: set[int] = set()
@@ -368,7 +405,7 @@ def _ref_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
                 weight = min([entry_min] + list(slack.values()))
                 break
             c = binding[0]
-            if _repair_matching(adj, match_col, c, protected=forced):
+            if _ref_repair_matching(adj, match_col, c, protected=forced):
                 forced.add(c)
             else:
                 banned.add(c)
@@ -529,3 +566,42 @@ def test_integer_rounding_matches_the_fraction_reference():
         for r in range(12):
             seed = derive_seed(idx, r)
             assert dependent_round(rows, seed) == _ref_dependent_round(rows, seed), (idx, r)
+
+
+def _k2_supergood_matrix(rng: SplitMix64, n: int):
+    while True:
+        summary = summarize(unit_run(lex_instance(rng, n, n + 2)))
+        if summary.k == 2:
+            return build_supergood_matrix(summary)[1]
+
+
+def test_rounding_matches_the_fraction_reference_at_benchmark_sizes():
+    # the sizes the perfbench workloads run: long pivot sequences on a
+    # floating graph that loses edges across many pivots
+    rng = SplitMix64(8082)
+    round_inputs = [_permutation_mixture(rng, n, n) for n in (16, 24)]
+    round_inputs += [_integral_columns(rng, 8, 10) for _ in range(2)]
+    round_inputs += [_k2_supergood_matrix(rng, n) for n in (12, 14, 16)]
+    for idx, rows in enumerate(round_inputs):
+        for r in range(3):
+            seed = derive_seed(idx, r)
+            assert dependent_round(rows, seed) == _ref_dependent_round(rows, seed), (idx, r)
+    for n in (16, 20):
+        rows = representative_matrix(full_run(lex_instance(rng, n, 2 * n)))
+        assert bvn_decompose(rows).terms == _ref_bvn_decompose(rows).terms
+
+
+def test_dependent_round_long_path_needs_no_stack_depth():
+    # good j is split evenly between agents j and j + 1, so the floating
+    # graph is one path through all 1,399 vertices: the forest branch walks
+    # it end to end, past the default recursion limit
+    n = 700
+    rows = [[F(0)] * (n - 1) for _ in range(n)]
+    for j in range(n - 1):
+        rows[j][j] = rows[j + 1][j] = HALF
+    out = dependent_round(rows, seed=5)
+    assert all(sum(r[j] for r in out) == 1 for j in range(n - 1))
+    assert out in (
+        tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n)),
+        tuple(tuple(int(i == j + 1) for j in range(n - 1)) for i in range(n)),
+    )
