@@ -15,13 +15,13 @@ replay, the post-pass and `oracle`'s exact branch enumerator all take their
 swaps from it.
 
 The deterministic post-pass shrinks the pool below the number of unenvied
-agents: resolve envy cycles by rotating bundles, then grow unenvied agents'
-bundles one pool good at a time while EFX survives; when no growth step
-survives, a single swap reshuffles the offending bundle and the loop
-restarts.  A step cap (pseudopolynomial in the total integer value) bounds
-the pool swaps and growth moves, and exhausting it raises a diagnostic error
-rather than looping silently.  Cycle rotations are not counted: each one
-strictly raises every cycle member's value, so they end on their own.
+agents with one move per iteration: a pool swap while the pool is envied,
+else (after rotating envy cycles away) the first commit of a pool good to an
+unenvied agent that keeps EFX, else a `_reshuffle`.  A step cap
+(pseudopolynomial in the total integer value) bounds these moves, and
+exhausting it raises a diagnostic error rather than looping silently.  Cycle
+rotations are not counted: each one strictly raises every cycle member's
+value, so they end on their own.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ def _utility_sum(inst: Instance, alloc: IntegralAllocation) -> int:
 
 def replay_swap_trace(inst: Instance, trace: SwapTrace) -> IntegralAllocation:
     """Re-apply a recorded trace from all goods pooled; validates each step's
-    subset and enviers, and that the chosen agent's gain raises the utility
-    sum every step."""
+    subset and enviers, that the chosen agent's gain raises the utility sum
+    every step, and that the trace ends where the loop does, with nobody
+    envying the pool."""
     alloc = empty_start(inst)
     for idx, step in enumerate(trace.steps):
         envy = pool_envy(inst, alloc)
@@ -161,6 +162,8 @@ def replay_swap_trace(inst: Instance, trace: SwapTrace) -> IntegralAllocation:
         alloc = _apply_swap(alloc, step.subset, step.chosen)
         if _utility_sum(inst, alloc) <= before:
             raise AssertionError(f"step {idx}: swap did not raise the utility sum")
+    if pool_envy(inst, alloc) is not None:
+        raise PreconditionError(f"step {len(trace.steps)}: trace ends while the pool is still envied")
     return alloc
 
 
@@ -235,8 +238,9 @@ def bounded_charity(
 ) -> IntegralAllocation:
     """Deterministic post-pass: from an EFX allocation that nobody envies the
     pool of, reach one that additionally parks fewer goods than there are
-    unenvied agents.  Raises ResourceCapError (with state attached) if the
-    step cap is exhausted."""
+    unenvied agents.  Each iteration makes one counted move; pool swaps go
+    to the lowest envier.  Raises ResourceCapError (with state attached) if
+    the step cap is exhausted."""
     if step_cap is not None and step_cap < 0:
         raise PreconditionError(f"step cap must be non-negative, got {step_cap}")
     require_monotone_integer(inst)
@@ -246,74 +250,62 @@ def bounded_charity(
     cap = default_step_cap(inst) if step_cap is None else step_cap
     stats = {"phase_a": 0, "phase_c_commits": 0, "phase_c_swaps": 0}
     alloc = start
-    spent = 0
-
-    def spend():
-        nonlocal spent
-        spent += 1
-        if spent > cap:
-            err = ResourceCapError(f"step cap {cap} exhausted; stats {stats}")
-            err.allocation = alloc  # diagnostic payload
-            err.stats = dict(stats)
-            raise err
-
     while True:
-        # Phase A: hand envied pool subsets to the smallest-index envier.
-        while (envy := pool_envy(inst, alloc)) is not None:
+        if (envy := pool_envy(inst, alloc)) is not None:
             subset, enviers = envy
             before = _utility_sum(inst, alloc)
             alloc = _apply_swap(alloc, subset, enviers[0])
             assert _utility_sum(inst, alloc) > before
-            stats["phase_a"] += 1
-            spend()
-
-        # Phase B: rotate envy cycles away (own utilities only rise, so pool
-        # envy cannot reappear here).
-        alloc = resolve_envy_cycles(inst, alloc)
-
-        sources = unenvied_agents(inst, alloc)
-        if not sources:  # pragma: no cover - acyclic envy graphs have sources
-            raise AssertionError("no unenvied agent after cycle resolution")
-        if len(alloc.pool) < len(sources):
-            return alloc
-
-        # Phase C: grow an unenvied agent's bundle by one pool good if EFX
-        # survives; otherwise reshuffle around the first offending pair.
-        committed = False
-        for i in sources:
-            for g in sorted(alloc.pool):
-                candidate = _commit(alloc, i, g)
-                if check_efx(inst, candidate).passed:
-                    # a commit shrinks the pool and (monotonicity) cannot
-                    # lower anyone's utility
-                    assert len(candidate.pool) < len(alloc.pool)
-                    assert _utility_sum(inst, candidate) >= _utility_sum(inst, alloc)
-                    alloc = candidate
-                    stats["phase_c_commits"] += 1
-                    spend()
-                    committed = True
-                    break
-            if committed:
-                break
-        if not committed:
-            i = sources[0]
-            g = min(alloc.pool)
-            grown = alloc.bundles[i] | {g}
-            subset = minimal_envied_subset(inst, alloc, goods=grown)
-            if subset is None:  # pragma: no cover - a failed commit implies envy
-                raise AssertionError("EFX failed for every commit yet nothing envies the grown bundle")
-            h = enviers_of_set(inst, alloc, subset)[0]
-            bundles = list(alloc.bundles)
-            displaced = (grown | bundles[h]) - subset
-            pool = (alloc.pool - {g}) | displaced
-            bundles[i] = frozenset()
-            bundles[h] = subset
-            alloc = IntegralAllocation(bundles=tuple(bundles), pool=pool)
-            stats["phase_c_swaps"] += 1
-            spend()
+            move = "phase_a"
+        else:
+            # own utilities only rise under rotation, so pool envy cannot
+            # reappear here
+            alloc = resolve_envy_cycles(inst, alloc)
+            sources = unenvied_agents(inst, alloc)
+            if not sources:  # pragma: no cover - acyclic envy graphs have sources
+                raise AssertionError("no unenvied agent after cycle resolution")
+            if len(alloc.pool) < len(sources):
+                return alloc
+            commits = (_commit(alloc, i, g) for i in sources for g in sorted(alloc.pool))
+            grown = next((c for c in commits if check_efx(inst, c).passed), None)
+            if grown is None:
+                alloc = _reshuffle(inst, alloc, sources[0])
+                move = "phase_c_swaps"
+            else:
+                # a commit shrinks the pool and (monotonicity) cannot lower
+                # anyone's utility
+                assert len(grown.pool) < len(alloc.pool)
+                assert _utility_sum(inst, grown) >= _utility_sum(inst, alloc)
+                alloc = grown
+                move = "phase_c_commits"
+        stats[move] += 1
+        if sum(stats.values()) > cap:
+            err = ResourceCapError(f"step cap {cap} exhausted; stats {stats}")
+            err.allocation = alloc  # diagnostic payload
+            err.stats = dict(stats)
+            raise err
 
 
 def _commit(alloc: IntegralAllocation, agent: int, good: int) -> IntegralAllocation:
     bundles = list(alloc.bundles)
     bundles[agent] = bundles[agent] | {good}
     return IntegralAllocation(bundles=tuple(bundles), pool=alloc.pool - {good})
+
+
+def _reshuffle(inst: Instance, alloc: IntegralAllocation, i: int) -> IntegralAllocation:
+    """The fallback when no commit keeps EFX: grow agent i's bundle by the
+    lowest pool good, hand the canonical minimal envied subset of that grown
+    bundle to its lowest envier h, empty i's bundle, and pool the rest of i's
+    and h's goods."""
+    g = min(alloc.pool)
+    grown = alloc.bundles[i] | {g}
+    subset = minimal_envied_subset(inst, alloc, goods=grown)
+    if subset is None:  # pragma: no cover - a failed commit implies envy
+        raise AssertionError("EFX failed for every commit yet nothing envies the grown bundle")
+    h = enviers_of_set(inst, alloc, subset)[0]
+    bundles = list(alloc.bundles)
+    displaced = (grown | bundles[h]) - subset
+    pool = (alloc.pool - {g}) | displaced
+    bundles[i] = frozenset()
+    bundles[h] = subset
+    return IntegralAllocation(bundles=tuple(bundles), pool=pool)

@@ -307,6 +307,8 @@ class Instance:
             count = getattr(self, name)
             if type(count) is not int or count < 0:
                 raise PreconditionError(f"{name} must be a non-negative integer, got {count!r}")
+        if self.n < 1:
+            raise PreconditionError("need at least one agent")
         if len(self.valuations) != self.n:
             raise PreconditionError("need one valuation per agent")
         for i, val in enumerate(self.valuations):
@@ -359,8 +361,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
     returns a report instead of raising so the CLI can print them all."""
     errors: list[str] = []
     agents: list[dict] = []
-    if inst.m < 1 or inst.n < 1:
-        errors.append("need at least one agent and one good")
+    if inst.m < 1:
+        errors.append("need at least one good")
     if inst.labels is not None and len(inst.labels) != inst.m:
         errors.append("labels length differs from m")
     for i, val in enumerate(inst.valuations):

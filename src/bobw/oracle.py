@@ -310,15 +310,15 @@ def exact_distribution_charity(
 ) -> RandomizedAllocation:
     """Exact output lottery of the randomized pool-swap loop (algorithm=3),
     optionally followed by the deterministic pool-shrinking pass
-    (algorithm=4).  Duplicate outcomes are merged; nothing else is."""
+    (algorithm=4).  Duplicate outcomes are merged; nothing else is.  The
+    pass is deterministic, so it runs once per distinct swap-loop outcome
+    and the merged results are merged again."""
     if algorithm not in (3, 4):
         raise PreconditionError("algorithm must be 3 (swap loop) or 4 (with pool shrinking)")
-    pairs = []
-    for prob, alloc, _ in iter_charity_branches(inst, leaf_cap):
-        if algorithm == 4:
-            alloc = bounded_charity(inst, alloc)
-        pairs.append((prob, alloc))
-    return RandomizedAllocation.merged(pairs)
+    lottery = RandomizedAllocation.merged((p, a) for p, a, _ in iter_charity_branches(inst, leaf_cap))
+    if algorithm == 4:
+        lottery = RandomizedAllocation.merged((p, bounded_charity(inst, a)) for p, a in lottery.support)
+    return lottery
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -26,15 +31,20 @@ from bobw import (
     replay_swap_trace,
     resolve_envy_cycles,
 )
-from bobw import audit, core
-from bobw.audit import envies_set
+from bobw import audit, charity_algos, core
+from bobw.audit import enviers_of_set, envies_set, unenvied_agents
 from bobw.charity_algos import (
+    _apply_swap,
+    _commit,
     _find_cycle,
     _utility_sum,
+    default_step_cap,
     empty_start,
     envy_edges,
+    pool_envy,
     require_monotone_integer,
 )
+from bobw.core import instance_from_json
 from bobw.rng import SplitMix64
 
 from helpers import capped_additive_instance, from_assignment, monotone_instance
@@ -142,6 +152,11 @@ def test_replay_rejects_doctored_traces():
     )
     with pytest.raises(PreconditionError):
         replay_swap_trace(inst, wrong_agent)
+    # a trace that stops before the loop does: nothing, or a one-step prefix
+    with pytest.raises(PreconditionError, match="step 0: trace ends while the pool is still envied"):
+        replay_swap_trace(inst, SwapTrace(steps=()))
+    with pytest.raises(PreconditionError, match="step 1: trace ends while the pool is still envied"):
+        replay_swap_trace(inst, SwapTrace(steps=trace.steps[:1]))
 
 
 def test_cycle_resolution_swaps_a_two_cycle():
@@ -279,6 +294,129 @@ def test_bounded_charity_random_capped_instances():
         start, _ = random_charity_swap(inst, rng.next64())
         out = bounded_charity(inst, start)
         assert check_bounded_charity(inst, out).passed
+
+
+def _ref_bounded_charity(
+    inst: Instance, start: IntegralAllocation, step_cap: Optional[int] = None
+) -> IntegralAllocation:
+    # the three-phase post-pass the one-move loop replaced, verbatim
+    if step_cap is not None and step_cap < 0:
+        raise PreconditionError(f"step cap must be non-negative, got {step_cap}")
+    require_monotone_integer(inst)
+    pre = check_efx_with_charity(inst, start)
+    if not pre.passed:
+        raise PreconditionError(f"start must be EFX with an unenvied pool: {pre.witness}")
+    cap = default_step_cap(inst) if step_cap is None else step_cap
+    stats = {"phase_a": 0, "phase_c_commits": 0, "phase_c_swaps": 0}
+    alloc = start
+    spent = 0
+
+    def spend():
+        nonlocal spent
+        spent += 1
+        if spent > cap:
+            err = ResourceCapError(f"step cap {cap} exhausted; stats {stats}")
+            err.allocation = alloc  # diagnostic payload
+            err.stats = dict(stats)
+            raise err
+
+    while True:
+        # Phase A: hand envied pool subsets to the smallest-index envier.
+        while (envy := pool_envy(inst, alloc)) is not None:
+            subset, enviers = envy
+            before = _utility_sum(inst, alloc)
+            alloc = _apply_swap(alloc, subset, enviers[0])
+            assert _utility_sum(inst, alloc) > before
+            stats["phase_a"] += 1
+            spend()
+
+        # Phase B: rotate envy cycles away (own utilities only rise, so pool
+        # envy cannot reappear here).
+        alloc = resolve_envy_cycles(inst, alloc)
+
+        sources = unenvied_agents(inst, alloc)
+        if not sources:  # pragma: no cover - acyclic envy graphs have sources
+            raise AssertionError("no unenvied agent after cycle resolution")
+        if len(alloc.pool) < len(sources):
+            return alloc
+
+        # Phase C: grow an unenvied agent's bundle by one pool good if EFX
+        # survives; otherwise reshuffle around the first offending pair.
+        committed = False
+        for i in sources:
+            for g in sorted(alloc.pool):
+                candidate = _commit(alloc, i, g)
+                if check_efx(inst, candidate).passed:
+                    # a commit shrinks the pool and (monotonicity) cannot
+                    # lower anyone's utility
+                    assert len(candidate.pool) < len(alloc.pool)
+                    assert _utility_sum(inst, candidate) >= _utility_sum(inst, alloc)
+                    alloc = candidate
+                    stats["phase_c_commits"] += 1
+                    spend()
+                    committed = True
+                    break
+            if committed:
+                break
+        if not committed:
+            i = sources[0]
+            g = min(alloc.pool)
+            grown = alloc.bundles[i] | {g}
+            subset = minimal_envied_subset(inst, alloc, goods=grown)
+            if subset is None:  # pragma: no cover - a failed commit implies envy
+                raise AssertionError("EFX failed for every commit yet nothing envies the grown bundle")
+            h = enviers_of_set(inst, alloc, subset)[0]
+            bundles = list(alloc.bundles)
+            displaced = (grown | bundles[h]) - subset
+            pool = (alloc.pool - {g}) | displaced
+            bundles[i] = frozenset()
+            bundles[h] = subset
+            alloc = IntegralAllocation(bundles=tuple(bundles), pool=pool)
+            stats["phase_c_swaps"] += 1
+            spend()
+
+
+def _table_generator():
+    # the benchmark's seeded table generator, which also names the known
+    # non-EFX reproducer: table seed 208 at 3/8 (monotone), swap draw 8
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _post_pass_outcome(post_pass, inst, start, cap):
+    try:
+        return post_pass(inst, start, cap)
+    except ResourceCapError as err:
+        return type(err), str(err), err.allocation, err.stats
+
+
+def test_bounded_charity_matches_the_three_phase_pass(monkeypatch):
+    gen = _table_generator()
+    runs = []
+    # n 2-5 and m 5-9; seed 208 gets n = 3, m = 8
+    for seed in range(200, 240):
+        n, m = 2 + (seed + 1) % 4, 5 + seed % 5
+        for capped in (False, True):
+            inst = instance_from_json(gen.table_instance_json(random.Random(seed), n, m, capped))
+            for draw in range(9):
+                start, _ = random_charity_swap(inst, draw)
+                runs += [(seed, capped, draw, inst, start, cap) for cap in (None, 0, 1, 2, 3, 5)]
+    expected = [_post_pass_outcome(_ref_bounded_charity, *run[3:]) for run in runs]
+
+    calls = Counter()
+    for name in ("_reshuffle", "_rotate"):
+        def counted(*args, name=name, routine=getattr(charity_algos, name)):
+            calls[name] += 1
+            return routine(*args)
+
+        monkeypatch.setattr(charity_algos, name, counted)
+    for run, want in zip(runs, expected):
+        assert _post_pass_outcome(bounded_charity, *run[3:]) == want, run[:3] + run[5:]
+    assert sum(isinstance(want, tuple) for want in expected) >= 100
+    assert calls["_reshuffle"] >= 100 and calls["_rotate"] >= 100, calls
 
 
 def test_empty_start_shape():

@@ -193,6 +193,7 @@ _INSTANCE_JSON = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "rank
         {"n": "x"},
         {"n": 1.5},
         {"m": -1},
+        {"n": 0, "valuations": []},
         {"valuations": {"kind": "lexicographic"}},
         {"valuations": [["lexicographic", [1, 0]]]},
         {"valuations": [{"ranking": [1, 0]}]},
@@ -212,6 +213,15 @@ def test_malformed_instance_fields_are_precondition_errors(capsys, tmp_path, edi
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_instance_without_agents_is_a_precondition_error(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"n": 0, "m": 0, "valuations": []}))
+    assert main(["solve", str(path), "--algorithm", "uniform-perm"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need at least one agent\n"
 
 
 @pytest.mark.parametrize(

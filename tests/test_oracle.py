@@ -10,9 +10,11 @@ from bobw import (
     FeasibilityResult,
     Instance,
     PreconditionError,
+    RandomizedAllocation,
     ResourceCapError,
     SwapStep,
     SwapTrace,
+    bounded_charity,
     check_sdef,
     enumerate_efx,
     exact_distribution_charity,
@@ -24,6 +26,7 @@ from bobw import (
     replay_swap_trace,
     sdef_feasibility,
 )
+from bobw import oracle
 from bobw.audit import enviers_of_set
 from bobw.charity_algos import _apply_swap, empty_start
 from bobw.cli import main
@@ -183,6 +186,28 @@ def test_exact_distribution_with_pool_shrinking_post_pass():
         (((0,), (1, 2)), ()): F(1, 2),
         (((1, 2), (0,)), ()): F(1, 2),
     }
+
+
+def test_post_pass_runs_once_per_distinct_swap_loop_outcome(monkeypatch):
+    calls = []
+
+    def counted(inst, alloc):
+        calls.append(alloc)
+        return bounded_charity(inst, alloc)
+
+    monkeypatch.setattr(oracle, "bounded_charity", counted)
+    exact_distribution_charity(get_fixture("FIX-E"), algorithm=4)
+    assert len(calls) == 2  # of 6 branches
+    rng = SplitMix64(4421)
+    for k in range(8):
+        make = (monotone_instance, capped_additive_instance)[k % 2]
+        inst = make(rng, 3, 5 + k // 4)
+        calls.clear()
+        got = exact_distribution_charity(inst, algorithm=4)
+        outcomes = [a for _, a in exact_distribution_charity(inst, algorithm=3).support]
+        assert calls == outcomes
+        branches = iter_charity_branches(inst)
+        assert got == RandomizedAllocation.merged((p, bounded_charity(inst, a)) for p, a, _ in branches)
 
 
 def test_branch_caps_and_algorithm_validation():
