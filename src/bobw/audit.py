@@ -13,6 +13,11 @@ expected-value audit (``exante_ratio``, ``min_exante_ratio``,
 ``check_exante_ef``, ``check_exante_prop``) reads one n x n integer matrix
 of E[v_i(A_j)], built from each agent's scaled probability of holding each
 bundle, so each viewer values each distinct bundle once.
+
+The audits assume allocations that fit the instance: one bundle per agent,
+holding only its goods.  They do not check this, since they run on every
+outcome of every lottery; the entry points that take a caller's allocations
+check it once with ``core.require_fits``.
 """
 
 from __future__ import annotations

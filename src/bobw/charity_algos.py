@@ -35,6 +35,7 @@ from .core import (
     IntegralAllocation,
     PreconditionError,
     ResourceCapError,
+    require_fits,
 )
 from .rng import SplitMix64
 
@@ -244,6 +245,7 @@ def bounded_charity(
     if step_cap is not None and step_cap < 0:
         raise PreconditionError(f"step cap must be non-negative, got {step_cap}")
     require_monotone_integer(inst)
+    require_fits(inst, (start,))
     pre = check_efx_with_charity(inst, start)
     if not pre.passed:
         raise PreconditionError(f"start must be EFX with an unenvied pool: {pre.witness}")

@@ -11,8 +11,9 @@ ALGORITHMS is the one table of algorithm names.  Each entry says how
 between the two), how `sample` and `estimate` draw from it, which checkers
 its outcomes owe ex post and its lottery owes ex ante, which exact charity
 distribution `oracle` computes for it, and which of solve's optional flags
-(--decomposition, --step-cap) it reads; solve refuses the others.  The
-argparse choices of solve, sample, estimate and oracle come from it.
+(--decomposition, --step-cap) it reads.  The argparse choices of solve,
+sample, estimate and oracle come from it.  solve, oracle and repro each
+refuse an optional flag that their algorithm, op or scenario does not read.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
 3 bad input or precondition (argparse usage errors included), 4 a resource
@@ -56,6 +57,7 @@ from .core import (
     json_field,
     load_instance,
     parse_rational,
+    require_fits,
     validate_instance,
 )
 from .eating import (
@@ -69,7 +71,13 @@ from .eating import (
     unit_run,
 )
 from .lex_algos import k2_sampler, permutation_sampler, solve_lex_bobw, uniform_permutation, utse
-from .oracle import enumerate_efx, exact_distribution_charity, ratio_table, sdef_feasibility
+from .oracle import (
+    DEFAULT_LEAF_CAP,
+    enumerate_efx,
+    exact_distribution_charity,
+    ratio_table,
+    sdef_feasibility,
+)
 from .rng import derive_seed
 from .rounding import Decomposition, bvn_decompose
 
@@ -87,9 +95,11 @@ class PropertyFailure(Exception):
         self.payload = payload or {}
 
 
-def _load(args) -> Instance:
-    name = args.instance
-    eps = parse_rational(args.epsilon) if getattr(args, "epsilon", None) else None
+def _load(args, name: Optional[str] = None) -> Instance:
+    """A fixture (with --epsilon) or an instance file: `name`, by default
+    the command's instance argument."""
+    name = name or args.instance
+    eps = parse_rational(args.epsilon) if args.epsilon else None
     if name in fixtures.FIXTURE_NAMES:
         return fixtures.get_fixture(name, epsilon=eps)
     if eps is not None:
@@ -114,16 +124,17 @@ def _load_allocation(path: str):
     return IntegralAllocation.from_json(data)
 
 
-def _require_fits(inst: Instance, allocations, goods: Optional[int] = None) -> None:
-    """Every allocation read from a file has one bundle per agent and holds
-    only goods in range(goods), by default the instance's goods."""
-    goods = inst.m if goods is None else goods
-    for alloc in allocations:
-        if alloc.n != inst.n:
-            raise PreconditionError(f"need one bundle per agent ({inst.n}), got {alloc.n}")
-        stray = sorted(g for g in alloc.allocated() | alloc.pool if not 0 <= g < goods)
-        if stray:
-            raise PreconditionError(f"goods {stray} are not among the {goods} goods")
+def _readers(flag: str, reads: dict[str, tuple[str, ...]]) -> str:
+    return ", ".join(choice for choice, flags in reads.items() if flag in flags)
+
+
+def _refuse_unread(args, choice: str, reads: dict[str, tuple[str, ...]]) -> None:
+    """`reads` maps each choice (algorithm, op, scenario) to the optional
+    flags it reads; a flag given to a choice that does not read it is bad
+    input."""
+    for flag in dict.fromkeys(f for flags in reads.values() for f in flags):
+        if flag not in reads[choice] and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise PreconditionError(f"{flag} applies only to {_readers(flag, reads)}, not {choice}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +150,11 @@ def cmd_validate(args) -> int:
 
 def cmd_eat(args) -> int:
     inst = _load(args)
-    pad = args.pad
-    if pad is None:
-        pad = max(0, inst.n - inst.m) if args.duration is None else 0
-    duration = (
-        parse_rational(args.duration)
-        if args.duration is not None
-        else Fraction(1)
-    )
-    trace = run_eating(inst, duration, n_dummies=pad)
+    if args.duration is None and args.pad is None:
+        trace = unit_run(inst)
+    else:
+        duration = Fraction(1) if args.duration is None else parse_rational(args.duration)
+        trace = run_eating(inst, duration, n_dummies=args.pad or 0)
     _emit(eat_report(inst, trace), args.output)
     return EXIT_OK
 
@@ -197,15 +204,11 @@ def _exante_checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
     return {key: known[key] for key in keys}
 
 
-def _pinned_decomposition(inst: Instance, args) -> Optional[Decomposition]:
+def _pinned_decomposition(args) -> Optional[Decomposition]:
     if not args.decomposition:
         return None
     with open(args.decomposition) as fh:
-        decomposition = Decomposition.from_json(json.load(fh))
-    # eating pads with dummy goods up to one per agent
-    terms = (IntegralAllocation(tuple(frozenset({g}) for g in a)) for _, a in decomposition.terms)
-    _require_fits(inst, terms, goods=max(inst.m, inst.n))
-    return decomposition
+        return Decomposition.from_json(json.load(fh))
 
 
 def _no_trace(sample: Callable[[int], IntegralAllocation]) -> Callable:
@@ -225,7 +228,7 @@ def _bounded_charity_draws(inst: Instance, args) -> Callable:
 ALGORITHMS: dict[str, Algorithm] = {
     "utse": Algorithm(
         ("efx", "po_lex"),
-        lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(inst, args)),
+        lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(args)),
         flags=("--decomposition",),
     ),
     "depround-k2": Algorithm(("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))),
@@ -252,16 +255,13 @@ ALGORITHMS: dict[str, Algorithm] = {
 }
 
 
-def _flag_readers(flag: str) -> str:
-    return ", ".join(name for name, algo in ALGORITHMS.items() if flag in algo.flags)
+_SOLVE_FLAGS = {name: algo.flags for name, algo in ALGORITHMS.items()}
 
 
 def cmd_solve(args) -> int:
     name = args.algorithm
     algo = ALGORITHMS[name]
-    for flag in (f for row in ALGORITHMS.values() for f in row.flags if f not in algo.flags):
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise PreconditionError(f"{flag} applies only to {_flag_readers(flag)}, not {name}")
+    _refuse_unread(args, name, _SOLVE_FLAGS)
     inst = _load(args)
     result: dict = {"algorithm": name}
     trace = None
@@ -310,10 +310,12 @@ def cmd_verify(args) -> int:
     inst = _load(args)
     target = _load_allocation(args.allocation)
     if isinstance(target, RandomizedAllocation):
-        _require_fits(inst, (alloc for _, alloc in target.support))
+        require_fits(inst, (alloc for _, alloc in target.support))
     else:
-        _require_fits(inst, (target,))
+        require_fits(inst, (target,))
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
+    if not props:
+        raise PreconditionError("--properties names no property")
     unknown = [p for p in props if p not in _VERIFY_CHECKERS and p != "sdef"]
     if unknown:
         raise PreconditionError(f"unknown properties: {', '.join(unknown)}")
@@ -361,9 +363,18 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# op -> the optional oracle flags it reads
+_ORACLE_OPS = {
+    "enumerate-efx": (),
+    "sdef-feasibility": ("--supports",),
+    **{f"exact-{name}": ("--leaf-cap",) for name, algo in ALGORITHMS.items() if algo.exact},
+}
+
+
 def cmd_oracle(args) -> int:
-    inst = _load(args)
     op = args.op
+    _refuse_unread(args, op, _ORACLE_OPS)
+    inst = _load(args)
     if op == "enumerate-efx":
         allocs = enumerate_efx(inst)
         _emit({"count": len(allocs), "allocations": [a.to_json() for a in allocs]}, args.output)
@@ -373,17 +384,15 @@ def cmd_oracle(args) -> int:
             with open(args.supports) as fh:
                 data = json.load(fh)
             supports = [IntegralAllocation.from_json(d) for d in json_field(data, "allocations", list)]
-            _require_fits(inst, supports)
         else:
-            supports = list(enumerate_efx(inst))
-        if not supports:
-            raise PreconditionError("no support allocations to mix")
+            supports = enumerate_efx(inst)
         res = sdef_feasibility(inst, supports)
         _emit(res.to_json(), args.output)
         return EXIT_OK
     if op.startswith("exact-"):
         algo = ALGORITHMS[op[len("exact-"):]]
-        dist = exact_distribution_charity(inst, algorithm=algo.exact, leaf_cap=args.leaf_cap)
+        leaf_cap = DEFAULT_LEAF_CAP if args.leaf_cap is None else args.leaf_cap
+        dist = exact_distribution_charity(inst, algorithm=algo.exact, leaf_cap=leaf_cap)
         (checker,) = _checkers(algo.audits).values()
         reports = check_support(inst, dist, {"support": checker})
         audits = {name: rep.to_json() for name, rep in reports.items()}
@@ -471,7 +480,8 @@ def _repro_utse_tight(args) -> dict:
 
 
 def _repro_ps_baseline(args) -> dict:
-    inst = _load(args)
+    name = args.instance or "FIX-A"
+    inst = _load(args, name)
     trace = full_run(inst)
     sdef = check_sdef(inst, fractional_outcome(trace))
     matrix = representative_matrix(trace)
@@ -493,7 +503,7 @@ def _repro_ps_baseline(args) -> dict:
         )
     report = {
         "scenario": "ps-baseline",
-        "instance": args.instance,
+        "instance": name,
         "sdef": sdef.to_json(),
         "terms": term_reports,
     }
@@ -505,16 +515,19 @@ def _repro_ps_baseline(args) -> dict:
     return report
 
 
+# scenario -> (report builder, the optional repro flags it reads)
 _SCENARIOS = {
-    "impossibility": _repro_impossibility,
-    "example-4-1": _repro_example_4_1,
-    "utse-tight": _repro_utse_tight,
-    "ps-baseline": _repro_ps_baseline,
+    "impossibility": (_repro_impossibility, ()),
+    "example-4-1": (_repro_example_4_1, ("--epsilon",)),
+    "utse-tight": (_repro_utse_tight, ("--epsilon",)),
+    "ps-baseline": (_repro_ps_baseline, ("--instance", "--epsilon")),
 }
 
 
 def cmd_repro(args) -> int:
-    report = _SCENARIOS[args.scenario](args)
+    build, _ = _SCENARIOS[args.scenario]
+    _refuse_unread(args, args.scenario, {name: flags for name, (_, flags) in _SCENARIOS.items()})
+    report = build(args)
     _emit(report, args.output)
     return EXIT_OK
 
@@ -575,12 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed_type)
     p.add_argument(
         "--decomposition",
-        help=f"JSON file pinning the lottery decomposition ({_flag_readers('--decomposition')} only)",
+        help=f"JSON file pinning the lottery decomposition ({_readers('--decomposition', _SOLVE_FLAGS)} only)",
     )
     p.add_argument(
         "--step-cap",
         type=int,
-        help=f"limit on pool swaps and growth moves, not cycle rotations ({_flag_readers('--step-cap')} only)",
+        help=f"limit on pool swaps and growth moves, not cycle rotations ({_readers('--step-cap', _SOLVE_FLAGS)} only)",
     )
     p.set_defaults(fn=cmd_solve)
 
@@ -610,17 +623,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force references and exact distributions")
     _add_common(p)
-    exact = [f"exact-{name}" for name, algo in ALGORITHMS.items() if algo.exact]
-    p.add_argument("--op", required=True, choices=["enumerate-efx", "sdef-feasibility", *exact])
+    p.add_argument("--op", required=True, choices=list(_ORACLE_OPS))
     p.add_argument("--supports", help="allocations JSON for sdef-feasibility")
-    p.add_argument("--leaf-cap", type=int, default=10**6)
+    p.add_argument(
+        "--leaf-cap", type=int, help=f"branch leaf limit for the exact-* ops (default {DEFAULT_LEAF_CAP})"
+    )
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("repro", help="replication scenarios with exact expected values")
+    _add_common(p, instance=False)
     p.add_argument("scenario", choices=sorted(_SCENARIOS))
-    p.add_argument("--instance", default="FIX-A", help="override instance (ps-baseline only)")
-    p.add_argument("--epsilon", help="rational p/q for epsilon-parameterized scenarios")
-    p.add_argument("-o", "--output", help="write JSON here instead of stdout")
+    p.add_argument("--instance", help="override instance, default FIX-A (ps-baseline only)")
     p.set_defaults(fn=cmd_repro)
 
     return ap

@@ -23,8 +23,11 @@ so code past construction may index freely.
 
 Allocation containers come in two flavours: integral (bundles plus an
 optional unallocated pool) and randomized (a finitely supported lottery over
-integral allocations whose probabilities sum to exactly one).  A fractional
-allocation is a plain share matrix, a tuple of ``Fraction`` rows.
+integral allocations whose probabilities sum to exactly one, every outcome
+with the same number of bundles).  A fractional allocation is a plain share
+matrix, a tuple of ``Fraction`` rows.  Neither container knows the
+instance: ``require_fits`` checks that a caller's allocations fit one, once,
+where they enter an algorithm.
 """
 
 from __future__ import annotations
@@ -462,6 +465,8 @@ class RandomizedAllocation:
             raise PreconditionError("support probabilities must be positive")
         if sum(p for p, _ in sup) != 1:
             raise PreconditionError("support probabilities must sum to exactly one")
+        if len({a.n for _, a in sup}) > 1:
+            raise PreconditionError("support outcomes must all have the same number of bundles")
 
     @classmethod
     def merged(cls, pairs: Iterable[tuple[Fraction, IntegralAllocation]]) -> "RandomizedAllocation":
@@ -501,6 +506,21 @@ class RandomizedAllocation:
                 for entry in json_field(data, "support", list)
             )
         )
+
+
+def require_fits(inst: Instance, allocations: Iterable[IntegralAllocation]) -> None:
+    """Every allocation has one bundle per agent and holds only the
+    instance's goods.  Entry points that take a caller's allocations call
+    this once; the audits assume allocations that fit."""
+    for alloc in allocations:
+        if alloc.n != inst.n:
+            raise PreconditionError(f"need one bundle per agent ({inst.n}), got {alloc.n}")
+        goods = alloc.allocated() | alloc.pool
+        if any(type(g) is not int for g in goods):
+            raise PreconditionError("goods must be given as integers")
+        stray = sorted(g for g in goods if not 0 <= g < inst.m)
+        if stray:
+            raise PreconditionError(f"goods {stray} are not among the {inst.m} goods")
 
 
 # ---------------------------------------------------------------------------

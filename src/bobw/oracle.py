@@ -11,6 +11,7 @@ inequality, and a feasible one yields explicit witness weights.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .core import (
     RandomizedAllocation,
     ResourceCapError,
     format_rational,
+    require_fits,
 )
 from .eating import ordinal_rankings
 from .rng import derive_seed
@@ -54,22 +56,14 @@ def enumerate_efx(inst: Instance) -> tuple[IntegralAllocation, ...]:
             f"{inst.n}^{inst.m} assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
     out = []
-    assignment = [0] * inst.m
-    while True:
+    for assignment in itertools.product(inst.agents, repeat=inst.m):
         bundles = [set() for _ in inst.agents]
         for g, i in enumerate(assignment):
             bundles[i].add(g)
         alloc = IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
         if check_efx(inst, alloc).passed:
             out.append(alloc)
-        # increment the base-n counter
-        pos = inst.m - 1
-        while pos >= 0 and assignment[pos] == inst.n - 1:
-            assignment[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return tuple(out)
-        assignment[pos] += 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +118,7 @@ def sdef_feasibility(
     q = len(supports)
     if q == 0:
         raise PreconditionError("need at least one support allocation")
+    require_fits(inst, supports)
     if q > SDEF_SUPPORT_CAP:
         raise ResourceCapError(f"feasibility capped at {SDEF_SUPPORT_CAP} support allocations")
     rankings = ordinal_rankings(inst)

@@ -83,6 +83,11 @@ class Decomposition:
                 raise PreconditionError("a term assigns one good to two agents")
 
     def reconstruct(self, n: int, m: int) -> Matrix:
+        """The n x m share matrix the terms add up to; each term must give
+        each of the n agents one of the m goods."""
+        for _, assignment in self.terms:
+            if len(assignment) != n or not all(type(g) is int and 0 <= g < m for g in assignment):
+                raise PreconditionError(f"a term must give each of the {n} agents one of the {m} goods")
         rows = [[Fraction(0)] * m for _ in range(n)]
         for w, assignment in self.terms:
             for i, g in enumerate(assignment):

@@ -268,6 +268,29 @@ def test_bounded_charity_requires_clean_start():
         bounded_charity(inst, greedy)
 
 
+@pytest.mark.parametrize(
+    "start,message",
+    [
+        (
+            IntegralAllocation(bundles=(frozenset(),), pool=frozenset({0, 1, 2})),
+            r"need one bundle per agent \(2\), got 1",
+        ),
+        (
+            IntegralAllocation(bundles=(frozenset({5}), frozenset()), pool=frozenset({0, 1, 2})),
+            r"goods \[5\] are not among the 3 goods",
+        ),
+        (
+            IntegralAllocation(bundles=(frozenset({"0"}), frozenset()), pool=frozenset({1, 2})),
+            "goods must be given as integers",
+        ),
+    ],
+    ids=["one-bundle", "good-out-of-range", "good-not-an-integer"],
+)
+def test_bounded_charity_refuses_a_start_that_does_not_fit(start, message):
+    with pytest.raises(PreconditionError, match=message):
+        bounded_charity(get_fixture("FIX-E"), start)
+
+
 def test_bounded_charity_step_cap_carries_state():
     inst = _twin_additive()
     start = IntegralAllocation(bundles=(frozenset({0}), frozenset({1})), pool=frozenset({2, 3, 4}))

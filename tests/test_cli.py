@@ -166,6 +166,7 @@ _ALLOCATION_INPUTS = {
         {"terms": [{"weight": "1", "assignment": [0, 1]}]},
     ),
     "decomposition-without-terms": ("solve --algorithm utse --decomposition", {"weights": []}),
+    "no-properties": ("verify --properties , --allocation", {"bundles": [[0], [1], [2, 3]]}),
 }
 
 
@@ -469,6 +470,40 @@ def test_oracle_leaf_cap(capsys):
 def test_negative_work_caps_are_precondition_errors(capsys, command, message):
     assert main(command.split()) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# optional flags that some other op or scenario reads
+_UNREAD_FLAGS = [
+    (
+        "oracle FIX-A --op enumerate-efx --leaf-cap 5",
+        "--leaf-cap applies only to exact-charity, exact-bounded-charity, not enumerate-efx",
+    ),
+    ("oracle FIX-E --op exact-charity --supports F", "--supports applies only to sdef-feasibility, not exact-charity"),
+    (
+        "oracle FIX-A --op sdef-feasibility --leaf-cap 1",
+        "--leaf-cap applies only to exact-charity, exact-bounded-charity, not sdef-feasibility",
+    ),
+    (
+        "repro impossibility --epsilon 1/2",
+        "--epsilon applies only to example-4-1, utse-tight, ps-baseline, not impossibility",
+    ),
+    ("repro example-4-1 --instance FIX-D", "--instance applies only to ps-baseline, not example-4-1"),
+    ("repro utse-tight --instance FIX-A", "--instance applies only to ps-baseline, not utse-tight"),
+]
+
+
+@pytest.mark.parametrize("command,message", _UNREAD_FLAGS, ids=[c for c, _ in _UNREAD_FLAGS])
+def test_oracle_and_repro_refuse_flags_their_choice_does_not_read(capsys, command, message):
+    assert main(command.split()) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_verify_refuses_a_lottery_whose_outcomes_differ_in_bundle_count(capsys, tmp_path):
+    path = tmp_path / "dist.json"
+    support = [{"prob": "1/2", "bundles": [[0], [1, 2]]}, {"prob": "1/2", "bundles": [[0], [1], [2]]}]
+    path.write_text(json.dumps({"support": support}))
+    assert main(["verify", "FIX-D", "--allocation", str(path), "--properties", "efx,sdef"]) == 3
+    assert capsys.readouterr() == ("", "error: support outcomes must all have the same number of bundles\n")
 
 
 def test_solve_refuses_step_cap_outside_bounded_charity(capsys):

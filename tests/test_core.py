@@ -163,6 +163,17 @@ def test_randomized_allocation_requires_probabilities_summing_to_one():
         RandomizedAllocation(support=((F(1, 2), a),))
 
 
+def test_randomized_allocation_refuses_outcomes_with_different_bundle_counts():
+    # on FIX-D (2 agents) the audits would read two bundles of the second
+    # outcome and silently drop its third
+    two = IntegralAllocation(bundles=(frozenset({0}), frozenset({1, 2})))
+    three = IntegralAllocation(bundles=(frozenset({0}), frozenset({1}), frozenset({2})))
+    with pytest.raises(PreconditionError, match="same number of bundles"):
+        RandomizedAllocation(support=((F(1, 2), two), (F(1, 2), three)))
+    with pytest.raises(PreconditionError, match="same number of bundles"):
+        RandomizedAllocation.merged([(F(1, 2), three), (F(1, 2), two)])
+
+
 def test_randomized_allocation_expected_value_and_fractional():
     inst = get_fixture("FIX-D")
     a = IntegralAllocation(bundles=(frozenset({0}), frozenset({1, 2})))

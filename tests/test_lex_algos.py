@@ -97,6 +97,27 @@ def test_utse_accepts_matching_decomposition_and_rejects_others():
         utse(inst, foreign)
 
 
+def _fix_a_terms_with_a_negative_good():
+    # FIX-A's own terms with good 3 written as -1, which Python would index
+    terms = bvn_decompose(summarize(unit_run(get_fixture("FIX-A"))).X).terms
+    return tuple((w, tuple(-1 if g == 3 else g for g in a)) for w, a in terms)
+
+
+@pytest.mark.parametrize(
+    "fixture,terms",
+    [
+        ("FIX-D", ((1, (0, 7)),)),
+        ("FIX-D", ((1, (0, 1, 2)),)),
+        ("FIX-D", ((1, (0,)),)),
+        ("FIX-A", _fix_a_terms_with_a_negative_good()),
+    ],
+    ids=["good-out-of-range", "too-many-agents", "too-few-agents", "negative-good"],
+)
+def test_utse_refuses_decomposition_terms_that_do_not_fit(fixture, terms):
+    with pytest.raises(PreconditionError, match="a term must give each of the"):
+        utse(get_fixture(fixture), decomposition=Decomposition(terms))
+
+
 def test_utse_pads_when_agents_outnumber_goods():
     inst = Instance(
         n=3,

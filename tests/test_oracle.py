@@ -9,6 +9,7 @@ from bobw import (
     Additive,
     FeasibilityResult,
     Instance,
+    IntegralAllocation,
     PreconditionError,
     RandomizedAllocation,
     ResourceCapError,
@@ -103,6 +104,16 @@ def test_single_support_certificate_is_direct():
     cert = res.certificate
     assert cert["steps"] == []
     assert [c["label"] for c in cert["constraints"]] == ["agent 0 vs 1, top-3 prefix"]
+
+
+def test_sdef_feasibility_refuses_supports_that_do_not_fit():
+    inst = get_fixture("FIX-D")
+    one_bundle = IntegralAllocation(bundles=(frozenset({0, 1, 2}),))
+    with pytest.raises(PreconditionError, match=r"need one bundle per agent \(2\), got 1"):
+        sdef_feasibility(inst, [one_bundle])
+    # the shape is checked before the support cap: 13 misfits are bad input
+    with pytest.raises(PreconditionError):
+        sdef_feasibility(inst, [one_bundle] * (oracle.SDEF_SUPPORT_CAP + 1))
 
 
 def test_feasibility_result_json():

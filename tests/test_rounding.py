@@ -85,6 +85,16 @@ def test_decomposition_rejects_bad_weights_and_overlaps():
         Decomposition(terms=((F(3, 2), (0, 1)), (F(-1, 2), (1, 0))))
 
 
+def test_reconstruct_refuses_terms_that_do_not_fit():
+    decomp = Decomposition(terms=((F(1), (1, 0)),))
+    assert decomp.reconstruct(2, 2) == ((F(0), F(1)), (F(1), F(0)))
+    for n, m in [(3, 2), (1, 2), (2, 1)]:
+        with pytest.raises(PreconditionError, match=f"each of the {n} agents one of the {m} goods"):
+            decomp.reconstruct(n, m)
+    with pytest.raises(PreconditionError):
+        Decomposition(terms=((F(1), (0, -1)),)).reconstruct(2, 2)
+
+
 def test_bvn_rejects_bad_rows():
     with pytest.raises(PreconditionError):
         bvn_decompose(((F(1, 2), F(1, 4)),))  # row sum below one
