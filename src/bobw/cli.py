@@ -99,7 +99,7 @@ def _load(args, name: Optional[str] = None) -> Instance:
     """A fixture (with --epsilon) or an instance file: `name`, by default
     the command's instance argument."""
     name = name or args.instance
-    eps = parse_rational(args.epsilon) if args.epsilon else None
+    eps = parse_rational(args.epsilon) if args.epsilon is not None else None
     if name in fixtures.FIXTURE_NAMES:
         return fixtures.get_fixture(name, epsilon=eps)
     if eps is not None:
@@ -426,7 +426,7 @@ def _repro_impossibility(args) -> dict:
 
 
 def _repro_example_4_1(args) -> dict:
-    eps = parse_rational(args.epsilon) if args.epsilon else fixtures.DEFAULT_EPSILON
+    eps = parse_rational(args.epsilon) if args.epsilon is not None else fixtures.DEFAULT_EPSILON
     inst = fixtures.fix_b(eps)
     dist = uniform_permutation(inst)
     ratio = exante_ratio(dist, inst, 0, 1)
@@ -445,7 +445,7 @@ def _repro_example_4_1(args) -> dict:
 
 
 def _repro_utse_tight(args) -> dict:
-    eps = parse_rational(args.epsilon) if args.epsilon else fixtures.DEFAULT_EPSILON
+    eps = parse_rational(args.epsilon) if args.epsilon is not None else fixtures.DEFAULT_EPSILON
     inst = fixtures.fix_c(eps)
     summary = summarize(unit_run(inst))
     if summary.k != 2:

@@ -1,10 +1,14 @@
 """Simultaneous-eating simulation over divisible copies of the goods.
 
 All agents eat at unit speed, each always consuming its most-preferred good
-with mass remaining.  The simulation is event-driven and exact: the next
-event time is the smallest remaining-mass / eater-count quotient among the
-goods currently being eaten (capped by the requested duration), so every
-switch happens at a rational time and the final consumption matrix is exact.
+with mass remaining.  The simulation is event-driven and exact.  Each good
+being eaten keeps its finish time, which changes only when its eater count
+does: a good whose rest would last d more time units at a eaters lasts
+d * a / b at b eaters.  The run jumps to the earliest finish time (capped by
+the requested duration); only the eaters of the goods that ran out move on,
+and an agent's segment is closed only when its good runs out or the run
+ends.  Every switch happens at a rational time, so the consumption matrix
+is exact.  `summarize` and `representative_matrix` read each segment once.
 
 A run of duration one (feasible whenever m >= n) is the building block for
 the lottery constructions: its summary records each agent's final good g_i,
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
-from .core import Instance, IntegralAllocation, PreconditionError, format_rational
+from .core import Instance, IntegralAllocation, PreconditionError, format_rational, parse_rational
 
 Segment = tuple[int, Fraction, Fraction]  # (good, start, end)
 
@@ -66,11 +71,11 @@ class TraceSummary:
 
 def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> EatingTrace:
     """Simulate eating for `duration` time units (duration <= m_total / n)."""
-    duration = Fraction(duration)
+    duration = parse_rational(duration)
     if duration <= 0:
         raise PreconditionError("duration must be positive")
-    if n_dummies < 0:
-        raise PreconditionError("the number of dummy goods must be non-negative")
+    if type(n_dummies) is not int or n_dummies < 0:
+        raise PreconditionError("the number of dummy goods must be a non-negative integer")
     m_total = inst.m + n_dummies
     if duration * inst.n > m_total:
         raise PreconditionError(
@@ -80,34 +85,43 @@ def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> Eating
     dummies = tuple(range(inst.m, m_total))
     rankings = [r + dummies for r in base]
 
-    remaining = [Fraction(1)] * m_total
+    finished = [False] * m_total
     cursor = [0] * inst.n  # per-agent index into its ranking
+    start = [Fraction(0)] * inst.n  # when each agent began its current good
     segments: list[list[Segment]] = [[] for _ in inst.agents]
-    t = Fraction(0)
+    eaters: dict[int, list[int]] = {}  # per good being eaten
+    for i, r in enumerate(rankings):
+        eaters.setdefault(r[0], []).append(i)
+    finish = {g: Fraction(1, len(group)) for g, group in eaters.items()}
 
-    def current_good(i: int) -> int:
-        r = rankings[i]
-        while remaining[r[cursor[i]]] == 0:
-            cursor[i] += 1
-        return r[cursor[i]]
+    while True:
+        t = min(finish.values())
+        if t >= duration:
+            break
+        gone = [g for g, f in finish.items() if f == t]
+        for g in gone:
+            finished[g] = True
+            del finish[g]
+        joining: dict[int, list[int]] = {}
+        for g in gone:
+            for i in eaters.pop(g):
+                segments[i].append((g, start[i], t))
+                start[i] = t
+                r, c = rankings[i], cursor[i] + 1
+                while finished[r[c]]:
+                    c += 1
+                cursor[i] = c
+                joining.setdefault(r[c], []).append(i)
+        for g, new in joining.items():
+            group = eaters.setdefault(g, [])
+            if group:  # the rest, (f - t) * len(group) units, now has more eaters
+                finish[g] = t + (finish[g] - t) * len(group) / (len(group) + len(new))
+            else:
+                finish[g] = t + Fraction(1, len(new))
+            group += new
 
-    while t < duration:
-        eaters: dict[int, list[int]] = {}
-        for i in inst.agents:
-            eaters.setdefault(current_good(i), []).append(i)
-        dt = duration - t
-        for g, group in eaters.items():
-            dt = min(dt, Fraction(remaining[g], len(group)))
-        for g, group in eaters.items():
-            remaining[g] -= dt * len(group)
-            for i in group:
-                segs = segments[i]
-                if segs and segs[-1][0] == g and segs[-1][2] == t:
-                    segs[-1] = (g, segs[-1][1], t + dt)
-                else:
-                    segs.append((g, t, t + dt))
-        t += dt
-
+    for i, r in enumerate(rankings):
+        segments[i].append((r[cursor[i]], start[i], duration))
     return EatingTrace(
         n=inst.n,
         m_real=inst.m,
@@ -121,28 +135,34 @@ def summarize(trace: EatingTrace) -> TraceSummary:
     if not all(trace.segments):
         raise PreconditionError("agent with empty trace")
     m = trace.m_total
-    X = prefix_allocation(trace, trace.duration)
+    zero = Fraction(0)
+    X = [[zero] * m for _ in range(trace.n)]
+    eaten = [zero] * m
+    for row, segs in zip(X, trace.segments):
+        for g, a, b in segs:
+            share = b - a
+            row[g] += share
+            eaten[g] += share
     last = tuple(segs[-1][0] for segs in trace.segments)
-    eaten = tuple(sum((X[i][g] for i in range(trace.n)), start=Fraction(0)) for g in range(m))
     L = frozenset(last)
-    U = frozenset(g for g in range(m) if eaten[g] == 0)
-    k = sum((X[i][g] for i in range(trace.n) for g in L), start=Fraction(0))
+    U = frozenset(g for g in range(m) if not eaten[g])
+    k = sum((eaten[g] for g in L), start=zero)
     if trace.duration == 1 and k.denominator != 1:
         raise AssertionError(f"last-good mass k = {k} is not integral on a duration-one run")
     return TraceSummary(
-        X=X,
+        X=tuple(tuple(row) for row in X),
         last_goods=last,
         L=L,
         U=U,
         k=k,
-        eaten=eaten,
+        eaten=tuple(eaten),
         duration=trace.duration,
     )
 
 
 def prefix_allocation(trace: EatingTrace, z: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     """Consumption matrix of the run truncated at time z <= duration."""
-    z = Fraction(z)
+    z = parse_rational(z)
     if z < 0 or z > trace.duration:
         raise PreconditionError("prefix time outside the run")
     m = trace.m_total
@@ -187,17 +207,20 @@ def representative_matrix(trace: EatingTrace) -> tuple[tuple[Fraction, ...], ...
     m = trace.m_total
     if rounds * trace.n != m:
         raise PreconditionError("full-run matrix must be square")
+    n = trace.n
     Y = [[Fraction(0)] * m for _ in range(m)]
     for i, segs in enumerate(trace.segments):
         for g, a, b in segs:
-            # split [a, b) across integer round windows
-            t = int(a)
-            while Fraction(t) < b:
-                lo = max(a, Fraction(t))
-                hi = min(b, Fraction(t + 1))
-                if hi > lo:
-                    Y[t * trace.n + i][g] += hi - lo
-                t += 1
+            # split [a, b) at whole rounds.  An agent eats at unit speed
+            # from a good of one unit, so a segment lasts at most one unit
+            # and spans at most two rounds; an agent eats a good in one
+            # segment, so each (round, agent, good) cell is written once
+            first, last = floor(a), ceil(b) - 1
+            if first == last:
+                Y[first * n + i][g] = b - a
+            else:
+                Y[first * n + i][g] = last - a
+                Y[last * n + i][g] = b - last
     return tuple(tuple(row) for row in Y)
 
 

@@ -262,6 +262,26 @@ def test_epsilon_override_rules(capsys, tmp_path):
     assert main(["validate", str(path), "--epsilon", "1/100"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "FIX-B"],
+        ["repro", "example-4-1"],
+        ["repro", "utse-tight"],
+        ["validate", "INSTANCE"],
+    ],
+)
+def test_empty_epsilon_is_bad_input(capsys, tmp_path, argv):
+    # an empty --epsilon is a value that does not parse, not an absent flag
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(get_fixture("FIX-D"))))
+    argv = [str(path) if a == "INSTANCE" else a for a in argv]
+    assert main(argv + ["--epsilon", ""]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot interpret '' as a rational" in err
+
+
 def test_eat_report_shape(capsys):
     code, data = _run_json(capsys, ["eat", "FIX-D"])
     assert code == 0

@@ -19,7 +19,14 @@ from bobw import (
     summarize,
     unit_run,
 )
-from bobw.eating import EatingTrace, eat_report, event_times
+from bobw.eating import (
+    EatingTrace,
+    Segment,
+    TraceSummary,
+    eat_report,
+    event_times,
+    ordinal_rankings,
+)
 from bobw.rng import SplitMix64
 
 from helpers import lex_instance
@@ -246,3 +253,185 @@ def test_additive_agents_use_their_value_order():
     # everyone finishes on the same good, so exactly one unit of mass is last
     assert s.L == frozenset({4})
     assert s.k == 1
+
+
+@pytest.mark.parametrize("duration", [0.5, True, 1.0, "x", None])
+def test_run_eating_refuses_inexact_durations(duration):
+    with pytest.raises(PreconditionError):
+        run_eating(get_fixture("FIX-D"), duration)
+
+
+@pytest.mark.parametrize("n_dummies", [1.5, True, -1, "1", None])
+def test_run_eating_refuses_bad_dummy_counts(n_dummies):
+    with pytest.raises(PreconditionError, match="non-negative integer"):
+        run_eating(get_fixture("FIX-D"), F(1), n_dummies=n_dummies)
+
+
+@pytest.mark.parametrize("z", [0.25, True, "x"])
+def test_prefix_allocation_refuses_inexact_times(z):
+    with pytest.raises(PreconditionError):
+        prefix_allocation(run_eating(get_fixture("FIX-D"), F(1)), z)
+
+
+def test_exact_strings_and_ints_still_read():
+    inst = get_fixture("FIX-D")
+    assert run_eating(inst, "3/2", n_dummies=0) == run_eating(inst, F(3, 2))
+    trace = run_eating(inst, 1)
+    assert prefix_allocation(trace, "3/4") == prefix_allocation(trace, F(3, 4))
+
+
+# Verbatim copies of the per-event eating loop and its two readers that the
+# event-driven loop replaced: every event re-scanned all agents, regrouped
+# them by good and decremented every remaining mass.
+
+
+def _ref_run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> EatingTrace:
+    duration = Fraction(duration)
+    if duration <= 0:
+        raise PreconditionError("duration must be positive")
+    if n_dummies < 0:
+        raise PreconditionError("the number of dummy goods must be non-negative")
+    m_total = inst.m + n_dummies
+    if duration * inst.n > m_total:
+        raise PreconditionError(
+            f"duration {duration} infeasible: goods would be exhausted (max {Fraction(m_total, inst.n)})"
+        )
+    base = ordinal_rankings(inst)
+    dummies = tuple(range(inst.m, m_total))
+    rankings = [r + dummies for r in base]
+
+    remaining = [Fraction(1)] * m_total
+    cursor = [0] * inst.n  # per-agent index into its ranking
+    segments: list[list[Segment]] = [[] for _ in inst.agents]
+    t = Fraction(0)
+
+    def current_good(i: int) -> int:
+        r = rankings[i]
+        while remaining[r[cursor[i]]] == 0:
+            cursor[i] += 1
+        return r[cursor[i]]
+
+    while t < duration:
+        eaters: dict[int, list[int]] = {}
+        for i in inst.agents:
+            eaters.setdefault(current_good(i), []).append(i)
+        dt = duration - t
+        for g, group in eaters.items():
+            dt = min(dt, Fraction(remaining[g], len(group)))
+        for g, group in eaters.items():
+            remaining[g] -= dt * len(group)
+            for i in group:
+                segs = segments[i]
+                if segs and segs[-1][0] == g and segs[-1][2] == t:
+                    segs[-1] = (g, segs[-1][1], t + dt)
+                else:
+                    segs.append((g, t, t + dt))
+        t += dt
+
+    return EatingTrace(
+        n=inst.n,
+        m_real=inst.m,
+        n_dummies=n_dummies,
+        duration=duration,
+        segments=tuple(tuple(s) for s in segments),
+    )
+
+
+def _ref_summarize(trace: EatingTrace) -> TraceSummary:
+    if not all(trace.segments):
+        raise PreconditionError("agent with empty trace")
+    m = trace.m_total
+    X = _ref_prefix_allocation(trace, trace.duration)
+    last = tuple(segs[-1][0] for segs in trace.segments)
+    eaten = tuple(sum((X[i][g] for i in range(trace.n)), start=Fraction(0)) for g in range(m))
+    L = frozenset(last)
+    U = frozenset(g for g in range(m) if eaten[g] == 0)
+    k = sum((X[i][g] for i in range(trace.n) for g in L), start=Fraction(0))
+    if trace.duration == 1 and k.denominator != 1:
+        raise AssertionError(f"last-good mass k = {k} is not integral on a duration-one run")
+    return TraceSummary(
+        X=X,
+        last_goods=last,
+        L=L,
+        U=U,
+        k=k,
+        eaten=eaten,
+        duration=trace.duration,
+    )
+
+
+def _ref_prefix_allocation(trace: EatingTrace, z: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    z = Fraction(z)
+    if z < 0 or z > trace.duration:
+        raise PreconditionError("prefix time outside the run")
+    m = trace.m_total
+    X = [[Fraction(0)] * m for _ in range(trace.n)]
+    for i, segs in enumerate(trace.segments):
+        for g, a, b in segs:
+            if b > z:  # segments run in time order: the first past z is the last to count
+                if a < z:
+                    X[i][g] += z - a
+                break
+            X[i][g] += b - a
+    return tuple(tuple(row) for row in X)
+
+
+def _ref_representative_matrix(trace: EatingTrace) -> tuple[tuple[Fraction, ...], ...]:
+    r = trace.duration
+    if r.denominator != 1:
+        raise PreconditionError("representative matrix needs an integer number of rounds")
+    rounds = int(r)
+    m = trace.m_total
+    if rounds * trace.n != m:
+        raise PreconditionError("full-run matrix must be square")
+    Y = [[Fraction(0)] * m for _ in range(m)]
+    for i, segs in enumerate(trace.segments):
+        for g, a, b in segs:
+            # split [a, b) across integer round windows
+            t = int(a)
+            while Fraction(t) < b:
+                lo = max(a, Fraction(t))
+                hi = min(b, Fraction(t + 1))
+                if hi > lo:
+                    Y[t * trace.n + i][g] += hi - lo
+                t += 1
+    return tuple(tuple(row) for row in Y)
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_event_loop_matches_the_per_event_reference():
+    rng = SplitMix64(106)
+    runs = partial = padded = full = 0
+    for _ in range(400):
+        n, m = 1 + rng.below(12), 1 + rng.below(20)
+        inst = lex_instance(rng, n, m)
+        pad = rng.below(3)
+        m_total = m + pad
+        durations = [F(m_total, n), F(1 + rng.below(3 * m_total), 1 + rng.below(3 * n))]
+        if m_total >= n:
+            durations.append(F(1))
+        for duration in durations:
+            if duration > F(m_total, n):
+                continue
+            trace = run_eating(inst, duration, n_dummies=pad)
+            ref = _ref_run_eating(inst, duration, n_dummies=pad)
+            assert trace.segments == ref.segments, (n, m, pad, duration)
+            s = summarize(trace)
+            assert s == _ref_summarize(ref)
+            assert _all_fractions(s.X) and _all_fractions([s.eaten, [s.k]])
+            runs += 1
+            partial += duration < F(m_total, n)
+            padded += pad > 0
+            if duration.denominator == 1 and duration * n == m_total:
+                Y = representative_matrix(trace)
+                assert Y == _ref_representative_matrix(ref) and _all_fractions(Y)
+                full += 1
+        trace = full_run(inst)
+        Y = representative_matrix(trace)
+        assert Y == _ref_representative_matrix(trace) and _all_fractions(Y)
+        assert trace.segments == _ref_run_eating(inst, trace.duration, trace.n_dummies).segments
+        full += 1
+    assert runs >= 800 and partial >= 300 and padded >= 400 and full >= 400
