@@ -8,12 +8,13 @@ line, same output.
 
 ALGORITHMS is the one table of algorithm names.  Each entry says how
 `solve` builds its output (an exact lottery, one seeded draw, or a router
-between the two), how `sample` and `estimate` draw from it, which checkers
-its outcomes owe ex post and its lottery owes ex ante, which exact charity
-distribution `oracle` computes for it, and which of solve's optional flags
-(--decomposition, --step-cap) it reads.  The argparse choices of solve,
-sample, estimate and oracle come from it.  solve, oracle and repro each
-refuse an optional flag that their algorithm, op or scenario does not read.
+between the two), how `sample` and `estimate` draw from it, how `oracle`
+computes its exact lottery, the `_check` keys its outcomes owe ex post and
+its lottery ex ante (half-proportionality only where every valuation is
+subadditive), and which optional solve flags it reads (--seed unless it has
+a lottery).  The argparse choices of solve, sample, estimate and oracle
+come from it.  solve, oracle and repro each refuse an optional flag that
+their algorithm, op or scenario does not read.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
 3 bad input or precondition (argparse usage errors included), 4 a resource
@@ -98,7 +99,7 @@ class PropertyFailure(Exception):
 def _load(args, name: Optional[str] = None) -> Instance:
     """A fixture (with --epsilon) or an instance file: `name`, by default
     the command's instance argument."""
-    name = name or args.instance
+    name = args.instance if name is None else name
     eps = parse_rational(args.epsilon) if args.epsilon is not None else None
     if name in fixtures.FIXTURE_NAMES:
         return fixtures.get_fixture(name, epsilon=eps)
@@ -162,10 +163,9 @@ def cmd_eat(args) -> int:
 # ---------------------------------------------------------------------------
 # the algorithm table
 #
-# Builders are lambdas over this module's names and _checkers and
-# _exante_checkers build their maps per call, so every function is looked up
-# when it runs: span tracers that rebind this module's attributes
-# (perfbench/tracer.py) see each call.
+# Builders are lambdas over this module's names and _check builds its map
+# per call, so every function is looked up when it runs: span tracers that
+# rebind this module's attributes (perfbench/tracer.py) see each call.
 
 
 @dataclass(frozen=True)
@@ -174,38 +174,57 @@ class Algorithm:
     required --seed; a row with neither is the lex-bobw router, where
     solve_lex_bobw picks one of the two by k."""
 
-    # _checkers keys owed ex post, by every support allocation of a lottery
+    # _check keys owed ex post, by every support allocation of a lottery
     audits: tuple[str, ...]
     lottery: Optional[Callable] = None  # (inst, args) -> RandomizedAllocation
     # (inst, args) -> seed -> (allocation, trace or None); sample, estimate
     draws: Optional[Callable] = None
-    exante: tuple[str, ...] = ()  # _exante_checkers keys owed by the whole lottery
-    exact: Optional[int] = None  # algorithm= of exact_distribution_charity
+    exante: tuple[str, ...] = ()  # _check keys owed by the whole lottery
+    exact: Optional[Callable] = None  # (inst, args) -> the sampler's exact lottery
     flags: tuple[str, ...] = ()  # optional solve flags it reads
 
 
-def _checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
-    known = {
+def _check(key: str) -> Callable:
+    """The audit a key names: ex post (inst, alloc), ex ante (dist, inst) -> AuditReport."""
+    return {
+        "ef": check_ef,
+        "ef1": check_ef1,
         "efx": check_efx,
         "po_lex": check_po_lex,
         "efx_with_charity": check_efx_with_charity,
         "bounded_charity": check_bounded_charity,
-    }
-    return {key: known[key] for key in keys}
-
-
-def _exante_checkers(keys: tuple[str, ...]) -> dict[str, Callable]:
-    """Each key's audit of a whole lottery: (dist, inst) -> AuditReport."""
-    known = {
         "exante_half_ef": lambda dist, inst: check_exante_ef(dist, inst, Fraction(1, 2)),
         "exante_half_prop": lambda dist, inst: check_exante_prop(dist, inst, Fraction(1, 2)),
         "stochastic_dominance_half": check_stochastic_dominance_half,
-    }
-    return {key: known[key] for key in keys}
+        "sdef": lambda dist, inst: check_sdef(inst, dist.associated_fractional(inst.m)),
+    }[key]
+
+
+def _exante(keys: tuple[str, ...], dist: RandomizedAllocation, inst: Instance) -> dict:
+    """Each key's report on a whole lottery.  The paper owes
+    half-proportionality only for subadditive valuations: elsewhere its
+    report is marked not owed, with the reason."""
+    audits = {}
+    for key in keys:
+        audits[key] = _check(key)(dist, inst).to_json()
+        if key == "exante_half_prop":
+            why = [f"agent {i}: {v.subadditive_error}" for i, v in enumerate(inst.valuations) if v.subadditive_error]
+            if why:
+                audits[key].update(owed=False, reason="; ".join(why))
+    return audits
+
+
+def _failed(audits: dict) -> bool:
+    """Whether an owed report failed; other entries (ratios) are not reports."""
+    return any(isinstance(rep, dict) and not rep["passed"] and rep.get("owed", True) for rep in audits.values())
+
+
+def _leaf_cap(args) -> int:
+    return DEFAULT_LEAF_CAP if args.leaf_cap is None else args.leaf_cap
 
 
 def _pinned_decomposition(args) -> Optional[Decomposition]:
-    if not args.decomposition:
+    if args.decomposition is None:
         return None
     with open(args.decomposition) as fh:
         return Decomposition.from_json(json.load(fh))
@@ -243,19 +262,19 @@ ALGORITHMS: dict[str, Algorithm] = {
         ("efx_with_charity",),
         draws=lambda inst, args: lambda seed: random_charity_swap(inst, seed),
         exante=("stochastic_dominance_half",),
-        exact=3,
+        exact=lambda inst, args: exact_distribution_charity(inst, algorithm=3, leaf_cap=_leaf_cap(args)),
     ),
     "bounded-charity": Algorithm(
         ("bounded_charity",),
         draws=_bounded_charity_draws,
         exante=("exante_half_prop",),
-        exact=4,
+        exact=lambda inst, args: exact_distribution_charity(inst, algorithm=4, leaf_cap=_leaf_cap(args)),
         flags=("--step-cap",),
     ),
 }
 
 
-_SOLVE_FLAGS = {name: algo.flags for name, algo in ALGORITHMS.items()}
+_SOLVE_FLAGS = {name: algo.flags + (() if algo.lottery else ("--seed",)) for name, algo in ALGORITHMS.items()}
 
 
 def cmd_solve(args) -> int:
@@ -275,69 +294,53 @@ def cmd_solve(args) -> int:
         result["k"], outcome = solve_lex_bobw(inst, seed=args.seed)
         result["kind"] = "distribution" if isinstance(outcome, RandomizedAllocation) else "sample"
 
-    checkers = _checkers(algo.audits)
     if isinstance(outcome, RandomizedAllocation):
         result["distribution"] = outcome.to_json()
-        reports = check_support(inst, outcome, checkers)
+        reports = check_support(inst, outcome, {key: _check(key) for key in algo.audits})
         audits = {key: rep.to_json() for key, rep in reports.items()}
         ratio = min_exante_ratio(outcome, inst)
         audits["min_exante_ratio"] = None if ratio is None else format_rational(ratio)
-        for key, check in _exante_checkers(algo.exante).items():
-            audits[key] = check(outcome, inst).to_json()
+        audits.update(_exante(algo.exante, outcome, inst))
     else:
         result["allocation"] = outcome.to_json()
         if trace is not None:
             result["trace"] = trace.to_json()
-        audits = {key: check(inst, outcome).to_json() for key, check in checkers.items()}
+        audits = {key: _check(key)(inst, outcome).to_json() for key in algo.audits}
     result["audits"] = audits
-    if any(isinstance(rep, dict) and rep.get("passed") is False for rep in audits.values()):
+    if _failed(audits):
         raise PropertyFailure("ex-post audit failed", {"audits": audits})
     _emit(result, args.output)
     return EXIT_OK
 
 
-_VERIFY_CHECKERS: dict[str, Callable] = {
-    "ef": check_ef,
-    "ef1": check_ef1,
-    "efx": check_efx,
-    "efx-charity": check_efx_with_charity,
-    "bounded-charity": check_bounded_charity,
-    "po-lex": check_po_lex,
+# property -> _check key; sdef audits the lottery, the rest each outcome
+_VERIFY_KEYS = {
+    "ef": "ef", "ef1": "ef1", "efx": "efx", "efx-charity": "efx_with_charity",
+    "bounded-charity": "bounded_charity", "po-lex": "po_lex", "sdef": "sdef",
 }
 
 
 def cmd_verify(args) -> int:
     inst = _load(args)
     target = _load_allocation(args.allocation)
-    if isinstance(target, RandomizedAllocation):
-        require_fits(inst, (alloc for _, alloc in target.support))
-    else:
-        require_fits(inst, (target,))
+    lottery = target if isinstance(target, RandomizedAllocation) else RandomizedAllocation(((1, target),))
+    require_fits(inst, (alloc for _, alloc in lottery.support))
     props = [p.strip() for p in args.properties.split(",") if p.strip()]
     if not props:
         raise PreconditionError("--properties names no property")
-    unknown = [p for p in props if p not in _VERIFY_CHECKERS and p != "sdef"]
+    unknown = [p for p in props if p not in _VERIFY_KEYS]
     if unknown:
         raise PreconditionError(f"unknown properties: {', '.join(unknown)}")
 
-    audits: dict = {}
-    if isinstance(target, RandomizedAllocation):
-        named = {p: _VERIFY_CHECKERS[p] for p in props if p != "sdef"}
-        for name, rep in check_support(inst, target, named).items():
-            audits[name] = rep.to_json()
-        if "sdef" in props:
-            audits["sdef"] = check_sdef(inst, target.associated_fractional(inst.m)).to_json()
-    else:
-        for p in props:
-            if p == "sdef":
-                rows = RandomizedAllocation(((1, target),)).associated_fractional(inst.m)
-                audits["sdef"] = check_sdef(inst, rows).to_json()
-            else:
-                audits[p] = _VERIFY_CHECKERS[p](inst, target).to_json()
-
+    named = {p: _check(_VERIFY_KEYS[p]) for p in props if p != "sdef"}
+    if lottery is target:
+        audits = {p: rep.to_json() for p, rep in check_support(inst, target, named).items()}
+    else:  # an allocation's reports follow --properties, sdef's filled in below
+        audits = {p: named[p](inst, target).to_json() if p in named else None for p in props}
+    if "sdef" in props:
+        audits["sdef"] = _check("sdef")(lottery, inst).to_json()
     _emit({"audits": audits}, args.output)
-    ok = all(rep["passed"] for rep in audits.values())
-    return EXIT_OK if ok else EXIT_PROPERTY
+    return EXIT_PROPERTY if _failed(audits) else EXIT_OK
 
 
 def cmd_sample(args) -> int:
@@ -380,7 +383,7 @@ def cmd_oracle(args) -> int:
         _emit({"count": len(allocs), "allocations": [a.to_json() for a in allocs]}, args.output)
         return EXIT_OK
     if op == "sdef-feasibility":
-        if args.supports:
+        if args.supports is not None:
             with open(args.supports) as fh:
                 data = json.load(fh)
             supports = [IntegralAllocation.from_json(d) for d in json_field(data, "allocations", list)]
@@ -391,16 +394,12 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     if op.startswith("exact-"):
         algo = ALGORITHMS[op[len("exact-"):]]
-        leaf_cap = DEFAULT_LEAF_CAP if args.leaf_cap is None else args.leaf_cap
-        dist = exact_distribution_charity(inst, algorithm=algo.exact, leaf_cap=leaf_cap)
-        (checker,) = _checkers(algo.audits).values()
-        reports = check_support(inst, dist, {"support": checker})
-        audits = {name: rep.to_json() for name, rep in reports.items()}
-        for key, check in _exante_checkers(algo.exante).items():
-            audits[key] = check(dist, inst).to_json()
+        dist = algo.exact(inst, args)
+        (key,) = algo.audits
+        audits = {"support": check_support(inst, dist, {"support": _check(key)})["support"].to_json()}
+        audits.update(_exante(algo.exante, dist, inst))
         _emit({"distribution": dist.to_json(), "audits": audits}, args.output)
-        ok = all(rep["passed"] for rep in audits.values())
-        return EXIT_OK if ok else EXIT_PROPERTY
+        return EXIT_PROPERTY if _failed(audits) else EXIT_OK
     raise PreconditionError(f"unknown oracle op {op}")  # pragma: no cover
 
 
@@ -409,7 +408,7 @@ def cmd_oracle(args) -> int:
 
 
 def _repro_impossibility(args) -> dict:
-    inst = fixtures.fix_a()
+    inst = _load(args, "FIX-A")
     allocs = enumerate_efx(inst)
     res = sdef_feasibility(inst, allocs)
     report = {
@@ -426,8 +425,8 @@ def _repro_impossibility(args) -> dict:
 
 
 def _repro_example_4_1(args) -> dict:
-    eps = parse_rational(args.epsilon) if args.epsilon is not None else fixtures.DEFAULT_EPSILON
-    inst = fixtures.fix_b(eps)
+    inst = _load(args, "FIX-B")
+    eps = inst.epsilon
     dist = uniform_permutation(inst)
     ratio = exante_ratio(dist, inst, 0, 1)
     expected = Fraction(432) + 5808 * eps
@@ -445,8 +444,8 @@ def _repro_example_4_1(args) -> dict:
 
 
 def _repro_utse_tight(args) -> dict:
-    eps = parse_rational(args.epsilon) if args.epsilon is not None else fixtures.DEFAULT_EPSILON
-    inst = fixtures.fix_c(eps)
+    inst = _load(args, "FIX-C")
+    eps = inst.epsilon
     summary = summarize(unit_run(inst))
     if summary.k != 2:
         raise PropertyFailure(
@@ -480,7 +479,7 @@ def _repro_utse_tight(args) -> dict:
 
 
 def _repro_ps_baseline(args) -> dict:
-    name = args.instance or "FIX-A"
+    name = "FIX-A" if args.instance is None else args.instance
     inst = _load(args, name)
     trace = full_run(inst)
     sdef = check_sdef(inst, fractional_outcome(trace))
@@ -603,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--properties",
         required=True,
-        help="comma list: ef, ef1, efx, efx-charity, bounded-charity, po-lex, sdef",
+        help=f"comma list: {', '.join(_VERIFY_KEYS)}",
     )
     p.set_defaults(fn=cmd_verify)
 

@@ -141,11 +141,25 @@ def _monotone_integer_error(val: Valuation) -> Optional[str]:
     return None
 
 
+def _subadditive_error(val: Valuation) -> Optional[str]:
+    """Why a valuation is not subadditive, v(S | T) <= v(S) + v(T), or None;
+    each valuation caches it.  Lexicographic valuations and additive ones
+    without negative values are; a table is checked over its 3^m disjoint
+    pairs, which decides it for monotone tables, so ask only where the
+    verdict is needed."""
+    if isinstance(val, Table):
+        return None if _table_subadditive(val.weights) else "table not subadditive"
+    if isinstance(val, Additive) and min(val.weights, default=0) < 0:
+        return "negative valuations"
+    return None
+
+
 class _IntegerForm:
     """v(B) = int_value(B) / scale, with int_value summing per-good weights
     (a table overrides it with one lookup)."""
 
     monotone_integer_error = cached_property(_monotone_integer_error)
+    subadditive_error = cached_property(_subadditive_error)
 
     def int_value(self, bundle: Iterable[int]) -> int:
         return sum(map(self.weights.__getitem__, bundle))
@@ -383,19 +397,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
             if not info["monotone"]:
                 errors.append(f"agent {i}: non-monotone table")
             if val.subadditive:
-                sub = _table_subadditive(val.weights, inst.m)
-                info["subadditive"] = sub
-                if not sub:
+                info["subadditive"] = val.subadditive_error is None
+                if not info["subadditive"]:
                     errors.append(f"agent {i}: table flagged subadditive but is not")
         agents.append(info)
     return ValidationReport(ok=not errors, agents=tuple(agents), errors=tuple(errors))
 
 
-def _table_subadditive(weights: Sequence[int], m: int) -> bool:
+def _table_subadditive(weights: Sequence[int]) -> bool:
     # Under monotonicity, checking disjoint pairs covers the general case:
     # v(S u T) <= v(S) + v(T \ S) <= v(S) + v(T).
-    full = (1 << m) - 1
-    for s in range(1, 1 << m):
+    full = len(weights) - 1
+    for s in range(1, len(weights)):
         rest = full & ~s
         t = rest
         while t:

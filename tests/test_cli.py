@@ -1,12 +1,24 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import random
+from pathlib import Path
 
 import pytest
 
-from bobw import IntegralAllocation, get_fixture, instance_to_json, utse
-from bobw.cli import ALGORITHMS, _checkers, _exante_checkers, build_parser, main
+from bobw import (
+    IntegralAllocation,
+    exact_distribution_charity,
+    get_fixture,
+    instance_from_json,
+    instance_to_json,
+    utse,
+)
+from bobw import cli
+from bobw.audit import AuditReport
+from bobw.cli import ALGORITHMS, _check, build_parser, main
 
 from helpers import from_assignment
 
@@ -30,19 +42,27 @@ def test_validate_fixture_ok(capsys):
     code, data = _run_json(capsys, ["validate", "FIX-A"])
     assert code == 0
     assert data["ok"] is True
+    # FIX-E's tables are flagged subadditive, and are
+    code, data = _run_json(capsys, ["validate", "FIX-E"])
+    assert code == 0
+    assert [agent["subadditive"] for agent in data["agents"]] == [True, True]
 
 
 def test_validate_reports_broken_instances(capsys, tmp_path):
-    bad = {
-        "n": 1,
-        "m": 2,
-        "valuations": [{"kind": "table", "values": ["0", "5", "1", "2"]}],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
-    code, data = _run_json(capsys, ["validate", str(path)])
-    assert code == 2
-    assert data["ok"] is False
+    table = {"kind": "table", "values": ["0", "5", "1", "2"]}
+    cases = [
+        ({"valuations": [table]}, "agent 0: non-monotone table"),
+        ({"valuations": [{**table, "values": ["1", "5", "5", "5"]}]}, "agent 0: empty-set value nonzero"),
+        ({"labels": ["g1"]}, "labels length differs from m"),
+    ]
+    for edit, error in cases:
+        bad = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "ranking": [1, 0]}], **edit}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, data = _run_json(capsys, ["validate", str(path)])
+        assert code == 2
+        assert data["ok"] is False
+        assert error in data["errors"]
 
 
 def test_missing_file_is_a_precondition_error(capsys):
@@ -166,6 +186,10 @@ _ALLOCATION_INPUTS = {
         {"terms": [{"weight": "1", "assignment": [0, 1]}]},
     ),
     "decomposition-without-terms": ("solve --algorithm utse --decomposition", {"weights": []}),
+    "lottery-with-a-zero-probability": (
+        "verify --properties efx --allocation",
+        {"support": [{"prob": "0", "bundles": [[0], [1], [2, 3]]}, {"prob": "1", "bundles": [[3], [1], [2, 0]]}]},
+    ),
     "no-properties": ("verify --properties , --allocation", {"bundles": [[0], [1], [2, 3]]}),
 }
 
@@ -198,6 +222,7 @@ _INSTANCE_JSON = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "rank
         {"valuations": {"kind": "lexicographic"}},
         {"valuations": [["lexicographic", [1, 0]]]},
         {"valuations": [{"ranking": [1, 0]}]},
+        {"valuations": [{"kind": "ordinal", "ranking": [1, 0]}]},
         {"valuations": [{"kind": "additive", "values": "12"}]},
         {"valuations": [{"kind": "table", "values": [0, 1, 1, 2], "subadditive": "false"}]},
         {"labels": 5},
@@ -280,6 +305,23 @@ def test_empty_epsilon_is_bad_input(capsys, tmp_path, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "cannot interpret '' as a rational" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "FIX-D", "--algorithm", "utse", "--decomposition"],
+        ["oracle", "FIX-A", "--op", "sdef-feasibility", "--supports"],
+        ["repro", "ps-baseline", "--instance"],
+    ],
+    ids=" ".join,
+)
+def test_empty_file_flag_is_bad_input(capsys, argv):
+    # an empty file name is a file that does not exist, not an absent flag
+    assert main(argv + [""]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_eat_report_shape(capsys):
@@ -468,10 +510,50 @@ def test_oracle_exact_bounded_charity_owes_half_proportionality(capsys, tmp_path
     assert data["audits"]["exante_half_prop"]["passed"] is True
 
 
+def _table_generator():
+    # the benchmark's seeded table generator
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_oracle_exact_bounded_charity_owes_no_half_proportionality_off_subadditive(capsys, tmp_path):
+    # monotone tables, none subadditive: every outcome is EFX with bounded
+    # charity, but agent 1 expects 2 of a share of 13/3
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(_table_generator().table_instance_json(random.Random(6), 3, 5, False)))
+    code, data = _run_json(capsys, ["oracle", str(path), "--op", "exact-bounded-charity"])
+    assert code == 0
+    assert data["audits"]["support"]["passed"] is True
+    report = data["audits"]["exante_half_prop"]
+    assert (report["passed"], report["owed"]) == (False, False)
+    assert report["witness"] == {"agent": 1, "alpha": "1/2", "expected": "2", "share": "13/3"}
+    assert report["reason"] == "; ".join(f"agent {i}: table not subadditive" for i in range(3))
+
+
+def test_bounded_charity_lottery_is_half_proportional_on_subadditive_tables():
+    gen = _table_generator()
+    owed = unowed_failures = 0
+    for seed in range(40):
+        for capped in (False, True):
+            inst = instance_from_json(gen.table_instance_json(random.Random(seed), 3, 5, capped))
+            dist = exact_distribution_charity(inst, algorithm=4)
+            report = cli._exante(("exante_half_prop",), dist, inst)["exante_half_prop"]
+            if all(val.subadditive_error is None for val in inst.valuations):
+                assert "owed" not in report and report["passed"], (seed, capped)
+                owed += 1
+            else:
+                assert report["owed"] is False, (seed, capped)
+                unowed_failures += not report["passed"]
+    assert owed >= 40
+    assert unowed_failures >= 1
+
+
 def test_algorithm_table_keys_resolve_to_checkers():
     for algo in ALGORITHMS.values():
-        assert list(_checkers(algo.audits)) == list(algo.audits)
-        assert list(_exante_checkers(algo.exante)) == list(algo.exante)
+        assert all(callable(_check(key)) for key in algo.audits + algo.exante)
 
 
 def test_oracle_leaf_cap(capsys):
@@ -529,6 +611,35 @@ def test_verify_refuses_a_lottery_whose_outcomes_differ_in_bundle_count(capsys, 
 def test_solve_refuses_step_cap_outside_bounded_charity(capsys):
     assert main("solve FIX-E --algorithm charity --seed 7 --step-cap 1".split()) == 3
     assert capsys.readouterr() == ("", "error: --step-cap applies only to bounded-charity, not charity\n")
+
+
+@pytest.mark.parametrize("command", ["solve FIX-D --algorithm utse", "solve FIX-B --algorithm uniform-perm"])
+def test_solve_refuses_seed_where_the_algorithm_has_a_lottery(capsys, command):
+    name = command.split()[-1]
+    assert main(f"{command} --seed 5".split()) == 3
+    message = f"--seed applies only to depround-k2, lex-bobw, charity, bounded-charity, not {name}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_solve_exits_2_when_an_audit_fails(capsys, tmp_path, monkeypatch):
+    # _check looks check_efx up in the cli module when it runs
+    def failing(inst, alloc):
+        return AuditReport("efx", False, {"viewer": 0})
+
+    monkeypatch.setattr(cli, "check_efx", failing)
+    code, data = _run_json(capsys, ["solve", "FIX-D", "--algorithm", "utse"])
+    assert code == 2
+    assert data["error"] == "ex-post audit failed"
+    assert data["audits"]["efx"] == {
+        "property": "efx",
+        "passed": False,
+        "witness": {"support_index": 0, "inner": {"viewer": 0}},
+    }
+    assert data["audits"]["po_lex"]["passed"] is True
+    target = tmp_path / "out.json"
+    assert main(["solve", "FIX-D", "--algorithm", "utse", "-o", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text()) == data
 
 
 def test_solve_refuses_decomposition_outside_utse(capsys):

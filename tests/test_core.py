@@ -25,6 +25,7 @@ from bobw import (
     validate_instance,
     value_of,
 )
+from bobw import core
 from bobw.rng import SplitMix64
 
 F = Fraction
@@ -119,6 +120,29 @@ def test_validate_flags_subadditive_violation():
     inst = Instance(n=1, m=2, valuations=(t,))
     rep = validate_instance(inst)
     assert not rep.ok
+
+
+def test_subadditive_verdicts_are_computed_once_and_only_on_demand(monkeypatch):
+    assert Lexicographic((1, 0)).subadditive_error is None
+    assert Additive((0, 2)).subadditive_error is None
+    assert Additive((-1, 2)).subadditive_error == "negative valuations"
+    assert Table((0, 1, 1, 2)).subadditive_error is None
+    assert Table((0, 1, 1, 3)).subadditive_error == "table not subadditive"
+
+    calls = []
+    routine = core._table_subadditive
+
+    def counted(weights):
+        calls.append(len(weights))
+        return routine(weights)
+
+    monkeypatch.setattr(core, "_table_subadditive", counted)
+    inst = get_fixture("FIX-E")
+    assert calls == []  # building or loading a table does not check it
+    for _ in range(2):
+        assert [a["subadditive"] for a in validate_instance(inst).agents] == [True, True]
+        assert [val.subadditive_error for val in inst.valuations] == [None, None]
+    assert calls == [8, 8]
 
 
 def test_validate_checks_fix_b_additive_is_lexicographic():

@@ -261,6 +261,12 @@ def test_run_eating_refuses_inexact_durations(duration):
         run_eating(get_fixture("FIX-D"), duration)
 
 
+@pytest.mark.parametrize("duration", [0, -1, "-1/2"])
+def test_run_eating_refuses_non_positive_durations(duration):
+    with pytest.raises(PreconditionError, match="duration must be positive"):
+        run_eating(get_fixture("FIX-D"), duration)
+
+
 @pytest.mark.parametrize("n_dummies", [1.5, True, -1, "1", None])
 def test_run_eating_refuses_bad_dummy_counts(n_dummies):
     with pytest.raises(PreconditionError, match="non-negative integer"):

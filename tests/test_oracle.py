@@ -10,6 +10,7 @@ from bobw import (
     FeasibilityResult,
     Instance,
     IntegralAllocation,
+    Lexicographic,
     PreconditionError,
     RandomizedAllocation,
     ResourceCapError,
@@ -74,6 +75,23 @@ def test_mixture_feasibility_finds_the_unique_weights():
         for i in range(inst.n)
     ]
     assert check_sdef(inst, rows).passed
+
+
+def test_mixture_feasibility_back_substitutes_several_free_weights():
+    # four EFX allocations leave three free weights to back-substitute
+    inst = Instance(n=2, m=4, valuations=(Lexicographic((1, 2, 0, 3)), Lexicographic((3, 0, 2, 1))))
+    supports = enumerate_efx(inst)
+    assert [_bundles(a) for a in supports] == [
+        ((0, 1, 2), (3,)),
+        ((0, 1), (2, 3)),
+        ((1, 2), (0, 3)),
+        ((1,), (0, 2, 3)),
+    ]
+    res = sdef_feasibility(inst, supports)
+    assert res.feasible
+    assert res.weights == (F(1, 8), F(1, 4), F(1, 2), F(1, 8))
+    mix = RandomizedAllocation(tuple(zip(res.weights, supports)))
+    assert check_sdef(inst, mix.associated_fractional(inst.m)).passed
 
 
 def test_mixture_infeasibility_yields_a_certificate():
