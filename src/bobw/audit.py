@@ -8,11 +8,16 @@ tolerances anywhere in this module.
 
 Every audit reads each valuation's integer form (``int_value``,
 ``weights``, ``scale``) and never ``value_of``.  The envy audits, the fair
-share and stochastic dominance compare one viewer's values.  Every
-expected-value audit (``exante_ratio``, ``min_exante_ratio``,
-``check_exante_ef``, ``check_exante_prop``) reads one n x n integer matrix
-of E[v_i(A_j)], built from each agent's scaled probability of holding each
-bundle, so each viewer values each distinct bundle once.
+share and stochastic dominance compare one viewer's values.  ``check_efx``
+skips one-good bundles under per-good weights for a viewer whose own value
+is at least 0: removing the good leaves the empty bundle, worth 0.  A
+viewer with a negative own value, and any table viewer (whose empty bundle
+may be worth something), checks every bundle.  Every expected-value audit
+(``exante_ratio``, ``min_exante_ratio``, ``check_exante_ef``,
+``check_exante_prop``) reads one n x n integer matrix of E[v_i(A_j)], built
+from each agent's scaled probability of holding each bundle, so each viewer
+values each distinct bundle once; ``min_exante_ratio`` compares its ratios
+by cross-multiplication and builds one Fraction.
 
 The audits assume allocations that fit the instance: one bundle per agent,
 holding only its goods.  They do not check this, since they run on every
@@ -117,23 +122,29 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     A table looks every removal up.  For per-good weights the removal that
     leaves the most is that of the least-weighted good, so one comparison
     per pair decides; only a failing pair is scanned for its first
-    violating good."""
+    violating good.  Removing the one good of a one-good bundle leaves the
+    empty bundle, worth 0 under per-good weights, so a viewer whose own
+    value is at least 0 checks only the bundles of two goods or more.  A
+    viewer with a negative own value checks every bundle, and so does a
+    table viewer, whose empty bundle may be worth something."""
+    bundles = alloc.bundles
+    multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
     for i, val in enumerate(inst.valuations):
         w = val.weights
-        vi = val.int_value(alloc.bundles[i])
+        vi = val.int_value(bundles[i])
         if isinstance(val, Table):
             for j in inst.agents:
                 if i == j:
                     continue
-                mask = bundle_mask(alloc.bundles[j])
-                for g in alloc.bundles[j]:
+                mask = bundle_mask(bundles[j])
+                for g in bundles[j]:
                     if vi < w[mask ^ (1 << g)]:
                         return AuditReport("efx", False, _pair_witness(i, j, good=g))
             continue
         weight = w.__getitem__
         least = min(w, default=0)  # bounds every bundle's least weight from below
-        for j in inst.agents:
-            bundle = alloc.bundles[j]
+        for j in multi if vi >= 0 else inst.agents:
+            bundle = bundles[j]
             if i == j or not bundle:
                 continue
             total = sum(map(weight, bundle))
@@ -188,43 +199,43 @@ def check_po_lex(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     if alloc.pool or not alloc.is_complete(inst.m):
         raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
     rankings = ordinal_rankings(inst)
-    owner: dict[int, int] = {}
+    m = inst.m
+    owner = [0] * m
     for i, bundle in enumerate(alloc.bundles):
         for g in bundle:
             owner[g] = i
-    remaining = set(range(inst.m))
-    cursors = [0] * inst.n  # each agent's top remaining good, or len(ranking)
+    taken = [False] * m
+    cursors = [0] * inst.n  # each agent's top remaining good, or m
     ready: list[int] = []  # min-heap of agents whose top remaining good is their own
     waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
     sequence: list[int] = []
-
-    def place(i: int) -> None:
-        r = rankings[i]
-        c = cursors[i]
-        while c < len(r) and r[c] not in remaining:
-            c += 1
-        cursors[i] = c
-        if c < len(r):
-            if owner[r[c]] == i:
-                heappush(ready, i)
-            else:
-                waiting.setdefault(r[c], []).append(i)
-
-    for i in inst.agents:
-        place(i)
-    # the lowest ready agent picks; a pick moves only the picker's top and
-    # the tops of the agents waiting on the picked good
-    while ready:
+    # place every agent, then after each pick only the picker and the agents
+    # waiting on the picked good: the lowest ready agent picks
+    movers = inst.agents
+    while True:
+        for k in movers:
+            r = rankings[k]
+            c = cursors[k]
+            while c < m and taken[r[c]]:
+                c += 1
+            cursors[k] = c
+            if c < m:
+                g = r[c]
+                if owner[g] == k:
+                    heappush(ready, k)
+                else:
+                    waiting.setdefault(g, []).append(k)
+        if not ready:
+            break
         i = heappop(ready)
         g = rankings[i][cursors[i]]
+        taken[g] = True
         sequence.append(i)
-        remaining.discard(g)
-        place(i)
-        for k in waiting.pop(g, ()):
-            place(k)
-    if remaining:
-        top = {str(i): r[c] if c < len(r) else None for i, (r, c) in enumerate(zip(rankings, cursors))}
-        return AuditReport("po-lex", False, {"unconsumed": sorted(remaining), "top_choices": top})
+        movers = [i, *waiting.pop(g, ())]
+    if len(sequence) < m:
+        top = {str(i): r[c] if c < m else None for i, (r, c) in enumerate(zip(rankings, cursors))}
+        unconsumed = [g for g in range(m) if not taken[g]]
+        return AuditReport("po-lex", False, {"unconsumed": unconsumed, "top_choices": top})
     return AuditReport("po-lex", True, {"sequence": sequence})
 
 
@@ -299,12 +310,20 @@ def exante_ratio(
 
 def min_exante_ratio(dist: RandomizedAllocation, inst: Instance) -> Optional[Fraction]:
     """Minimum of exante_ratio over ordered pairs; None if every pair's
-    ratio is infinite."""
+    ratio is infinite.  The least own / other of the integer matrix is found
+    by cross-multiplication, with each denominator made positive first, and
+    only the least becomes a Fraction."""
     matrix, _ = _expected_matrix(dist, inst)
-    ratios = (
-        _ratio(row[i], other) for i, row in enumerate(matrix) for j, other in enumerate(row) if i != j
-    )
-    return min((r for r in ratios if r is not None), default=None)
+    best_num, best_den = 0, 0  # best_den == 0 while no ratio is finite
+    for i, row in enumerate(matrix):
+        own = row[i]
+        for j, other in enumerate(row):
+            if i == j or other == 0:
+                continue
+            num, den = (own, other) if other > 0 else (-own, -other)
+            if best_den == 0 or num * best_den < best_num * den:
+                best_num, best_den = num, den
+    return Fraction(best_num, best_den) if best_den else None
 
 
 def check_exante_ef(dist: RandomizedAllocation, inst: Instance, alpha: Fraction) -> AuditReport:

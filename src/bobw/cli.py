@@ -17,8 +17,9 @@ come from it.  solve, oracle and repro each refuse an optional flag that
 their algorithm, op or scenario does not read.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
-3 bad input or precondition (argparse usage errors included), 4 a resource
-cap was hit.
+3 bad input or precondition (argparse usage errors, files that cannot be
+read as JSON and an -o that cannot be written included), 4 a resource cap
+was hit.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .core import (
     json_field,
     load_instance,
     parse_rational,
+    read_json,
     require_fits,
     validate_instance,
 )
@@ -111,15 +113,17 @@ def _load(args, name: Optional[str] = None) -> Instance:
 def _emit(data: dict, out: Optional[str]) -> None:
     text = json.dumps(data, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a directory, a missing folder, no permission
+            raise PreconditionError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
 
 def _load_allocation(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict) and "support" in data:
         return RandomizedAllocation.from_json(data)
     return IntegralAllocation.from_json(data)
@@ -226,8 +230,7 @@ def _leaf_cap(args) -> int:
 def _pinned_decomposition(args) -> Optional[Decomposition]:
     if args.decomposition is None:
         return None
-    with open(args.decomposition) as fh:
-        return Decomposition.from_json(json.load(fh))
+    return Decomposition.from_json(read_json(args.decomposition))
 
 
 def _no_trace(sample: Callable[[int], IntegralAllocation]) -> Callable:
@@ -384,8 +387,7 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     if op == "sdef-feasibility":
         if args.supports is not None:
-            with open(args.supports) as fh:
-                data = json.load(fh)
+            data = read_json(args.supports)
             supports = [IntegralAllocation.from_json(d) for d in json_field(data, "allocations", list)]
         else:
             supports = enumerate_efx(inst)
@@ -641,14 +643,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except PropertyFailure as exc:
-        _emit({"error": str(exc), **exc.payload}, getattr(args, "output", None))
-        return EXIT_PROPERTY
+        try:
+            return args.fn(args)
+        except PropertyFailure as exc:  # its witness goes where the output would
+            _emit({"error": str(exc), **exc.payload}, getattr(args, "output", None))
+            return EXIT_PROPERTY
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_CAP
-    except (PreconditionError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
 

@@ -136,7 +136,7 @@ def _monotone_integer_error(val: Valuation) -> Optional[str]:
         return "negative valuations"
     if isinstance(val, Table) and val.weights[0] != 0:
         return "empty-set value nonzero"
-    if isinstance(val, Table) and not _table_monotone(val.weights):
+    if isinstance(val, Table) and not val.monotone:
         return "non-monotone table"
     return None
 
@@ -144,10 +144,12 @@ def _monotone_integer_error(val: Valuation) -> Optional[str]:
 def _subadditive_error(val: Valuation) -> Optional[str]:
     """Why a valuation is not subadditive, v(S | T) <= v(S) + v(T), or None;
     each valuation caches it.  Lexicographic valuations and additive ones
-    without negative values are; a table is checked over its 3^m disjoint
-    pairs, which decides it for monotone tables, so ask only where the
-    verdict is needed."""
+    without negative values are.  A table is checked over its 3^m disjoint
+    pairs, which decides it for monotone tables only, so a non-monotone
+    table reports that first; ask only where the verdict is needed."""
     if isinstance(val, Table):
+        if not val.monotone:
+            return "non-monotone table"
         return None if _table_subadditive(val.weights) else "table not subadditive"
     if isinstance(val, Additive) and min(val.weights, default=0) < 0:
         return "negative valuations"
@@ -243,6 +245,11 @@ class Table(_IntegerForm):
 
     def int_value(self, bundle: Iterable[int]) -> int:
         return self.weights[bundle_mask(bundle)]
+
+    @cached_property
+    def monotone(self) -> bool:
+        # validate, the pool-swap precondition and the subadditivity verdict read it
+        return _table_monotone(self.weights)
 
     def ordinal_ranking(self) -> tuple[int, ...]:
         raise PreconditionError("table valuations carry no strict ordinal ranking")
@@ -393,12 +400,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 errors.append(f"agent {i}: empty-set value nonzero")
             if min(val.weights, default=0) < 0:
                 errors.append(f"agent {i}: negative value")
-            info["monotone"] = _table_monotone(val.weights)
+            info["monotone"] = val.monotone
             if not info["monotone"]:
                 errors.append(f"agent {i}: non-monotone table")
             if val.subadditive:
+                # false for a non-monotone table, whose error is already listed
                 info["subadditive"] = val.subadditive_error is None
-                if not info["subadditive"]:
+                if info["monotone"] and not info["subadditive"]:
                     errors.append(f"agent {i}: table flagged subadditive but is not")
         agents.append(info)
     return ValidationReport(ok=not errors, agents=tuple(agents), errors=tuple(errors))
@@ -584,7 +592,20 @@ def instance_from_json(data: dict) -> Instance:
     return Instance(n=n, m=m, valuations=vals, labels=data.get("labels"), epsilon=data.get("epsilon"))
 
 
+def read_json(path: str):
+    """The JSON value in a UTF-8 file.  Every file that cannot be read or
+    parsed is a PreconditionError: a missing file or a directory, bytes that
+    are not UTF-8, nesting deeper than the parser's stack, an int past
+    Python's limit on digits."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:  # the message names the path
+        raise PreconditionError(str(exc)) from None
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise PreconditionError(f"{path}: {exc}") from None
+
+
 def load_instance(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))
+    return instance_from_json(read_json(path))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 
@@ -25,11 +26,13 @@ from bobw import (
     check_support,
     exante_ratio,
     get_fixture,
+    k2_sampler,
     min_exante_ratio,
     ratio_table,
     summarize,
     uniform_permutation,
     unit_run,
+    utse,
     value_of,
 )
 from bobw import audit, core, oracle
@@ -589,3 +592,183 @@ def test_exante_audits_match_per_pair_loops():
             assert got.to_json() == expected.to_json()
             failing += not got.passed
     assert failing > 300
+
+
+# ---------------------------------------------------------------------------
+# differential check of the one-good-bundle EFX rule, the inline Pareto
+# greedy and the cross-multiplied least ratio against the routines they
+# replaced, kept verbatim
+
+
+def _ref_weighted_check_efx(inst, alloc):
+    for i, val in enumerate(inst.valuations):
+        w = val.weights
+        vi = val.int_value(alloc.bundles[i])
+        if isinstance(val, Table):
+            for j in inst.agents:
+                if i == j:
+                    continue
+                mask = core.bundle_mask(alloc.bundles[j])
+                for g in alloc.bundles[j]:
+                    if vi < w[mask ^ (1 << g)]:
+                        return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
+            continue
+        weight = w.__getitem__
+        least = min(w, default=0)  # bounds every bundle's least weight from below
+        for j in inst.agents:
+            bundle = alloc.bundles[j]
+            if i == j or not bundle:
+                continue
+            total = sum(map(weight, bundle))
+            if vi < total - least and vi < total - min(map(weight, bundle)):
+                g = next(g for g in bundle if vi < total - w[g])
+                return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
+    return AuditReport("efx", True)
+
+
+def _ref_placing_check_po_lex(inst, alloc):
+    if alloc.pool or not alloc.is_complete(inst.m):
+        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
+    rankings = ordinal_rankings(inst)
+    owner: dict[int, int] = {}
+    for i, bundle in enumerate(alloc.bundles):
+        for g in bundle:
+            owner[g] = i
+    remaining = set(range(inst.m))
+    cursors = [0] * inst.n  # each agent's top remaining good, or len(ranking)
+    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
+    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
+    sequence: list[int] = []
+
+    def place(i: int) -> None:
+        r = rankings[i]
+        c = cursors[i]
+        while c < len(r) and r[c] not in remaining:
+            c += 1
+        cursors[i] = c
+        if c < len(r):
+            if owner[r[c]] == i:
+                heappush(ready, i)
+            else:
+                waiting.setdefault(r[c], []).append(i)
+
+    for i in inst.agents:
+        place(i)
+    # the lowest ready agent picks; a pick moves only the picker's top and
+    # the tops of the agents waiting on the picked good
+    while ready:
+        i = heappop(ready)
+        g = rankings[i][cursors[i]]
+        sequence.append(i)
+        remaining.discard(g)
+        place(i)
+        for k in waiting.pop(g, ()):
+            place(k)
+    if remaining:
+        top = {str(i): r[c] if c < len(r) else None for i, (r, c) in enumerate(zip(rankings, cursors))}
+        return AuditReport("po-lex", False, {"unconsumed": sorted(remaining), "top_choices": top})
+    return AuditReport("po-lex", True, {"sequence": sequence})
+
+
+def _ref_fraction_min_exante_ratio(dist, inst):
+    matrix, _ = audit._expected_matrix(dist, inst)
+    ratios = (
+        audit._ratio(row[i], other) for i, row in enumerate(matrix) for j, other in enumerate(row) if i != j
+    )
+    return min((r for r in ratios if r is not None), default=None)
+
+
+def _fraction_lex_instance(rng, n, m):
+    # lexicographic-consistent additive values over a common denominator:
+    # rank r is worth ((m + 1) * 2^(m-1-r) + 0 or 1) / den, more than all
+    # the goods below it together
+    rankings = [v.ranking for v in lex_instance(rng, n, m).valuations]
+    den = 2 + rng.below(5)
+    vals = []
+    for ranking in rankings:
+        values = [F(0)] * m
+        for r, g in enumerate(ranking):
+            values[g] = F(((m + 1) << (m - 1 - r)) + rng.below(2), den)
+        assert core.is_lexicographic_additive(values)
+        vals.append(Additive(values=tuple(values)))
+    return Instance(n=n, m=m, valuations=tuple(vals))
+
+
+def _failing_pair(inst):
+    # the not-EFX and the not-PO allocation of the certify benchmark's
+    # controls: agent 1 holds only its least-liked good and agent 0 the rest;
+    # then agents 0 and b hold goods they rank in opposite orders
+    ranks = ordinal_rankings(inst)
+    n, m = inst.n, inst.m
+    bundles = [set() for _ in range(n)]
+    free = set(range(m))
+    for j in range(1, n):
+        g = next(g for g in reversed(ranks[j]) if g in free)
+        bundles[j].add(g)
+        free.discard(g)
+    bundles[0] = free
+    not_efx = IntegralAllocation(tuple(map(frozenset, bundles)))
+    b = next(j for j in range(1, n) if ranks[j] != ranks[0])
+    pos = {g: k for k, g in enumerate(ranks[b])}
+    y, x = next((y, x) for y, x in zip(ranks[0], ranks[0][1:]) if pos[x] < pos[y])
+    bundles = [set() for _ in range(n)]
+    bundles[0].add(x)
+    bundles[b].add(y)
+    for k, g in enumerate(g for g in range(m) if g not in (x, y)):
+        bundles[k % n].add(g)
+    return not_efx, IntegralAllocation(tuple(map(frozenset, bundles)))
+
+
+def _same_as_replaced(inst, allocs, dist=None):
+    verdicts = []
+    for alloc in allocs:
+        efx, ref_efx = check_efx(inst, alloc), _ref_weighted_check_efx(inst, alloc)
+        assert efx.to_json() == ref_efx.to_json()
+        po, ref_po = check_po_lex(inst, alloc), _ref_placing_check_po_lex(inst, alloc)
+        assert po.to_json() == ref_po.to_json()
+        verdicts.append((efx.passed, po.passed))
+    if dist is not None:
+        ratio, ref = min_exante_ratio(dist, inst), _ref_fraction_min_exante_ratio(dist, inst)
+        assert (ratio, type(ratio)) == (ref, type(ref))
+    return verdicts
+
+
+def test_support_audits_match_the_replaced_routines():
+    rng = SplitMix64(1607)
+    makers = (lex_instance, _fraction_lex_instance, additive_instance)
+    for case in range(18):
+        n = (8, 12)[case // 3 % 2]
+        inst = makers[case % 3](rng, n, 2 * n)
+        dist = utse(inst)
+        outcomes = [alloc for _, alloc in dist.support]
+        verdicts = _same_as_replaced(inst, outcomes, dist)
+        if case % 3 < 2:  # lexicographic preferences: every outcome is EFX and PO
+            assert verdicts == [(True, True)] * len(outcomes)
+        not_efx, not_po = _failing_pair(inst)
+        failing = _same_as_replaced(inst, [not_efx, not_po])
+        assert not failing[0][0] and not failing[1][1]
+    draws = 0
+    while draws < 40:
+        inst = lex_instance(rng, 3 + rng.below(4), 5 + rng.below(6))
+        if summarize(unit_run(inst)).k == 2:
+            sample = k2_sampler(inst)
+            assert _same_as_replaced(inst, [sample(seed) for seed in range(10)]) == [(True, True)] * 10
+            draws += 10
+
+
+def test_efx_witness_of_a_negative_viewer_facing_one_good():
+    # a viewer worth less than the empty bundle envies every one-good bundle
+    rng = SplitMix64(1608)
+    faced = 0
+    for _ in range(400):
+        inst = _fraction_additive_instance(rng, 2 + rng.below(4), 1 + rng.below(7))
+        alloc = _random_allocation(rng, inst)
+        rep = check_efx(inst, alloc)
+        assert rep.to_json() == _ref_weighted_check_efx(inst, alloc).to_json()
+        dist = _random_lottery(rng, inst)
+        ratio, ref = min_exante_ratio(dist, inst), _ref_fraction_min_exante_ratio(dist, inst)
+        assert (ratio, type(ratio)) == (ref, type(ref))
+        if not rep.passed:
+            i, j = rep.witness["viewer"], rep.witness["toward"]
+            faced += inst.valuations[i].int_value(alloc.bundles[i]) < 0 and len(alloc.bundles[j]) == 1
+    assert faced > 20

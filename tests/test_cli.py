@@ -54,6 +54,12 @@ def test_validate_reports_broken_instances(capsys, tmp_path):
         ({"valuations": [table]}, "agent 0: non-monotone table"),
         ({"valuations": [{**table, "values": ["1", "5", "5", "5"]}]}, "agent 0: empty-set value nonzero"),
         ({"labels": ["g1"]}, "labels length differs from m"),
+        # v({0,1,2}) = 10 > v({0,1}) + v({1,2}) = 6: the disjoint pairs alone
+        # would call this non-monotone table subadditive
+        (
+            {"m": 3, "valuations": [{**table, "values": [0, 7, 0, 3, 7, 10, 3, 10], "subadditive": True}]},
+            "agent 0: non-monotone table",
+        ),
     ]
     for edit, error in cases:
         bad = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "ranking": [1, 0]}], **edit}
@@ -63,6 +69,7 @@ def test_validate_reports_broken_instances(capsys, tmp_path):
         assert code == 2
         assert data["ok"] is False
         assert error in data["errors"]
+    assert data["agents"] == [{"agent": 0, "kind": "table", "monotone": False, "subadditive": False}]
 
 
 def test_missing_file_is_a_precondition_error(capsys):
@@ -239,6 +246,48 @@ def test_malformed_instance_fields_are_precondition_errors(capsys, tmp_path, edi
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+# files that cannot be read as JSON, by what is wrong with them
+_UNREADABLE = {
+    "directory": None,
+    "not-utf-8": b'{"n": 1, "m": 2, "labels": ["\xff"]}',
+    "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "int-of-5000-digits": b'{"n": 1' + b"0" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "FILE"],
+        ["verify", "FIX-A", "--allocation", "FILE", "--properties", "efx"],
+        ["solve", "FIX-D", "--algorithm", "utse", "--decomposition", "FILE"],
+        ["oracle", "FIX-A", "--op", "sdef-feasibility", "--supports", "FILE"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unreadable_files_are_precondition_errors(capsys, tmp_path, case, argv):
+    path = tmp_path / "input.json"
+    if _UNREADABLE[case] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(_UNREADABLE[case])
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_unwritable_output_is_a_precondition_error(capsys, tmp_path, monkeypatch):
+    assert main(["validate", "FIX-A", "-o", str(tmp_path)]) == 3
+    # a failed property's witness goes to -o too
+    monkeypatch.setattr(cli, "check_efx", lambda inst, alloc: AuditReport("efx", False))
+    assert main(["solve", "FIX-D", "--algorithm", "utse", "-o", str(tmp_path / "no-folder" / "out.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("error: ") == 2
 
 
 def test_instance_without_agents_is_a_precondition_error(capsys, tmp_path):

@@ -128,6 +128,8 @@ def test_subadditive_verdicts_are_computed_once_and_only_on_demand(monkeypatch):
     assert Additive((-1, 2)).subadditive_error == "negative valuations"
     assert Table((0, 1, 1, 2)).subadditive_error is None
     assert Table((0, 1, 1, 3)).subadditive_error == "table not subadditive"
+    # every disjoint pair passes, but v({0,1,2}) = 10 > v({0,1}) + v({1,2}) = 6
+    assert Table((0, 7, 0, 3, 7, 10, 3, 10)).subadditive_error == "non-monotone table"
 
     calls = []
     routine = core._table_subadditive
