@@ -10,9 +10,14 @@ left in the pool.  The uniform choice is what buys the distributional
 guarantee: each agent ends at least half as likely as any other agent to
 clear any fixed value threshold.
 
-`pool_envy` finds that step's subset and enviers; the sampler, the trace
-replay, the post-pass and `oracle`'s exact branch enumerator all take their
-swaps from it.
+One routine, `_envied_subset`, finds that step's subset and enviers on
+bitmasks: it reads each agent's own value once per step and each
+candidate's value once per agent, a table by one lookup of `weights[mask]`
+and per-good weights by a sum over the mask's bits.  The sampler, the
+trace replay and `oracle`'s exact branch enumerator carry (bundle masks,
+pool mask) and build sets only for the trace's subsets and the allocation
+they return; `pool_envy` and `minimal_envied_subset`, the same routine on
+sets, serve the post-pass.
 
 The deterministic post-pass shrinks the pool below the number of unenvied
 agents with one move per iteration: a pool swap while the pool is envied,
@@ -27,7 +32,8 @@ value, so they end on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .audit import check_efx, check_efx_with_charity, enviers_of_set, envy_edges, unenvied_agents
 from .core import (
@@ -35,6 +41,8 @@ from .core import (
     IntegralAllocation,
     PreconditionError,
     ResourceCapError,
+    Table,
+    bundle_mask,
     require_fits,
 )
 from .rng import SplitMix64
@@ -58,22 +66,9 @@ def minimal_envied_subset(
 ) -> Optional[frozenset[int]]:
     """Canonical inclusion-minimal subset of `goods` (default: the pool) that
     some agent strictly prefers to its own bundle; None if nobody envies the
-    whole set.
-
-    One ascending-index sweep suffices: drop a good whenever the remainder is
-    still envied.  A good that could not be dropped earlier never becomes
-    droppable (shrinking the set only shrinks its subsets' values), so the
-    sweep ends inclusion-minimal, and by monotonicity single-good minimality
-    implies no proper subset is envied at all.
-    """
-    z = set(alloc.pool if goods is None else goods)
-    if not enviers_of_set(inst, alloc, z):
-        return None
-    for g in sorted(z):
-        without = z - {g}
-        if enviers_of_set(inst, alloc, without):
-            z = without
-    return frozenset(z)
+    whole set.  `_envied_subset` makes the sweep, on bitmasks."""
+    envy = _set_envy(inst, alloc, alloc.pool if goods is None else goods)
+    return None if envy is None else envy[0]
 
 
 def pool_envy(
@@ -81,10 +76,68 @@ def pool_envy(
 ) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
     """One pool-swap step's choices: the canonical minimal envied pool subset
     and its enviers in ascending order; None once nobody envies the pool."""
-    subset = minimal_envied_subset(inst, alloc)
-    if subset is None:
+    return _set_envy(inst, alloc, alloc.pool)
+
+
+def _set_envy(
+    inst: Instance, alloc: IntegralAllocation, goods: frozenset[int]
+) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
+    found = _envied_subset(_mask_values(inst), [bundle_mask(b) for b in alloc.bundles], bundle_mask(goods))
+    return None if found is None else (_goods(found[0]), found[1])
+
+
+def _envied_subset(
+    values: Sequence[Callable[[int], int]], masks: Sequence[int], goods: int
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The canonical minimal envied subset of the goods in mask `goods`, as
+    a mask, with its enviers in ascending order; None if nobody envies the
+    whole set.  `values[i]` is agent i's integer value of a mask and
+    `masks[i]` its bundle.
+
+    One ascending-index sweep suffices: drop a good whenever the remainder is
+    still envied.  A good that could not be dropped earlier never becomes
+    droppable (shrinking the set only shrinks its subsets' values), so the
+    sweep ends inclusion-minimal, and by monotonicity single-good minimality
+    implies no proper subset is envied at all.  Each agent's own value is
+    read once per call, and each candidate's once per agent.
+    """
+    viewers = [(value, value(mask)) for value, mask in zip(values, masks)]
+    if not any(own < value(goods) for value, own in viewers):
         return None
-    return subset, tuple(enviers_of_set(inst, alloc, subset))
+    subset, rest = goods, goods
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        without = subset ^ low
+        if any(own < value(without) for value, own in viewers):
+            subset = without
+    return subset, tuple(i for i, (value, own) in enumerate(viewers) if own < value(subset))
+
+
+def _mask_values(inst: Instance) -> list[Callable[[int], int]]:
+    """Each agent's `int_value` on a bundle bitmask: a table looks the mask
+    up, per-good weights are summed over its bits."""
+    return [
+        val.weights.__getitem__ if isinstance(val, Table) else partial(_weight_sum, val.weights)
+        for val in inst.valuations
+    ]
+
+
+def _weight_sum(weights: Sequence[int], mask: int) -> int:
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _goods(mask: int) -> frozenset[int]:
+    return frozenset(g for g in range(mask.bit_length()) if mask >> g & 1)
+
+
+def _allocation(masks: Sequence[int], pool: int) -> IntegralAllocation:
+    return IntegralAllocation(bundles=tuple(map(_goods, masks)), pool=_goods(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +172,19 @@ def empty_start(inst: Instance) -> IntegralAllocation:
 
 def random_charity_swap(inst: Instance, seed: int) -> tuple[IntegralAllocation, SwapTrace]:
     """Run the uniform-envier pool-swap loop from all goods pooled until no
-    agent envies the pool."""
+    agent envies the pool.  Bundles and pool are carried as bitmasks."""
     require_monotone_integer(inst)
-    alloc = empty_start(inst)
+    values = _mask_values(inst)
+    masks, pool = [0] * inst.n, (1 << inst.m) - 1
     rng = SplitMix64(seed)
     steps = []
-    while (envy := pool_envy(inst, alloc)) is not None:
+    while (envy := _envied_subset(values, masks, pool)) is not None:
         subset, enviers = envy
         chosen = enviers[rng.below(len(enviers))]
-        steps.append(SwapStep(subset=subset, enviers=enviers, chosen=chosen))
-        alloc = _apply_swap(alloc, subset, chosen)
+        steps.append(SwapStep(subset=_goods(subset), enviers=enviers, chosen=chosen))
+        pool = (pool & ~subset) | masks[chosen]
+        masks[chosen] = subset
+    alloc = _allocation(masks, pool)
     outcome = check_efx_with_charity(inst, alloc)
     if not outcome.passed:  # pragma: no cover - the loop's exit guarantees this
         raise AssertionError(f"pool-swap loop ended without its guarantee: {outcome.witness}")
@@ -152,20 +208,24 @@ def replay_swap_trace(inst: Instance, trace: SwapTrace) -> IntegralAllocation:
     subset and enviers, that the chosen agent's gain raises the utility sum
     every step, and that the trace ends where the loop does, with nobody
     envying the pool."""
-    alloc = empty_start(inst)
+    values = _mask_values(inst)
+    masks, pool = [0] * inst.n, (1 << inst.m) - 1
     for idx, step in enumerate(trace.steps):
-        envy = pool_envy(inst, alloc)
-        if envy is None or envy[0] != step.subset:
+        envy = _envied_subset(values, masks, pool)
+        if envy is None or _goods(envy[0]) != step.subset:
             raise PreconditionError(f"step {idx}: recorded subset diverges from the canonical one")
-        if envy[1] != step.enviers or step.chosen not in step.enviers:
+        subset, enviers = envy
+        if enviers != step.enviers or step.chosen not in step.enviers:
             raise PreconditionError(f"step {idx}: recorded enviers diverge")
-        before = _utility_sum(inst, alloc)
-        alloc = _apply_swap(alloc, step.subset, step.chosen)
-        if _utility_sum(inst, alloc) <= before:
+        chosen = step.chosen
+        # only the chosen agent's bundle changes, so its gain is the sum's
+        if values[chosen](subset) <= values[chosen](masks[chosen]):
             raise AssertionError(f"step {idx}: swap did not raise the utility sum")
-    if pool_envy(inst, alloc) is not None:
+        pool = (pool & ~subset) | masks[chosen]
+        masks[chosen] = subset
+    if _envied_subset(values, masks, pool) is not None:
         raise PreconditionError(f"step {len(trace.steps)}: trace ends while the pool is still envied")
-    return alloc
+    return _allocation(masks, pool)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,15 @@ supported:
 Each valuation holds an integer form: a positive ``scale`` and integer
 ``weights`` (per good, or per table bitmask), with v(B) = ``int_value(B)``
 / ``scale``.  ``Additive`` and ``Table`` build it from their values when
-constructed, parsing with ``int()`` first (``parse_exact``);
-``Lexicographic`` derives its powers of two once, on first use.
+constructed, parsing with ``int()`` first (``parse_exact``), and refuse
+a decimal string past Python's 4,300-digit limit in its digits or its
+exponent; ``Lexicographic`` derives its powers of two once, on first use.
 ``Instance`` checks that each valuation fits its goods (``shape_error``),
-so code past construction may index freely.
+so code past construction may index freely.  A table's monotonicity is
+one pass over the table packed into one int, a byte-aligned field per
+bundle holding its value, or its dense rank when some value does not fit
+a byte: one guarded subtraction per good compares every bundle with the
+bundle that adds the good, in at most 4 bytes per bundle.
 
 Allocation containers come in two flavours: integral (bundles plus an
 optional unallocated pool) and randomized (a finitely supported lottery over
@@ -33,14 +38,16 @@ where they enter an algorithm.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
-from operator import le
 from typing import Iterable, Optional, Sequence, Union
 
 TABLE_GOODS_CAP = 20
+DIGIT_LIMIT = 4300  # Python's limit on int() strings, sys.int_info.default_max_str_digits
 
 
 class FairDivisionError(Exception):
@@ -59,7 +66,15 @@ def parse_exact(value: Union[int, str, Fraction]) -> Union[int, Fraction]:
     """Accept ints, Fractions, or 'p/q' / 'p' / decimal strings; bools, floats
     and anything else are a PreconditionError.  Ints and the strings int()
     reads come back as ints (int() agrees with Fraction(str) wherever it
-    succeeds), everything else as a Fraction."""
+    succeeds), everything else as a Fraction.
+
+    A string is held to Python's own limit on int() strings, DIGIT_LIMIT
+    (4,300) digits: past it, int() fails and so does Fraction(str) on
+    digits, but an exponent is expanded by arithmetic, so '1e-1000000'
+    would build a 3.3-million-bit denominator.  So a string with a part of
+    more than DIGIT_LIMIT digits (numerator, denominator or decimal
+    mantissa) or an exponent beyond +-DIGIT_LIMIT is refused, quickly.
+    Python ints and Fractions are taken at any size."""
     if type(value) is int or type(value) is Fraction:
         return value
     if isinstance(value, str):
@@ -67,6 +82,7 @@ def parse_exact(value: Union[int, str, Fraction]) -> Union[int, Fraction]:
             return int(value)
         except ValueError:
             pass
+        _require_digit_limit(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
@@ -76,6 +92,19 @@ def parse_exact(value: Union[int, str, Fraction]) -> Union[int, Fraction]:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise PreconditionError(f"cannot interpret {value!r} as a rational")
+
+
+def _require_digit_limit(text: str) -> None:
+    mantissa, e, exponent = text.lower().partition("e")
+    digits = max(sum(map(str.isdigit, part)) for part in mantissa.split("/"))
+    try:
+        power = int(exponent) if e else 0
+    except ValueError:  # Fraction(str) refuses it too
+        power = 0
+    if digits > DIGIT_LIMIT or abs(power) > DIGIT_LIMIT:
+        raise PreconditionError(
+            f"numbers are limited to {DIGIT_LIMIT} digits and exponents to +-{DIGIT_LIMIT}"
+        )
 
 
 def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
@@ -263,22 +292,66 @@ def bundle_mask(bundle: Iterable[int]) -> int:
 
 
 def _table_monotone(weights: Sequence[int]) -> bool:
-    """v(S \\ {g}) <= v(S) for every S and g in S (enough, by induction).
-    For good g = log2(step) each mask without g pairs with the mask `step`
-    above it; the pairs are sliced out by residue modulo 2 * step while step
-    is small, and by block once it is large, so that each good takes at most
-    sqrt(2^m / 2) slice pairs."""
-    size, step = len(weights), 1
-    while step < size:
-        span = 2 * step
-        if step * span <= size:
-            pairs = ((weights[r::span], weights[r + step :: span]) for r in range(step))
-        else:
-            pairs = ((weights[lo : lo + step], weights[lo + step : lo + span]) for lo in range(0, size, span))
-        if not all(all(map(le, low, high)) for low, high in pairs):
+    """v(S \\ {g}) <= v(S) for every S and g in S (enough, by induction),
+    decided by one subtraction per good on the whole table packed into one
+    int (``_packed_table``).  Field S holds v(S) below a guard bit; shifting
+    the table down by 2^g fields lines v(S | {g}) up with v(S), so after
+    ``(shifted | guards) - packed`` the guard of field S is still set iff
+    v(S) <= v(S | {g}).  A field's result lies between 1 and twice its
+    guard, so no field borrows from the next.  Only the guards of the
+    bundles without g are read."""
+    size = len(weights)
+    packed, nbytes = _packed_table(weights)
+    guards, without = _guard_masks(size, nbytes)
+    shift = 8 * nbytes
+    for keep in without:
+        if (((packed >> shift) | guards) - packed) & keep != keep:
             return False
-        step = span
+        shift *= 2
     return True
+
+
+def _packed_table(weights: Sequence[int]) -> tuple[int, int]:
+    """(packed, bytes per field): field S, little-endian from bit 0, holds
+    weights[S] below a guard bit.  The weights go in as they are when each
+    fits a byte's low 7 bits, else by dense rank, which keeps their order in
+    at most 4 bytes per bundle however wide or negative the values are."""
+    try:
+        packed = int.from_bytes(bytes(weights), "little")  # ValueError outside 0..255
+    except ValueError:
+        packed = None
+    if packed is not None and not packed & _guard_masks(len(weights), 1)[0]:
+        return packed, 1
+    rank = {v: r for r, v in enumerate(sorted(set(weights)))}
+    code = "B" if len(rank) <= 1 << 7 else "H" if len(rank) <= 1 << 15 else "I"
+    fields = array(code, map(rank.__getitem__, weights))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields.tobytes(), "little"), fields.itemsize
+
+
+def _guard_masks(size: int, nbytes: int) -> tuple[int, tuple[int, ...]]:
+    """The guard bit of every field of a `size`-field table, and for each
+    good g (ascending) the guards of the fields S without g that have a
+    field S + 2^g.  The masks of tables up to 16 KB packed are cached, eight
+    at most; larger tables build theirs per call."""
+    if size * nbytes <= _CACHED_TABLE_BYTES:
+        return _cached_guard_masks(size, nbytes)
+    return _build_guard_masks(size, nbytes)
+
+
+def _build_guard_masks(size: int, nbytes: int) -> tuple[int, tuple[int, ...]]:
+    guard, empty = (1 << (8 * nbytes - 1)).to_bytes(nbytes, "little"), bytes(nbytes)
+    without, step = [], 1
+    while step < size:
+        pattern = (guard * step + empty * step) * (size // (2 * step) + 1)
+        without.append(int.from_bytes(pattern[: (size - step) * nbytes], "little"))
+        step *= 2
+    return int.from_bytes(guard * size, "little"), tuple(without)
+
+
+_CACHED_TABLE_BYTES = 1 << 14  # 2^12 bundles at 4 bytes, 2^14 at 1 byte
+_cached_guard_masks = lru_cache(maxsize=8)(_build_guard_masks)
 
 
 Valuation = Union[Additive, Lexicographic, Table]
@@ -414,7 +487,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
 def _table_subadditive(weights: Sequence[int]) -> bool:
     # Under monotonicity, checking disjoint pairs covers the general case:
-    # v(S u T) <= v(S) + v(T \ S) <= v(S) + v(T).
+    # v(S u T) <= v(S) + v(T \ S) <= v(S) + v(T).  A pair with the empty
+    # set holds iff v({}) >= 0.
+    if weights and weights[0] < 0:
+        return False
     full = len(weights) - 1
     for s in range(1, len(weights)):
         rest = full & ~s
@@ -596,14 +672,24 @@ def read_json(path: str):
     """The JSON value in a UTF-8 file.  Every file that cannot be read or
     parsed is a PreconditionError: a missing file or a directory, bytes that
     are not UTF-8, nesting deeper than the parser's stack, an int past
-    Python's limit on digits."""
+    Python's limit on digits (named with the file, not with Python's advice
+    to raise the limit)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:  # the message names the path
         raise PreconditionError(str(exc)) from None
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+    except ValueError as exc:  # UnicodeDecodeError
         raise PreconditionError(f"{path}: {exc}") from None
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise PreconditionError(f"{path}: {exc}") from None
+    except ValueError:  # the one other ValueError: int() past the digit limit
+        raise PreconditionError(
+            f"{path}: holds an integer of more than {sys.get_int_max_str_digits()} digits,"
+            " Python's limit for reading one"
+        ) from None
 
 
 def load_instance(path: str) -> Instance:

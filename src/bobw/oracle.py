@@ -21,10 +21,11 @@ from .audit import check_efx, check_sdef
 from .charity_algos import (
     SwapStep,
     SwapTrace,
-    _apply_swap,
+    _allocation,
+    _envied_subset,
+    _goods,
+    _mask_values,
     bounded_charity,
-    empty_start,
-    pool_envy,
     require_monotone_integer,
 )
 from .core import (
@@ -277,27 +278,30 @@ def iter_charity_branches(
 ) -> Iterator[tuple[Fraction, IntegralAllocation, SwapTrace]]:
     """Depth-first enumeration of every run of the uniform pool-swap loop;
     yields (path probability, final allocation, trace).  An explicit stack of
-    (allocation, probability, steps) lets runs outgrow Python's recursion
-    limit; children go on in reverse, so the lowest envier's branch is first."""
+    (bundle masks, pool mask, probability, steps) lets runs outgrow Python's
+    recursion limit; children go on in reverse, so the lowest envier's branch
+    is first.  Sets are built only for the steps and the final allocations."""
     if leaf_cap < 0:
         raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
     require_monotone_integer(inst)
+    values = _mask_values(inst)
     count = 0
-    stack = [(empty_start(inst), Fraction(1), ())]
+    stack = [((0,) * inst.n, (1 << inst.m) - 1, Fraction(1), ())]
     while stack:
-        alloc, prob, steps = stack.pop()
-        envy = pool_envy(inst, alloc)
+        masks, pool, prob, steps = stack.pop()
+        envy = _envied_subset(values, masks, pool)
         if envy is None:
             count += 1
             if count > leaf_cap:
                 raise ResourceCapError(f"branch enumeration exceeded {leaf_cap} leaves")
-            yield prob, alloc, SwapTrace(steps=steps)
+            yield prob, _allocation(masks, pool), SwapTrace(steps=steps)
             continue
         subset, enviers = envy
+        goods, rest = _goods(subset), pool & ~subset
         share = prob / len(enviers)
         for k in reversed(enviers):
-            step = SwapStep(subset=subset, enviers=enviers, chosen=k)
-            stack.append((_apply_swap(alloc, subset, k), share, steps + (step,)))
+            step = SwapStep(subset=goods, enviers=enviers, chosen=k)
+            stack.append((masks[:k] + (subset,) + masks[k + 1 :], rest | masks[k], share, steps + (step,)))
 
 
 def exact_distribution_charity(

@@ -47,7 +47,13 @@ from bobw.charity_algos import (
 from bobw.core import instance_from_json
 from bobw.rng import SplitMix64
 
-from helpers import capped_additive_instance, from_assignment, monotone_instance
+from helpers import (
+    additive_instance,
+    capped_additive_instance,
+    from_assignment,
+    lex_instance,
+    monotone_instance,
+)
 
 F = Fraction
 
@@ -136,6 +142,129 @@ def test_charity_swap_outcomes_over_instances_and_seeds():
             alloc, trace = random_charity_swap(inst, seed)
             assert check_efx_with_charity(inst, alloc).passed
             assert replay_swap_trace(inst, trace) == alloc
+
+
+# the frozenset pool-swap loop that the bitmask loop replaced, verbatim but
+# for the _ref_ names
+
+
+def _ref_minimal_envied_subset(
+    inst: Instance, alloc: IntegralAllocation, goods: Optional[frozenset[int]] = None
+) -> Optional[frozenset[int]]:
+    """Canonical inclusion-minimal subset of `goods` (default: the pool) that
+    some agent strictly prefers to its own bundle; None if nobody envies the
+    whole set.
+
+    One ascending-index sweep suffices: drop a good whenever the remainder is
+    still envied.  A good that could not be dropped earlier never becomes
+    droppable (shrinking the set only shrinks its subsets' values), so the
+    sweep ends inclusion-minimal, and by monotonicity single-good minimality
+    implies no proper subset is envied at all.
+    """
+    z = set(alloc.pool if goods is None else goods)
+    if not enviers_of_set(inst, alloc, z):
+        return None
+    for g in sorted(z):
+        without = z - {g}
+        if enviers_of_set(inst, alloc, without):
+            z = without
+    return frozenset(z)
+
+
+def _ref_pool_envy(
+    inst: Instance, alloc: IntegralAllocation
+) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
+    """One pool-swap step's choices: the canonical minimal envied pool subset
+    and its enviers in ascending order; None once nobody envies the pool."""
+    subset = _ref_minimal_envied_subset(inst, alloc)
+    if subset is None:
+        return None
+    return subset, tuple(enviers_of_set(inst, alloc, subset))
+
+
+def _ref_random_charity_swap(inst: Instance, seed: int) -> tuple[IntegralAllocation, SwapTrace]:
+    """Run the uniform-envier pool-swap loop from all goods pooled until no
+    agent envies the pool."""
+    require_monotone_integer(inst)
+    alloc = empty_start(inst)
+    rng = SplitMix64(seed)
+    steps = []
+    while (envy := _ref_pool_envy(inst, alloc)) is not None:
+        subset, enviers = envy
+        chosen = enviers[rng.below(len(enviers))]
+        steps.append(SwapStep(subset=subset, enviers=enviers, chosen=chosen))
+        alloc = _apply_swap(alloc, subset, chosen)
+    outcome = check_efx_with_charity(inst, alloc)
+    if not outcome.passed:  # pragma: no cover - the loop's exit guarantees this
+        raise AssertionError(f"pool-swap loop ended without its guarantee: {outcome.witness}")
+    return alloc, SwapTrace(steps=tuple(steps))
+
+
+def _ref_replay_swap_trace(inst: Instance, trace: SwapTrace) -> IntegralAllocation:
+    """Re-apply a recorded trace from all goods pooled; validates each step's
+    subset and enviers, that the chosen agent's gain raises the utility sum
+    every step, and that the trace ends where the loop does, with nobody
+    envying the pool."""
+    alloc = empty_start(inst)
+    for idx, step in enumerate(trace.steps):
+        envy = _ref_pool_envy(inst, alloc)
+        if envy is None or envy[0] != step.subset:
+            raise PreconditionError(f"step {idx}: recorded subset diverges from the canonical one")
+        if envy[1] != step.enviers or step.chosen not in step.enviers:
+            raise PreconditionError(f"step {idx}: recorded enviers diverge")
+        before = _utility_sum(inst, alloc)
+        alloc = _apply_swap(alloc, step.subset, step.chosen)
+        if _utility_sum(inst, alloc) <= before:
+            raise AssertionError(f"step {idx}: swap did not raise the utility sum")
+    if _ref_pool_envy(inst, alloc) is not None:
+        raise PreconditionError(f"step {len(trace.steps)}: trace ends while the pool is still envied")
+    return alloc
+
+
+def _replay_outcome(replay, inst, trace):
+    try:
+        return replay(inst, trace)
+    except (PreconditionError, AssertionError) as err:
+        return type(err), str(err)
+
+
+def test_bitmask_swap_loop_matches_the_frozenset_loop():
+    gen = _table_generator()
+    rng = SplitMix64(1707)
+    instances = []
+    for seed in range(16):
+        n, m = 2 + seed % 4, 3 + seed % 8
+        for capped in (False, True):
+            instances.append(instance_from_json(gen.table_instance_json(random.Random(seed), n, m, capped)))
+    for _ in range(16):
+        n, m = 1 + rng.below(4), rng.below(9)
+        zeros = Additive(tuple(rng.below(4) for _ in range(m)))  # ties and zero values
+        instances += [additive_instance(rng, n, m), lex_instance(rng, n, m)]
+        instances.append(Instance(n=n + 1, m=m, valuations=(zeros, *lex_instance(rng, n, m).valuations)))
+    mixed = monotone_instance(rng, 2, 6).valuations + additive_instance(rng, 1, 6).valuations
+    instances.append(Instance(n=4, m=6, valuations=(*mixed, Lexicographic((5, 0, 4, 1, 3, 2)))))
+    steps, refusals = 0, Counter()
+    for inst in instances:
+        for seed in range(5):
+            alloc, trace = random_charity_swap(inst, seed)
+            assert (alloc, trace) == _ref_random_charity_swap(inst, seed)
+            steps += len(trace.steps)
+            assert replay_swap_trace(inst, trace) == _ref_replay_swap_trace(inst, trace) == alloc
+            # doctored traces fail at the same step with the same message
+            for doctored in (
+                trace.steps[:-1],
+                trace.steps[1:],
+                trace.steps + trace.steps[-1:],
+                [SwapStep(s.subset, s.enviers[::-1], s.chosen) for s in trace.steps],
+                [SwapStep(s.subset, s.enviers, (s.chosen + 1) % inst.n) for s in trace.steps],
+            ):
+                doctored = SwapTrace(steps=tuple(doctored))
+                want = _replay_outcome(_ref_replay_swap_trace, inst, doctored)
+                assert _replay_outcome(replay_swap_trace, inst, doctored) == want
+                if isinstance(want, tuple):
+                    refusals[want[1].split(": ", 1)[1]] += 1
+    assert steps >= 1000
+    assert len(refusals) == 3 and min(refusals.values()) >= 50, refusals
 
 
 def test_replay_rejects_doctored_traces():

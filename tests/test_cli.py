@@ -234,15 +234,28 @@ _INSTANCE_JSON = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "rank
         {"valuations": [{"kind": "table", "values": [0, 1, 1, 2], "subadditive": "false"}]},
         {"labels": 5},
         {"epsilon": 0.5},
+        # numbers past Python's 4,300-digit limit on int() strings, in digits
+        # or in an exponent that would be expanded by arithmetic
+        {"valuations": [{"kind": "additive", "values": ["1e999999", "0"]}]},
+        {"valuations": [{"kind": "additive", "values": ["1" * 4301, "0"]}]},
+        {"valuations": [{"kind": "additive", "values": ["1/" + "3" * 4301, "0"]}]},
+        {"epsilon": "1e-1000000"},
+        {"epsilon": "0." + "0" * 4300 + "1"},
+        # a command line of its own
+        ["validate", "FIX-A", "--epsilon", "1e-99999999"],
     ],
-    ids=lambda e: json.dumps(e),
+    ids=lambda e: json.dumps(e) if len(json.dumps(e)) < 100 else json.dumps(e)[:60] + "...",
 )
 def test_malformed_instance_fields_are_precondition_errors(capsys, tmp_path, edit):
-    data = {**_INSTANCE_JSON, **edit}
-    data = {key: value for key, value in data.items() if value is not None}
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(data))
-    assert main(["validate", str(path)]) == 3
+    if isinstance(edit, list):
+        argv = edit
+    else:
+        data = {**_INSTANCE_JSON, **edit}
+        data = {key: value for key, value in data.items() if value is not None}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        argv = ["validate", str(path)]
+    assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
@@ -254,6 +267,7 @@ _UNREADABLE = {
     "not-utf-8": b'{"n": 1, "m": 2, "labels": ["\xff"]}',
     "nested-100000-deep": b"[" * 100_000 + b"]" * 100_000,
     "int-of-5000-digits": b'{"n": 1' + b"0" * 5000 + b"}",
+    "int-of-4301-digits-negative": b'{"n": -' + b"9" * 4301 + b"}",
 }
 
 
@@ -278,6 +292,9 @@ def test_unreadable_files_are_precondition_errors(capsys, tmp_path, case, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+    if case.startswith("int-"):
+        # the file and the limit, not Python's advice to raise the limit
+        assert err == f"error: {path}: holds an integer of more than 4300 digits, Python's limit for reading one\n"
 
 
 def test_unwritable_output_is_a_precondition_error(capsys, tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import le
+from typing import Sequence
 
 import pytest
 
@@ -357,6 +359,117 @@ def test_table_monotone_agrees_with_the_definition():
         assert validate_instance(inst).agents[0]["monotone"] == want
         seen.add(want)
     assert seen == {True, False}
+
+
+# the slicing check that the packed-int pass replaced, verbatim but for its name
+def _ref_table_monotone(weights: Sequence[int]) -> bool:
+    """v(S \\ {g}) <= v(S) for every S and g in S (enough, by induction).
+    For good g = log2(step) each mask without g pairs with the mask `step`
+    above it; the pairs are sliced out by residue modulo 2 * step while step
+    is small, and by block once it is large, so that each good takes at most
+    sqrt(2^m / 2) slice pairs."""
+    size, step = len(weights), 1
+    while step < size:
+        span = 2 * step
+        if step * span <= size:
+            pairs = ((weights[r::span], weights[r + step :: span]) for r in range(step))
+        else:
+            pairs = ((weights[lo : lo + step], weights[lo + step : lo + span]) for lo in range(0, size, span))
+        if not all(all(map(le, low, high)) for low, high in pairs):
+            return False
+        step = span
+    return True
+
+
+def _seeded_tables(rng, m):
+    """A monotone table, a capped additive one, each with one edge broken
+    (a value lowered below a subset's or raised above a superset's), and
+    each of those shifted below zero and past 2^64."""
+    monotone = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        monotone[mask] = max(monotone[mask ^ (1 << g)] for g in range(m) if mask >> g & 1) + rng.below(4)
+    per_good = [1 + rng.below(5) for _ in range(m)]
+    cap = rng.below(sum(per_good) + 1)
+    capped = [min(sum(per_good[g] for g in range(m) if mask >> g & 1), cap) for mask in range(1 << m)]
+    tables = []
+    for base in (monotone, capped):
+        tables.append(base)
+        if m:
+            mask = 1 + rng.below((1 << m) - 1)
+            lowered = list(base)
+            lowered[mask] = max(base[mask ^ (1 << g)] for g in range(m) if mask >> g & 1) - 1 - rng.below(2)
+            raised = list(base)
+            mask = rng.below((1 << m) - 1)
+            raised[mask] = min(base[mask | (1 << g)] for g in range(m) if not mask >> g & 1) + 1 + rng.below(2)
+            tables += [lowered, raised]
+    for table in list(tables):
+        tables.append([v - 1000 for v in table])
+        tables.append([v * 3**41 + 2**64 for v in table])
+        tables.append([-(2**70) + v for v in table])
+    return tables
+
+
+def test_packed_monotonicity_matches_the_slicing_check():
+    rng = SplitMix64(1717)
+    verdicts = set()
+    for m in range(13):
+        for _ in range(3 if m > 9 else 12):
+            for table in _seeded_tables(rng, m):
+                want = _ref_table_monotone(tuple(table))
+                assert core._table_monotone(tuple(table)) == want, (m, table)
+                verdicts.add((m > 0, want))
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+def _brute_force_verdicts(table, m):
+    pairs = [(s, t) for s in range(1 << m) for t in range(1 << m)]
+    monotone = all(table[s] <= table[t] for s, t in pairs if s & t == s)
+    subadditive = all(table[s | t] <= table[s] + table[t] for s, t in pairs)
+    return monotone, subadditive
+
+
+def test_table_verdicts_match_a_brute_force_over_all_pairs():
+    rng = SplitMix64(1718)
+    seen = set()
+    for m in range(6):
+        for _ in range(12):
+            tables = _seeded_tables(rng, m)
+            tables.append([rng.below(5) for _ in range(1 << m)])
+            tables.append([bin(mask).count("1") ** 2 for mask in range(1 << m)])  # superadditive
+            for table in tables:
+                monotone, subadditive = _brute_force_verdicts(table, m)
+                val = Table(tuple(table))
+                assert val.monotone == monotone
+                want = "non-monotone table" if not monotone else None if subadditive else "table not subadditive"
+                assert val.subadditive_error == want, (m, table)
+                seen.add(want)
+    assert seen == {None, "non-monotone table", "table not subadditive"}
+
+
+def test_packed_table_takes_at_most_four_bytes_per_bundle():
+    huge = 1 << 3_321_928  # a weight of 1,000,000 digits
+    for m in (0, 1, 5, 12, 14):
+        # popcounts fit a byte as they are; the masks themselves, also
+        # monotone, go in by rank (at m = 14, in 32 KB, past the mask cache)
+        for base in ([bin(mask).count("1") for mask in range(1 << m)], list(range(1 << m))):
+            top = list(base)
+            top[-1] += huge  # still monotone
+            middle = list(base)
+            middle[len(base) // 2] = huge  # breaks every edge above it, for m > 1
+            bottom = [v - 2**70 for v in base]
+            bottom[0] = -huge  # still monotone
+            negative = [-v - 1 for v in base]  # decreasing
+            for table in (base, top, middle, bottom, negative):
+                packed, nbytes = core._packed_table(tuple(table))
+                assert nbytes <= 4 and packed.bit_length() <= 32 * len(table)
+                want = _ref_table_monotone(tuple(table))
+                assert core._table_monotone(tuple(table)) == want
+                assert Table(tuple(table)).monotone == want
+            assert core._table_monotone(tuple(top)) and core._table_monotone(tuple(bottom))
+            assert core._table_monotone(tuple(middle)) == (m < 2)
+            assert core._table_monotone(tuple(negative)) == (m == 0)
+        assert core._packed_table(tuple(base))[1] == (1 if m < 8 else 2)
+    assert core._packed_table(tuple(bin(mask).count("1") for mask in range(1 << 14)))[1] == 1
 
 
 def test_allocation_json_rejects_malformed_fields():

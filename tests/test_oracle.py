@@ -34,7 +34,7 @@ from bobw.charity_algos import _apply_swap, empty_start
 from bobw.cli import main
 from bobw.rng import SplitMix64
 
-from helpers import capped_additive_instance, lex_instance, monotone_instance
+from helpers import additive_instance, capped_additive_instance, lex_instance, monotone_instance
 
 F = Fraction
 
@@ -174,12 +174,17 @@ def test_branch_enumeration_matches_the_recursive_walk():
     for k in range(60):
         make = (monotone_instance, capped_additive_instance)[k % 2]
         instances.append(make(rng, 2 + rng.below(3), 2 + rng.below(5)))
+    # per-good weights take the other bitmask valuation: a sum over the bits
+    rng = SplitMix64(4420)
+    for k in range(30):
+        make = (additive_instance, lex_instance)[k % 2]
+        instances.append(make(rng, 2 + rng.below(3), 1 + rng.below(5)))
     leaves = 0
     for inst in instances:
         branches = list(iter_charity_branches(inst))
         assert branches == list(_ref_iter_charity_branches(inst))
         leaves += len(branches)
-    assert leaves > 500
+    assert leaves > 3000  # about 2,570 over tables and 1,050 over per-good weights
 
 
 def test_long_swap_run_needs_no_stack_depth(capsys, tmp_path):
