@@ -43,7 +43,7 @@ def main() -> None:
     print("  final:", _show(tightened))
     print("  pool bounded:", check_bounded_charity(inst, tightened).passed)
 
-    # exact law of the randomized loop, by branch enumeration
+    # exact law of the randomized loop, by a walk that merges equal states
     dist = exact_distribution_charity(inst, algorithm=3)
     print("\nexact distribution over final allocations:")
     for weight, outcome in dist.support:

@@ -142,13 +142,12 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
                         return AuditReport("efx", False, _pair_witness(i, j, good=g))
             continue
         weight = w.__getitem__
-        least = min(w, default=0)  # bounds every bundle's least weight from below
         for j in multi if vi >= 0 else inst.agents:
             bundle = bundles[j]
             if i == j or not bundle:
                 continue
             total = sum(map(weight, bundle))
-            if vi < total - least and vi < total - min(map(weight, bundle)):
+            if vi < total - min(map(weight, bundle)):
                 g = next(g for g in bundle if vi < total - w[g])
                 return AuditReport("efx", False, _pair_witness(i, j, good=g))
     return AuditReport("efx", True)

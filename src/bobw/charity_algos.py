@@ -14,9 +14,9 @@ One routine, `_envied_subset`, finds that step's subset and enviers on
 bitmasks: it reads each agent's own value once per step and each
 candidate's value once per agent, a table by one lookup of `weights[mask]`
 and per-good weights by a sum over the mask's bits.  The sampler, the
-trace replay and `oracle`'s exact branch enumerator carry (bundle masks,
-pool mask) and build sets only for the trace's subsets and the allocation
-they return; `pool_envy` and `minimal_envied_subset`, the same routine on
+trace replay and `oracle`'s exact walk over swap-loop states carry (bundle
+masks, pool mask) and build sets only for the trace's subsets and the
+allocations they return; `pool_envy` and `minimal_envied_subset`, the same routine on
 sets, serve the post-pass.
 
 The deterministic post-pass shrinks the pool below the number of unenvied

@@ -627,7 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=list(_ORACLE_OPS))
     p.add_argument("--supports", help="allocations JSON for sdef-feasibility")
     p.add_argument(
-        "--leaf-cap", type=int, help=f"branch leaf limit for the exact-* ops (default {DEFAULT_LEAF_CAP})"
+        "--leaf-cap",
+        type=int,
+        help=f"limit on distinct swap-loop states for the exact-* ops (default {DEFAULT_LEAF_CAP})",
     )
     p.set_defaults(fn=cmd_oracle)
 

@@ -38,6 +38,7 @@ where they enter an algorithm.
 from __future__ import annotations
 
 import json
+import reprlib
 import sys
 from array import array
 from dataclasses import dataclass
@@ -86,12 +87,12 @@ def parse_exact(value: Union[int, str, Fraction]) -> Union[int, Fraction]:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
-            raise PreconditionError(f"cannot interpret {value!r} as a rational") from None
+            raise PreconditionError(f"cannot interpret {reprlib.repr(value)} as a rational") from None
     if isinstance(value, bool):
         raise PreconditionError("booleans are not rationals")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise PreconditionError(f"cannot interpret {value!r} as a rational")
+    raise PreconditionError(f"cannot interpret {reprlib.repr(value)} as a rational")
 
 
 def _require_digit_limit(text: str) -> None:

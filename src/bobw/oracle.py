@@ -1,5 +1,5 @@
 """Independent ground-truth references: brute-force enumeration, exact linear
-feasibility, exact branch distributions, and seeded Monte Carlo envy ratios.
+feasibility, exact swap-loop distributions, and seeded Monte Carlo envy ratios.
 
 Everything here is deliberately simple and exhaustive; these routines exist
 to check the fast constructions, not to be fast themselves.  The linear
@@ -11,23 +11,15 @@ inequality, and a feasible one yields explicit witness weights.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .audit import check_efx, check_sdef
-from .charity_algos import (
-    SwapStep,
-    SwapTrace,
-    _allocation,
-    _envied_subset,
-    _goods,
-    _mask_values,
-    bounded_charity,
-    require_monotone_integer,
-)
+from .charity_algos import _allocation, _envied_subset, _mask_values, bounded_charity, require_monotone_integer
 from .core import (
     Instance,
     IntegralAllocation,
@@ -273,48 +265,51 @@ def _certificate_chain(cid: int, steps: list[dict], labels: dict[int, str]) -> d
 # exact distribution of the pool-swap samplers
 
 
-def iter_charity_branches(
-    inst: Instance, leaf_cap: int = DEFAULT_LEAF_CAP
-) -> Iterator[tuple[Fraction, IntegralAllocation, SwapTrace]]:
-    """Depth-first enumeration of every run of the uniform pool-swap loop;
-    yields (path probability, final allocation, trace).  An explicit stack of
-    (bundle masks, pool mask, probability, steps) lets runs outgrow Python's
-    recursion limit; children go on in reverse, so the lowest envier's branch
-    is first.  Sets are built only for the steps and the final allocations."""
-    if leaf_cap < 0:
-        raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
-    require_monotone_integer(inst)
-    values = _mask_values(inst)
-    count = 0
-    stack = [((0,) * inst.n, (1 << inst.m) - 1, Fraction(1), ())]
-    while stack:
-        masks, pool, prob, steps = stack.pop()
-        envy = _envied_subset(values, masks, pool)
-        if envy is None:
-            count += 1
-            if count > leaf_cap:
-                raise ResourceCapError(f"branch enumeration exceeded {leaf_cap} leaves")
-            yield prob, _allocation(masks, pool), SwapTrace(steps=steps)
-            continue
-        subset, enviers = envy
-        goods, rest = _goods(subset), pool & ~subset
-        share = prob / len(enviers)
-        for k in reversed(enviers):
-            step = SwapStep(subset=goods, enviers=enviers, chosen=k)
-            stack.append((masks[:k] + (subset,) + masks[k + 1 :], rest | masks[k], share, steps + (step,)))
-
-
 def exact_distribution_charity(
     inst: Instance, algorithm: int = 3, leaf_cap: int = DEFAULT_LEAF_CAP
 ) -> RandomizedAllocation:
     """Exact output lottery of the randomized pool-swap loop (algorithm=3),
     optionally followed by the deterministic pool-shrinking pass
-    (algorithm=4).  Duplicate outcomes are merged; nothing else is.  The
-    pass is deterministic, so it runs once per distinct swap-loop outcome
-    and the merged results are merged again."""
+    (algorithm=4).
+
+    The loop is a Markov chain on (bundle masks, pool mask) states, and many
+    runs reach the same state, so the walk keeps one mass per state and
+    expands each state once; `leaf_cap` bounds the number of distinct
+    states.  A swap strictly raises the chosen agent's own value and leaves
+    everyone else's alone, so the sum of own values rises along every edge:
+    states popped from a heap keyed by that sum come off only after every
+    state that leads to them.  The pass is deterministic, so it runs once per
+    distinct swap-loop outcome and the merged results are merged again."""
     if algorithm not in (3, 4):
         raise PreconditionError("algorithm must be 3 (swap loop) or 4 (with pool shrinking)")
-    lottery = RandomizedAllocation.merged((p, a) for p, a, _ in iter_charity_branches(inst, leaf_cap))
+    if leaf_cap < 0:
+        raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
+    require_monotone_integer(inst)
+    values = _mask_values(inst)
+    start = ((0,) * inst.n, (1 << inst.m) - 1)
+    mass = {start: Fraction(1)}
+    heap = [(0, *start)]  # every empty bundle is worth 0
+    leaves = []
+    while heap:
+        key, masks, pool = heapq.heappop(heap)
+        prob = mass[masks, pool]
+        envy = _envied_subset(values, masks, pool)
+        if envy is None:
+            leaves.append((prob, _allocation(masks, pool)))
+            continue
+        subset, enviers = envy
+        rest = pool & ~subset
+        share = prob / len(enviers)
+        for k in enviers:
+            child = (masks[:k] + (subset,) + masks[k + 1 :], rest | masks[k])
+            if child in mass:
+                mass[child] += share
+                continue
+            mass[child] = share
+            if len(mass) > leaf_cap:
+                raise ResourceCapError(f"exact walk exceeded {leaf_cap} states")
+            heapq.heappush(heap, (key - values[k](masks[k]) + values[k](subset), *child))
+    lottery = RandomizedAllocation.merged(leaves)
     if algorithm == 4:
         lottery = RandomizedAllocation.merged((p, bounded_charity(inst, a)) for p, a in lottery.support)
     return lottery

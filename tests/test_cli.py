@@ -241,6 +241,10 @@ _INSTANCE_JSON = {"n": 1, "m": 2, "valuations": [{"kind": "lexicographic", "rank
         {"valuations": [{"kind": "additive", "values": ["1/" + "3" * 4301, "0"]}]},
         {"epsilon": "1e-1000000"},
         {"epsilon": "0." + "0" * 4300 + "1"},
+        # long junk, echoed in part
+        {"valuations": [{"kind": "additive", "values": ["1e" + "9" * 5000, "0"]}]},
+        {"valuations": [{"kind": "additive", "values": ["x" * 5000, "0"]}]},
+        {"valuations": [{"kind": "additive", "values": ["1/" + "a" * 5000, "0"]}]},
         # a command line of its own
         ["validate", "FIX-A", "--epsilon", "1e-99999999"],
     ],
@@ -259,6 +263,7 @@ def test_malformed_instance_fields_are_precondition_errors(capsys, tmp_path, edi
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+    assert len(err) < 200
 
 
 # files that cannot be read as JSON, by what is wrong with them
@@ -626,6 +631,10 @@ def test_oracle_leaf_cap(capsys):
     code = main(["oracle", "FIX-E", "--op", "exact-charity", "--leaf-cap", "2"])
     assert code == 4
     assert "resource cap" in capsys.readouterr().err
+    # the cap counts distinct states: FIX-E's loop has 6 runs but 10 states
+    assert main(["oracle", "FIX-E", "--op", "exact-charity", "--leaf-cap", "9"]) == 4
+    assert capsys.readouterr() == ("", "resource cap: exact walk exceeded 9 states\n")
+    assert main(["oracle", "FIX-E", "--op", "exact-charity", "--leaf-cap", "10"]) == 0
 
 
 @pytest.mark.parametrize(

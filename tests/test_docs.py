@@ -1,4 +1,5 @@
-"""The README's command lines, its library tour and the demos run and exit 0.
+"""The README's command lines, its library tour and the demos run and exit 0,
+and every `module.name` it names in a `bobw` submodule exists.
 
 The CLI section of README.md holds two shell blocks: independent `bobw`
 commands, and a `solve -o` / `python3 -c` / `verify` sequence that writes
@@ -8,7 +9,9 @@ README's one python block.
 
 from __future__ import annotations
 
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import bobw
 from bobw.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,3 +72,14 @@ def test_readme_library_tour_exits_zero():
 def test_demo_exits_zero(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=ENV, capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_readme_names_only_attributes_that_exist():
+    submodules = {info.name for info in pkgutil.iter_modules(bobw.__path__)}
+    refs = re.findall(r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text())
+    named = sorted({(module, name) for module, name in refs if module in submodules})
+    assert named  # the README names some, e.g. `core.read_json`
+    missing = [
+        f"{module}.{name}" for module, name in named if not hasattr(importlib.import_module(f"bobw.{module}"), name)
+    ]
+    assert missing == []

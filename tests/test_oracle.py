@@ -22,7 +22,6 @@ from bobw import (
     exact_distribution_charity,
     get_fixture,
     instance_to_json,
-    iter_charity_branches,
     minimal_envied_subset,
     random_charity_swap,
     replay_swap_trace,
@@ -30,7 +29,15 @@ from bobw import (
 )
 from bobw import oracle
 from bobw.audit import enviers_of_set
-from bobw.charity_algos import _apply_swap, empty_start
+from bobw.charity_algos import (
+    _allocation,
+    _apply_swap,
+    _envied_subset,
+    _goods,
+    _mask_values,
+    empty_start,
+    require_monotone_integer,
+)
 from bobw.cli import main
 from bobw.rng import SplitMix64
 
@@ -141,9 +148,39 @@ def test_feasibility_result_json():
     assert js == {"feasible": True, "weights": ["1/2", "1/2"]}
 
 
+def _ref_iter_charity_branches_iterative(inst, leaf_cap=oracle.DEFAULT_LEAF_CAP):
+    """Depth-first enumeration of every run of the uniform pool-swap loop;
+    yields (path probability, final allocation, trace).  An explicit stack of
+    (bundle masks, pool mask, probability, steps) lets runs outgrow Python's
+    recursion limit; children go on in reverse, so the lowest envier's branch
+    is first.  Sets are built only for the steps and the final allocations."""
+    # the tree enumerator the merged walk replaced, kept as a reference
+    if leaf_cap < 0:
+        raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
+    require_monotone_integer(inst)
+    values = _mask_values(inst)
+    count = 0
+    stack = [((0,) * inst.n, (1 << inst.m) - 1, Fraction(1), ())]
+    while stack:
+        masks, pool, prob, steps = stack.pop()
+        envy = _envied_subset(values, masks, pool)
+        if envy is None:
+            count += 1
+            if count > leaf_cap:
+                raise ResourceCapError(f"branch enumeration exceeded {leaf_cap} leaves")
+            yield prob, _allocation(masks, pool), SwapTrace(steps=steps)
+            continue
+        subset, enviers = envy
+        goods, rest = _goods(subset), pool & ~subset
+        share = prob / len(enviers)
+        for k in reversed(enviers):
+            step = SwapStep(subset=goods, enviers=enviers, chosen=k)
+            stack.append((masks[:k] + (subset,) + masks[k + 1 :], rest | masks[k], share, steps + (step,)))
+
+
 def test_branch_enumeration_covers_the_whole_tree():
     inst = get_fixture("FIX-E")
-    branches = list(iter_charity_branches(inst))
+    branches = list(_ref_iter_charity_branches_iterative(inst))
     assert len(branches) == 6
     assert sum((p for p, _, _ in branches), start=F(0)) == 1
     for prob, alloc, trace in branches:
@@ -181,8 +218,9 @@ def test_branch_enumeration_matches_the_recursive_walk():
         instances.append(make(rng, 2 + rng.below(3), 1 + rng.below(5)))
     leaves = 0
     for inst in instances:
-        branches = list(iter_charity_branches(inst))
+        branches = list(_ref_iter_charity_branches_iterative(inst))
         assert branches == list(_ref_iter_charity_branches(inst))
+        assert exact_distribution_charity(inst, 3) == RandomizedAllocation.merged((p, a) for p, a, _ in branches)
         leaves += len(branches)
     assert leaves > 3000  # about 2,570 over tables and 1,050 over per-good weights
 
@@ -240,8 +278,22 @@ def test_post_pass_runs_once_per_distinct_swap_loop_outcome(monkeypatch):
         got = exact_distribution_charity(inst, algorithm=4)
         outcomes = [a for _, a in exact_distribution_charity(inst, algorithm=3).support]
         assert calls == outcomes
-        branches = iter_charity_branches(inst)
+        branches = _ref_iter_charity_branches_iterative(inst)
         assert got == RandomizedAllocation.merged((p, bounded_charity(inst, a)) for p, a, _ in branches)
+
+
+def test_merged_walk_finishes_where_the_tree_outgrows_the_cap():
+    # the second 4/8 table of seed 9001: 13,249 runs of the loop reach only
+    # 666 distinct states
+    rng = SplitMix64(9001)
+    monotone_instance(rng, 4, 8)
+    inst = capped_additive_instance(rng, 4, 8)
+    branches = list(_ref_iter_charity_branches_iterative(inst))
+    assert len(branches) == 13249
+    with pytest.raises(ResourceCapError):
+        exact_distribution_charity(inst, algorithm=3, leaf_cap=665)
+    got = exact_distribution_charity(inst, algorithm=3, leaf_cap=1000)
+    assert got == RandomizedAllocation.merged((p, a) for p, a, _ in branches)
 
 
 def test_branch_caps_and_algorithm_validation():
