@@ -135,8 +135,11 @@ def json_goods(items, what: str) -> list[int]:
     return items
 
 
-def _as_bundle(goods: Iterable[int]) -> frozenset[int]:
-    return goods if isinstance(goods, frozenset) else frozenset(goods)
+def sums_to_one(weights: Sequence[Fraction]) -> bool:
+    """Whether exact rationals add up to exactly 1: one integer sum over the
+    LCM of their denominators, with no intermediate Fractions."""
+    D = lcm(*(w.denominator for w in weights))
+    return sum(w.numerator * (D // w.denominator) for w in weights) == D
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +516,12 @@ class IntegralAllocation:
     pool: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(_as_bundle(b) for b in self.bundles))
-        object.__setattr__(self, "pool", _as_bundle(self.pool))
-        seen: set[int] = set()
-        for part in (*self.bundles, self.pool):
-            if seen & part:
-                raise PreconditionError("bundles and pool must be pairwise disjoint")
-            seen |= part
+        # frozenset() of a frozenset returns it unchanged
+        parts = (*map(frozenset, self.bundles), frozenset(self.pool))
+        object.__setattr__(self, "bundles", parts[:-1])
+        object.__setattr__(self, "pool", parts[-1])
+        if len(frozenset().union(*parts)) != sum(map(len, parts)):
+            raise PreconditionError("bundles and pool must be pairwise disjoint")
 
     @property
     def n(self) -> int:
@@ -561,7 +563,7 @@ class RandomizedAllocation:
         object.__setattr__(self, "support", sup)
         if any(p <= 0 for p, _ in sup):
             raise PreconditionError("support probabilities must be positive")
-        if sum(p for p, _ in sup) != 1:
+        if not sums_to_one([p for p, _ in sup]):
             raise PreconditionError("support probabilities must sum to exactly one")
         if len({a.n for _, a in sup}) > 1:
             raise PreconditionError("support outcomes must all have the same number of bundles")

@@ -115,23 +115,45 @@ def _tail_lottery(
     elif decomposition.reconstruct(inst.n, len(summary.eaten)) != summary.X:
         raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
     # with dummy goods (m < n) every term is a perfect matching: the tail is
-    # empty and the k winners' copies of one outcome merge back to weight w
+    # empty and the k winners' copies of one outcome merge back to weight w.
+    # Outcomes merge as they are made, keyed by their bundles' sorted goods
+    # (every pool is empty); masses add up as ints over the LCM of the term
+    # weights' denominators.
     k = int(summary.k)
-    goods = frozenset(range(inst.m))
-    support = []
+    m = inst.m
+    goods = frozenset(range(m))
+    outside = summary.L | summary.U
+    scale = math.lcm(*(w.denominator for w, _ in decomposition.terms))
+    mass: dict[tuple, int] = {}
+    outcomes: dict[tuple, list[frozenset[int]]] = {}
     for w, assignment in decomposition.terms:
-        tail = goods - frozenset(assignment)
-        if not tail <= (summary.L | summary.U):
+        tail = goods.difference(assignment)
+        if not tail <= outside:
             raise AssertionError("unallocated tail reaches outside the last/untouched goods")
-        winners = [i for i in inst.agents if assignment[i] in summary.L]
+        winners = [i for i, g in enumerate(assignment) if g in summary.L]
         if len(winners) != k:
             raise AssertionError("a term does not hold exactly k last goods")
-        held = [frozenset({g}) if g < inst.m else frozenset() for g in assignment]
+        held = [frozenset((g,)) if g < m else frozenset() for g in assignment]
+        keys = [(g,) if g < m else () for g in assignment]
+        units = w.numerator * (scale // w.denominator)
         for i in winners:
-            bundles = list(held)
-            bundles[i] = bundles[i] | tail
-            support.append((w / k, IntegralAllocation(bundles=tuple(bundles))))
-    return RandomizedAllocation.merged(support)
+            bundle = held[i] | tail
+            own = keys[i]
+            keys[i] = tuple(sorted(bundle))
+            key = tuple(keys)
+            keys[i] = own
+            if key in mass:
+                mass[key] += units
+            else:
+                mass[key] = units
+                outcomes[key] = bundles = held.copy()
+                bundles[i] = bundle
+    return RandomizedAllocation(
+        tuple(
+            (Fraction(mass[key], scale * k), IntegralAllocation(bundles=tuple(outcomes[key])))
+            for key in sorted(mass)
+        )
+    )
 
 
 def k2_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:

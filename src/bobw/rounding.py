@@ -10,9 +10,14 @@ scans), repair it so that every column whose sum equals the common row sum
 stays matched (such columns must lose mass every round or they could never
 finish), extract the largest weight that keeps the residual well-shaped, and
 subtract.  Each extraction either zeroes an entry or saturates a column, so
-the loop terminates with an exact reconstruction.  The column sums and each
-row's positive entries are kept across terms: a term lowers only its
-matched entries and their columns.
+the loop terminates with an exact reconstruction.  The column sums, each
+row's positive entries (``adj``) and each column's positive entries
+(``col_adj``) are kept across terms: a term lowers only its matched
+entries and their columns, and drops an entry that reaches 0 from both
+lists.  The matching resumes too: each root's search records the columns
+it reached, and since the graph only loses edges, a term reruns the search
+only from the first root that reached a column along an edge the previous
+term removed.  So every term gets the matching a search from scratch would.
 
 ``dependent_round`` rounds a fractional matrix with integral column sums to a
 0/1 matrix by randomized pipage: repeatedly pick a cycle (else a maximal
@@ -40,7 +45,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .core import PreconditionError, format_rational, json_field, json_goods, parse_exact, parse_rational
+from .core import (
+    PreconditionError,
+    format_rational,
+    json_field,
+    json_goods,
+    parse_exact,
+    parse_rational,
+    sums_to_one,
+)
 from .eating import TraceSummary
 from .rng import SplitMix64
 
@@ -76,7 +89,7 @@ class Decomposition:
         )
         if any(w <= 0 for w, _ in self.terms):
             raise PreconditionError("term weights must be positive")
-        if sum(w for w, _ in self.terms) != 1:
+        if not sums_to_one([w for w, _ in self.terms]):
             raise PreconditionError("term weights must sum to exactly one")
         for _, assignment in self.terms:
             if len(set(assignment)) != len(assignment):
@@ -111,35 +124,60 @@ class Decomposition:
         )
 
 
+def _kuhn_search(adj: list[list[int]], match_col: dict[int, int], root: int) -> dict[int, int]:
+    """Extend the matching `match_col` ({column: row}) to row `root` by the
+    first augmenting path in ascending-index order.  The search keeps its own
+    stack of (row, column iterator) with the column each row is trying, so
+    the length of an augmenting path is not bounded by Python's recursion
+    limit.  Returns {column: row} for every column the search reached, with
+    the row it reached the column from."""
+    reached: dict[int, int] = {}
+    stack = [(root, iter(adj[root]))]
+    path: list[int] = []  # path[k] is the column stack[k] is trying
+    while stack:
+        row, cols = stack[-1]
+        for g in cols:
+            if g not in reached:
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        reached[g] = row
+        path.append(g)
+        row = match_col.get(g)
+        if row is None:
+            break
+        stack.append((row, iter(adj[row])))
+    else:
+        raise PreconditionError("no agent-saturating matching: matrix violates its shape preconditions")
+    for (row, _), g in zip(stack, path):
+        match_col[g] = row
+    return reached
+
+
 def _kuhn_matching(adj: list[list[int]], n: int) -> dict[int, int]:
     """Matching saturating every row vertex; ascending-index augmenting paths.
-    Returns {column: row}.  Each search keeps its own stack of (row, column
-    iterator) with the column each row is trying, so the length of an
-    augmenting path is not bounded by Python's recursion limit."""
+    Returns {column: row}."""
     match_col: dict[int, int] = {}
     for root in range(n):
-        seen: set[int] = set()
-        stack = [(root, iter(adj[root]))]
-        path: list[int] = []  # path[k] is the column stack[k] is trying
-        while stack:
-            for g in stack[-1][1]:
-                if g not in seen:
-                    break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-                continue
-            seen.add(g)
-            path.append(g)
-            row = match_col.get(g)
-            if row is None:
-                break
-            stack.append((row, iter(adj[row])))
-        else:
-            raise PreconditionError("no agent-saturating matching: matrix violates its shape preconditions")
-        for (row, _), g in zip(stack, path):
-            match_col[g] = row
+        _kuhn_search(adj, match_col, root)
+    return match_col
+
+
+def _resume_matching(
+    adj: list[list[int]], runs: list[tuple[dict[int, int], dict[int, int]]], start: int
+) -> dict[int, int]:
+    """_kuhn_matching(adj, len(adj)), rerun only from root `start`.  runs[r]
+    holds what root r's search reached and a copy of the matching after it;
+    runs[:start] must still hold on `adj`, as they do when `adj` has only
+    lost edges since and none of those edges was reached.  The rest of `runs`
+    is redone.  Returns a fresh copy of the matching."""
+    match_col = dict(runs[start - 1][1]) if start else {}
+    del runs[start:]
+    for root in range(start, len(adj)):
+        runs.append((_kuhn_search(adj, match_col, root), dict(match_col)))
     return match_col
 
 
@@ -199,15 +237,14 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
             raise PreconditionError(f"column {j} sums above one")
 
     adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
+    col_adj = [[i for i in range(n) if X[i][j] > 0] for j in range(m)]
+    runs: list[tuple[dict[int, int], dict[int, int]]] = []
+    start = 0
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
     remaining = D
     while remaining > 0:
-        col_adj: list[list[int]] = [[] for _ in range(m)]
-        for i, goods in enumerate(adj):
-            for g in goods:
-                col_adj[g].append(i)
         full = {j for j in range(m) if col_sums[j] == remaining}
-        match_col = _kuhn_matching(adj, n)
+        match_col = _resume_matching(adj, runs, start)
         for c in sorted(full):
             if not _repair_matching(col_adj, match_col, c, protected=full):
                 raise AssertionError("a saturated column could not be matched")
@@ -236,13 +273,23 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
 
         if weight <= 0:  # pragma: no cover - shape invariants forbid this
             raise AssertionError("nonpositive extraction weight")
-        vector = tuple(g for _, g in sorted((i, g) for g, i in match_col.items()))
-        terms.append((Fraction(weight, D), vector))
+        vector = [0] * n
+        for g, i in match_col.items():
+            vector[i] = g
+        terms.append((Fraction(weight, D), tuple(vector)))
+        # The graph only loses edges, so a root's search runs as before
+        # unless it reached a column along an edge this term removes.
+        start = n
         for i, g in enumerate(vector):
             X[i][g] -= weight
             col_sums[g] -= weight
             if X[i][g] == 0:
                 adj[i].remove(g)
+                col_adj[g].remove(i)
+                for r in range(start):
+                    if runs[r][0].get(g) == i:
+                        start = r
+                        break
         remaining -= weight
 
     if any(x != 0 for row in X for x in row):  # pragma: no cover

@@ -156,10 +156,24 @@ def test_validate_checks_fix_b_additive_is_lexicographic():
 
 
 def test_integral_allocation_rejects_overlap():
-    with pytest.raises(PreconditionError):
-        IntegralAllocation(bundles=(frozenset({0}), frozenset({0})))
-    with pytest.raises(PreconditionError):
-        IntegralAllocation(bundles=(frozenset({0}),), pool=frozenset({0}))
+    overlapping = [
+        {"bundles": (frozenset({0}), frozenset({0}))},
+        {"bundles": (frozenset({0}),), "pool": frozenset({0})},
+        # bundles 0 and 2 share good 1, with a disjoint bundle between them
+        {"bundles": (frozenset({0, 1}), frozenset({2}), frozenset({1, 3}))},
+        {"bundles": (frozenset({5}), frozenset({4, 5}), frozenset({5, 6}))},
+        {"bundles": (frozenset({0}), frozenset({1})), "pool": frozenset({1, 2})},
+        {"bundles": ([0, 1], [1])},
+        {"bundles": ({0}, {2}, {0, 3})},
+        {"bundles": ((g for g in (0, 1)), (g for g in (1, 2)))},
+    ]
+    for kwargs in overlapping:
+        with pytest.raises(PreconditionError, match="^bundles and pool must be pairwise disjoint$"):
+            IntegralAllocation(**kwargs)
+    # a good repeated inside one bundle is no overlap
+    a = IntegralAllocation(bundles=([0, 0], {1}, (g for g in (2,))), pool=[3])
+    assert a.bundles == (frozenset({0}), frozenset({1}), frozenset({2}))
+    assert a.pool == frozenset({3})
 
 
 def test_integral_allocation_completeness_and_key():
@@ -187,8 +201,17 @@ def test_randomized_allocation_merges_duplicate_outcomes():
 
 def test_randomized_allocation_requires_probabilities_summing_to_one():
     a = IntegralAllocation(bundles=(frozenset({0}),))
-    with pytest.raises(PreconditionError):
-        RandomizedAllocation(support=((F(1, 2), a),))
+    b = IntegralAllocation(bundles=(frozenset({1}),))
+    c = IntegralAllocation(bundles=(frozenset({2}),))
+    short = F(1, 2) - F(1, 10**60)
+    for support in [((F(1, 2), a),), (), ((F(1, 2), a), (short, b)), (("1/3", a), ("1/3", b))]:
+        with pytest.raises(PreconditionError, match="sum to exactly one"):
+            RandomizedAllocation(support=support)
+    assert RandomizedAllocation(support=(("1/3", a), ("2/3", b))).support[1][0] == F(2, 3)
+    # large coprime denominators: the common denominator is their product
+    p, q = F(1, 2**127 - 1), F(1, 10**40 + 1)
+    dist = RandomizedAllocation(support=((p, a), (q, b), (1 - p - q, c)))
+    assert [w for w, _ in dist.support] == [p, q, 1 - p - q]
 
 
 def test_randomized_allocation_refuses_outcomes_with_different_bundle_counts():

@@ -332,14 +332,27 @@ def _differential_instances():
         for m in range(1, 13):  # m < n pads with dummy goods
             yield lex_instance(rng, n, m)
             yield additive_instance(rng, n, m)
+    # the benchmark's sizes: each term's tail goes to one of k >= 9 winners,
+    # and hundreds of outcomes merge into one lottery
+    for n in (12, 32):
+        for draw in (lex_instance, lambda rng, n, m: additive_instance(rng, n, m, spread=4 * m)):
+            kept = 0
+            while kept < 2:
+                inst = draw(rng, n, 2 * n)
+                if summarize(unit_run(inst)).k >= 9:
+                    kept += 1
+                    yield inst
 
 
 def test_utse_matches_the_two_branch_reference():
     padded = 0
+    largest = 0
     for inst in _differential_instances():
         pinned = bvn_decompose(summarize(unit_run(inst)).X)
         for decomposition in (None, pinned):
             got = utse(inst, decomposition)
             assert got.to_json() == _ref_utse(inst, decomposition).to_json()
         padded += inst.m < inst.n
+        largest = max(largest, len(got.support))
     assert padded == 2 * 36
+    assert largest >= 150

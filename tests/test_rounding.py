@@ -18,6 +18,7 @@ from bobw import (
     summarize,
     unit_run,
 )
+from bobw import rounding
 from bobw.rng import SplitMix64, derive_seed
 from bobw.rounding import _kuhn_matching
 
@@ -83,6 +84,15 @@ def test_decomposition_rejects_bad_weights_and_overlaps():
         Decomposition(terms=((F(1), (0, 0)),))
     with pytest.raises(PreconditionError):
         Decomposition(terms=((F(3, 2), (0, 1)), (F(-1, 2), (1, 0))))
+    short = F(1, 2) - F(1, 10**60)
+    for terms in [(), ((F(1, 2), (0, 1)), (short, (1, 0))), (("1/3", (0, 1)), ("1/3", (1, 0)))]:
+        with pytest.raises(PreconditionError, match="sum to exactly one"):
+            Decomposition(terms=terms)
+    assert Decomposition(terms=(("1/3", (0, 1)), ("2/3", (1, 0)))).terms[1] == (F(2, 3), (1, 0))
+    # large coprime denominators: the common denominator is their product
+    p, q = F(1, 2**127 - 1), F(1, 10**40 + 1)
+    decomp = Decomposition(terms=((p, (0, 1)), (q, (1, 0)), (1 - p - q, (0, 2))))
+    assert decomp.reconstruct(2, 3) == ((1 - q, q, F(0)), (q, p, 1 - p - q))
 
 
 def test_reconstruct_refuses_terms_that_do_not_fit():
@@ -104,7 +114,7 @@ def test_bvn_rejects_bad_rows():
         bvn_decompose(((F(5, 4), F(-1, 4)),))  # out of range entries
 
 
-def test_bvn_random_submatrices_of_assignments_reconstruct():
+def _assignment_mixtures():
     # convex combinations of valid one-good-per-agent assignments are exactly
     # the feasible inputs, so sampling them exercises every branch
     rng = SplitMix64(200)
@@ -119,32 +129,62 @@ def test_bvn_random_submatrices_of_assignments_reconstruct():
             perm = rng.permutation(m)[:n]
             for i, g in enumerate(perm):
                 rows[i][g] += F(w, total)
+        yield rows
+
+
+def _eating_summaries(seed: int):
+    rng = SplitMix64(seed)
+    for _ in range(30):
+        n = 2 + rng.below(4)
+        m = max(n, 2 + rng.below(7))
+        yield summarize(unit_run(lex_instance(rng, n, m)))
+
+
+def test_bvn_random_submatrices_of_assignments_reconstruct():
+    for rows in _assignment_mixtures():
         _reconstruct_and_check(rows)
 
 
 def test_bvn_eating_matrices_reconstruct():
-    rng = SplitMix64(201)
-    for _ in range(30):
-        n = 2 + rng.below(4)
-        m = max(n, 2 + rng.below(7))
-        inst = lex_instance(rng, n, m)
-        s = summarize(unit_run(inst))
+    for s in _eating_summaries(201):
         _reconstruct_and_check(s.X)
 
 
 def test_bvn_term_gaps_stay_inside_last_and_untouched_goods():
-    rng = SplitMix64(202)
-    for _ in range(30):
-        n = 2 + rng.below(4)
-        m = max(n, 2 + rng.below(7))
-        inst = lex_instance(rng, n, m)
-        s = summarize(unit_run(inst))
+    for s in _eating_summaries(202):
         decomp = bvn_decompose(s.X)
         for _, assignment in decomp.terms:
             unassigned = set(range(len(s.X[0]))) - set(assignment)
             assert unassigned <= (s.L | s.U)
             on_l = sum(1 for g in assignment if g in s.L)
             assert on_l == s.k
+
+
+def test_resumed_matching_equals_a_fresh_one_at_every_term(monkeypatch):
+    # bvn_decompose reruns the matching search only from the first root whose
+    # last search reached a column along an edge the previous term removed;
+    # at every term, before repair, the result must be the matching a search
+    # from scratch finds on the same graph
+    resume = rounding._resume_matching
+    starts = []
+
+    def spy(adj, runs, start):
+        fresh = _kuhn_matching([list(goods) for goods in adj], len(adj))
+        got = resume(adj, runs, start)
+        assert got == fresh and list(got) == list(fresh)
+        starts.append(start)
+        return got
+
+    monkeypatch.setattr(rounding, "_resume_matching", spy)
+    rng = SplitMix64(8083)
+    inputs = list(_assignment_mixtures()) + [s.X for seed in (201, 202) for s in _eating_summaries(seed)]
+    inputs += [representative_matrix(full_run(lex_instance(rng, n, 2 * n))) for n in (16, 20)]
+    for rows in inputs:
+        del starts[:]
+        decomp = bvn_decompose(rows)
+        assert len(starts) == len(decomp.terms) and starts[0] == 0
+    # the last input, at 20/40, skips roots on most of its terms
+    assert sum(start > 0 for start in starts) > len(starts) // 2
 
 
 def test_decomposition_json_round_trip():
