@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Instance,
@@ -75,15 +75,22 @@ def enviers_of_set(inst: Instance, alloc: IntegralAllocation, goods) -> list[int
     return [i for i in inst.agents if envies_set(inst, alloc, i, goods)]
 
 
-def envy_edges(inst: Instance, alloc: IntegralAllocation) -> dict[int, list[int]]:
-    """The envy graph: each envious agent to the agents it envies, ascending."""
+def envy_graph(values: Sequence[Callable], bundles: Sequence) -> dict[int, list[int]]:
+    """The envy graph: each envious agent to the agents it envies, ascending.
+    `values[i]` is agent i's integer value of a bundle in whatever form
+    `bundles` holds, goods or bitmasks."""
     out: dict[int, list[int]] = {}
-    for i, val in enumerate(inst.valuations):
-        vi = val.int_value(alloc.bundles[i])
-        targets = [j for j in inst.agents if j != i and vi < val.int_value(alloc.bundles[j])]
+    for i, value in enumerate(values):
+        vi = value(bundles[i])
+        targets = [j for j, bundle in enumerate(bundles) if j != i and vi < value(bundle)]
         if targets:
             out[i] = targets
     return out
+
+
+def envy_edges(inst: Instance, alloc: IntegralAllocation) -> dict[int, list[int]]:
+    """The envy graph of an allocation's bundles, valued by `int_value`."""
+    return envy_graph([val.int_value for val in inst.valuations], alloc.bundles)
 
 
 def envied_agents(inst: Instance, alloc: IntegralAllocation) -> set[int]:

@@ -14,19 +14,19 @@ One routine, `_envied_subset`, finds that step's subset and enviers on
 bitmasks: it reads each agent's own value once per step and each
 candidate's value once per agent, a table by one lookup of `weights[mask]`
 and per-good weights by a sum over the mask's bits.  The sampler, the
-trace replay and `oracle`'s exact walk over swap-loop states carry (bundle
-masks, pool mask) and build sets only for the trace's subsets and the
-allocations they return; `pool_envy` and `minimal_envied_subset`, the same routine on
-sets, serve the post-pass.
+trace replay, `oracle`'s exact walk over swap-loop states and the post-pass
+all carry (bundle masks, pool mask) and build sets only for the trace's
+subsets and the allocations they return; `minimal_envied_subset` and
+`resolve_envy_cycles` are the set-valued entry points to the same routines.
 
 The deterministic post-pass shrinks the pool below the number of unenvied
 agents with one move per iteration: a pool swap while the pool is envied,
 else (after rotating envy cycles away) the first commit of a pool good to an
-unenvied agent that keeps EFX, else a `_reshuffle`.  A step cap
-(pseudopolynomial in the total integer value) bounds these moves, and
-exhausting it raises a diagnostic error rather than looping silently.  Cycle
-rotations are not counted: each one strictly raises every cycle member's
-value, so they end on their own.
+unenvied agent that keeps EFX, else a `_reshuffle`.  Its envy graph is
+`audit.envy_graph` on the masks.  A step cap (pseudopolynomial in the total
+integer value) bounds these moves, and exhausting it raises a diagnostic
+error rather than looping silently.  Cycle rotations are not counted: each
+one strictly raises every cycle member's value, so they end on their own.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .audit import check_efx, check_efx_with_charity, enviers_of_set, envy_edges, unenvied_agents
+from .audit import check_efx, check_efx_with_charity, envy_graph
 from .core import (
     Instance,
     IntegralAllocation,
@@ -67,23 +67,9 @@ def minimal_envied_subset(
     """Canonical inclusion-minimal subset of `goods` (default: the pool) that
     some agent strictly prefers to its own bundle; None if nobody envies the
     whole set.  `_envied_subset` makes the sweep, on bitmasks."""
-    envy = _set_envy(inst, alloc, alloc.pool if goods is None else goods)
-    return None if envy is None else envy[0]
-
-
-def pool_envy(
-    inst: Instance, alloc: IntegralAllocation
-) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
-    """One pool-swap step's choices: the canonical minimal envied pool subset
-    and its enviers in ascending order; None once nobody envies the pool."""
-    return _set_envy(inst, alloc, alloc.pool)
-
-
-def _set_envy(
-    inst: Instance, alloc: IntegralAllocation, goods: frozenset[int]
-) -> Optional[tuple[frozenset[int], tuple[int, ...]]]:
-    found = _envied_subset(_mask_values(inst), [bundle_mask(b) for b in alloc.bundles], bundle_mask(goods))
-    return None if found is None else (_goods(found[0]), found[1])
+    masks = [bundle_mask(b) for b in alloc.bundles]
+    found = _envied_subset(_mask_values(inst), masks, bundle_mask(alloc.pool if goods is None else goods))
+    return None if found is None else _goods(found[0])
 
 
 def _envied_subset(
@@ -191,18 +177,6 @@ def random_charity_swap(inst: Instance, seed: int) -> tuple[IntegralAllocation, 
     return alloc, SwapTrace(steps=tuple(steps))
 
 
-def _apply_swap(alloc: IntegralAllocation, subset: frozenset[int], chosen: int) -> IntegralAllocation:
-    bundles = list(alloc.bundles)
-    pool = (alloc.pool - subset) | bundles[chosen]
-    bundles[chosen] = subset
-    return IntegralAllocation(bundles=tuple(bundles), pool=pool)
-
-
-def _utility_sum(inst: Instance, alloc: IntegralAllocation) -> int:
-    # exact where every scale is 1, or where two sums differ in one agent only
-    return sum(val.int_value(bundle) for val, bundle in zip(inst.valuations, alloc.bundles))
-
-
 def replay_swap_trace(inst: Instance, trace: SwapTrace) -> IntegralAllocation:
     """Re-apply a recorded trace from all goods pooled; validates each step's
     subset and enviers, that the chosen agent's gain raises the utility sum
@@ -269,20 +243,27 @@ def _find_cycle(edges: dict[int, list[int]], n: int) -> Optional[list[int]]:
 def resolve_envy_cycles(inst: Instance, alloc: IntegralAllocation) -> IntegralAllocation:
     """Rotate bundles along envy cycles until the envy graph is acyclic.
     Every agent ends at least as happy; cycle members strictly gain."""
+    masks = [bundle_mask(b) for b in alloc.bundles]
+    _resolve_cycles(_mask_values(inst), masks)
+    return _allocation(masks, bundle_mask(alloc.pool))
+
+
+def _resolve_cycles(values: Sequence[Callable[[int], int]], masks: list[int]) -> dict[int, list[int]]:
+    """`resolve_envy_cycles` on bundle masks, in place; returns the acyclic
+    envy graph it ends with."""
     while True:
-        cycle = _find_cycle(envy_edges(inst, alloc), inst.n)
+        edges = envy_graph(values, masks)
+        cycle = _find_cycle(edges, len(masks))
         if cycle is None:
-            return alloc
-        alloc = _rotate(alloc, cycle)
+            return edges
+        _rotate(masks, cycle)
 
 
-def _rotate(alloc: IntegralAllocation, cycle: list[int]) -> IntegralAllocation:
-    bundles = list(alloc.bundles)
-    old = [bundles[a] for a in cycle]
-    t = len(cycle)
-    for idx, a in enumerate(cycle):
-        bundles[a] = old[(idx + 1) % t]
-    return IntegralAllocation(bundles=tuple(bundles), pool=alloc.pool)
+def _rotate(masks: list[int], cycle: list[int]) -> None:
+    """Each cycle member takes the next member's bundle, in place."""
+    old = [masks[a] for a in cycle]
+    for a, mask in zip(cycle, old[1:] + old[:1]):
+        masks[a] = mask
 
 
 # ---------------------------------------------------------------------------
@@ -311,63 +292,71 @@ def bounded_charity(
         raise PreconditionError(f"start must be EFX with an unenvied pool: {pre.witness}")
     cap = default_step_cap(inst) if step_cap is None else step_cap
     stats = {"phase_a": 0, "phase_c_commits": 0, "phase_c_swaps": 0}
-    alloc = start
+    values = _mask_values(inst)
+    masks, pool = [bundle_mask(b) for b in start.bundles], bundle_mask(start.pool)
     while True:
-        if (envy := pool_envy(inst, alloc)) is not None:
+        if (envy := _envied_subset(values, masks, pool)) is not None:
             subset, enviers = envy
-            before = _utility_sum(inst, alloc)
-            alloc = _apply_swap(alloc, subset, enviers[0])
-            assert _utility_sum(inst, alloc) > before
+            k = enviers[0]
+            # only k's bundle changes, so its gain is the utility sum's
+            assert values[k](subset) > values[k](masks[k])
+            pool = (pool & ~subset) | masks[k]
+            masks[k] = subset
             move = "phase_a"
         else:
             # own utilities only rise under rotation, so pool envy cannot
             # reappear here
-            alloc = resolve_envy_cycles(inst, alloc)
-            sources = unenvied_agents(inst, alloc)
+            envied = {j for targets in _resolve_cycles(values, masks).values() for j in targets}
+            sources = [i for i in inst.agents if i not in envied]
             if not sources:  # pragma: no cover - acyclic envy graphs have sources
                 raise AssertionError("no unenvied agent after cycle resolution")
-            if len(alloc.pool) < len(sources):
-                return alloc
-            commits = (_commit(alloc, i, g) for i in sources for g in sorted(alloc.pool))
-            grown = next((c for c in commits if check_efx(inst, c).passed), None)
-            if grown is None:
-                alloc = _reshuffle(inst, alloc, sources[0])
+            if pool.bit_count() < len(sources):
+                return _allocation(masks, pool)
+            commit = _efx_commit(inst, masks, pool, sources)
+            if commit is None:
+                pool = _reshuffle(values, masks, pool, sources[0])
                 move = "phase_c_swaps"
             else:
-                # a commit shrinks the pool and (monotonicity) cannot lower
-                # anyone's utility
-                assert len(grown.pool) < len(alloc.pool)
-                assert _utility_sum(inst, grown) >= _utility_sum(inst, alloc)
-                alloc = grown
+                i, good = commit
+                # monotonicity: a commit cannot lower anyone's utility
+                assert values[i](masks[i] | good) >= values[i](masks[i])
+                masks[i] |= good
+                pool ^= good
                 move = "phase_c_commits"
         stats[move] += 1
         if sum(stats.values()) > cap:
             err = ResourceCapError(f"step cap {cap} exhausted; stats {stats}")
-            err.allocation = alloc  # diagnostic payload
+            err.allocation = _allocation(masks, pool)  # diagnostic payload
             err.stats = dict(stats)
             raise err
 
 
-def _commit(alloc: IntegralAllocation, agent: int, good: int) -> IntegralAllocation:
-    bundles = list(alloc.bundles)
-    bundles[agent] = bundles[agent] | {good}
-    return IntegralAllocation(bundles=tuple(bundles), pool=alloc.pool - {good})
+def _efx_commit(inst: Instance, masks: list[int], pool: int, sources: list[int]) -> Optional[tuple[int, int]]:
+    """The first (source, ascending pool good) whose commit keeps the
+    allocation EFX, as (agent, good bit); None if no commit does."""
+    goods = [1 << g for g in range(pool.bit_length()) if pool >> g & 1]
+    for i in sources:
+        for good in goods:
+            grown = list(masks)
+            grown[i] |= good
+            if check_efx(inst, _allocation(grown, pool ^ good)).passed:
+                return i, good
+    return None
 
 
-def _reshuffle(inst: Instance, alloc: IntegralAllocation, i: int) -> IntegralAllocation:
+def _reshuffle(values: Sequence[Callable[[int], int]], masks: list[int], pool: int, i: int) -> int:
     """The fallback when no commit keeps EFX: grow agent i's bundle by the
     lowest pool good, hand the canonical minimal envied subset of that grown
     bundle to its lowest envier h, empty i's bundle, and pool the rest of i's
-    and h's goods."""
-    g = min(alloc.pool)
-    grown = alloc.bundles[i] | {g}
-    subset = minimal_envied_subset(inst, alloc, goods=grown)
-    if subset is None:  # pragma: no cover - a failed commit implies envy
+    and h's goods.  Updates `masks` in place and returns the new pool."""
+    good = pool & -pool
+    grown = masks[i] | good
+    envy = _envied_subset(values, masks, grown)
+    if envy is None:  # pragma: no cover - a failed commit implies envy
         raise AssertionError("EFX failed for every commit yet nothing envies the grown bundle")
-    h = enviers_of_set(inst, alloc, subset)[0]
-    bundles = list(alloc.bundles)
-    displaced = (grown | bundles[h]) - subset
-    pool = (alloc.pool - {g}) | displaced
-    bundles[i] = frozenset()
-    bundles[h] = subset
-    return IntegralAllocation(bundles=tuple(bundles), pool=pool)
+    subset, enviers = envy
+    h = enviers[0]
+    displaced = (grown | masks[h]) & ~subset
+    masks[i] = 0
+    masks[h] = subset
+    return (pool ^ good) | displaced

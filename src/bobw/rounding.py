@@ -157,20 +157,13 @@ def _kuhn_search(adj: list[list[int]], match_col: dict[int, int], root: int) -> 
     return reached
 
 
-def _kuhn_matching(adj: list[list[int]], n: int) -> dict[int, int]:
-    """Matching saturating every row vertex; ascending-index augmenting paths.
-    Returns {column: row}."""
-    match_col: dict[int, int] = {}
-    for root in range(n):
-        _kuhn_search(adj, match_col, root)
-    return match_col
-
-
 def _resume_matching(
     adj: list[list[int]], runs: list[tuple[dict[int, int], dict[int, int]]], start: int
 ) -> dict[int, int]:
-    """_kuhn_matching(adj, len(adj)), rerun only from root `start`.  runs[r]
-    holds what root r's search reached and a copy of the matching after it;
+    """The matching {column: row} saturating every row vertex, found by
+    ascending-index augmenting paths and rerun only from root `start`;
+    `_resume_matching(adj, [], 0)` finds it from scratch.  runs[r] holds
+    what root r's search reached and a copy of the matching after it;
     runs[:start] must still hold on `adj`, as they do when `adj` has only
     lost edges since and none of those edges was reached.  The rest of `runs`
     is redone.  Returns a fresh copy of the matching."""

@@ -31,7 +31,6 @@ from bobw import oracle
 from bobw.audit import enviers_of_set
 from bobw.charity_algos import (
     _allocation,
-    _apply_swap,
     _envied_subset,
     _goods,
     _mask_values,
@@ -188,6 +187,14 @@ def test_branch_enumeration_covers_the_whole_tree():
         assert replay_swap_trace(inst, trace) == alloc
 
 
+def _ref_apply_swap(alloc, subset, chosen):
+    # the frozenset pool swap the bitmask walks replaced
+    bundles = list(alloc.bundles)
+    pool = (alloc.pool - subset) | bundles[chosen]
+    bundles[chosen] = subset
+    return IntegralAllocation(bundles=tuple(bundles), pool=pool)
+
+
 def _ref_iter_charity_branches(inst):
     # the recursive enumerator the iterative one replaced
     def walk(alloc, prob, steps):
@@ -199,7 +206,7 @@ def _ref_iter_charity_branches(inst):
         share = prob / len(enviers)
         for k in enviers:
             steps.append(SwapStep(subset=subset, enviers=enviers, chosen=k))
-            yield from walk(_apply_swap(alloc, subset, k), share, steps)
+            yield from walk(_ref_apply_swap(alloc, subset, k), share, steps)
             steps.pop()
 
     yield from walk(empty_start(inst), F(1), [])

@@ -20,7 +20,7 @@ from bobw import (
 )
 from bobw import rounding
 from bobw.rng import SplitMix64, derive_seed
-from bobw.rounding import _kuhn_matching
+from bobw.rounding import _resume_matching
 
 from helpers import lex_instance
 from test_acceptance import _BATTERY
@@ -169,7 +169,7 @@ def test_resumed_matching_equals_a_fresh_one_at_every_term(monkeypatch):
     starts = []
 
     def spy(adj, runs, start):
-        fresh = _kuhn_matching([list(goods) for goods in adj], len(adj))
+        fresh = _resume_matching([list(goods) for goods in adj], [], 0)
         got = resume(adj, runs, start)
         assert got == fresh and list(got) == list(fresh)
         starts.append(start)
@@ -292,10 +292,10 @@ def test_kuhn_matching_matches_the_recursive_search():
             expected = _ref_kuhn_matching(adj, n)
         except PreconditionError as err:
             with pytest.raises(PreconditionError, match=str(err)):
-                _kuhn_matching(adj, n)
+                _resume_matching(adj, [], 0)
             failed += 1
         else:
-            got = _kuhn_matching(adj, n)
+            got = _resume_matching(adj, [], 0)
             assert got == expected and list(got) == list(expected)
     assert 300 < failed < 2700
 
@@ -305,7 +305,7 @@ def test_kuhn_matching_long_augmenting_path_needs_no_stack_depth():
     # augmenting path runs through every other row
     n = 5000
     adj = [sorted({i, (i + 1) % n}) for i in range(n)]
-    assert _kuhn_matching(adj, n) == {(i + 1) % n: i for i in range(n)}
+    assert _resume_matching(adj, [], 0) == {(i + 1) % n: i for i in range(n)}
 
 
 def test_supergood_matrix_from_pair_instance():
@@ -436,7 +436,7 @@ def _ref_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         col_sums = _ref_column_sums(X)
         adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
         full = {j for j in range(m) if col_sums[j] == remaining}
-        match_col = _kuhn_matching(adj, n)
+        match_col = _resume_matching(adj, [], 0)
         for c in sorted(full):
             if not _ref_repair_matching(adj, match_col, c, protected=full):
                 raise AssertionError("a saturated column could not be matched")
