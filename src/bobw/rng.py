@@ -55,12 +55,14 @@ class SplitMix64:
                 return r % n
 
     def event(self, p: Fraction) -> bool:
-        """True with probability exactly p (0 <= p <= 1)."""
-        if p < 0 or p > 1:
+        """True with probability exactly p (0 <= p <= 1).  The range check
+        compares p's numerator and (positive) denominator as ints."""
+        num, den = p.numerator, p.denominator
+        if num < 0 or num > den:
             raise ValueError("probability out of range")
-        if p.denominator == 1:
-            return p.numerator == 1
-        return self.below(p.denominator) < p.numerator
+        if den == 1:
+            return num == 1
+        return self.below(den) < num
 
     def permutation(self, n: int) -> tuple[int, ...]:
         """Fisher-Yates shuffle of range(n)."""

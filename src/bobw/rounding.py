@@ -29,21 +29,31 @@ have two or more fractional entries, so path endpoints are row vertices),
 per-entry marginals equal the input, and entries sharing a column are
 negatively correlated.  The floating graph is built once per call and only
 loses edges: a pivot moves only the walk's entries, all fractional, so it
-drops the walk edges that reached 0 or 1 and nothing else.
+drops the walk edges that reached 0 or 1 and nothing else.  Each vertex maps
+its neighbours to the entries of their edges, so a pivot reads its walk's
+entries in one pass, takes both shifts from the minimum and maximum of the
+two alternating classes, and writes the entries and drops the finished
+edges in a second.  One lowest-index depth-first search serves every pivot
+of a call (``_walks``): since edges only go, it resumes after each pivot at
+the cycle's first vertex instead of restarting from the first agent, and
+once no cycle is left it takes each maximal path from the first leaf.
+Every walk, draw and output is the one a search from scratch gives.
 
-Both scale their input once: every entry is read as an exact rational, the
-matrix is multiplied by D, the LCM of the entries' denominators, and the
-pivots run on the resulting ints, where "one" is D.  Only the pivot odds
-(reduced, so the random draws are those of the rational odds) and the
-emitted term weights are Fractions.
+Both scale their input once: each entry is read as an exact rational, its
+numerator and denominator once, the matrix is multiplied by D, the LCM of
+the distinct denominators, and the pivots run on the resulting ints, where
+"one" is D.  Only the pivot odds (reduced, so the random draws are those of
+the rational odds) and the emitted term weights are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, cycle
 from math import lcm
-from typing import Optional, Sequence
+from operator import add, getitem
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     PreconditionError,
@@ -64,12 +74,18 @@ def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """(D, Y) for a rectangular nonempty matrix: D is the LCM of the entries'
     denominators and Y[i][j] = rows[i][j] * D, an int.  Entries parse like
     every other exact value (``parse_exact``), so floats and bools are a
-    PreconditionError."""
-    X = [[parse_exact(x) for x in row] for row in rows]
+    PreconditionError.  Each entry's (numerator, denominator) is read once,
+    and each distinct denominator d costs one D // d."""
+    X = [
+        [(x if type(x) is Fraction else parse_exact(x)).as_integer_ratio() for x in row]
+        for row in rows
+    ]
     if not X or any(len(r) != len(X[0]) for r in X):
         raise PreconditionError("matrix must be rectangular and nonempty")
-    D = lcm(*(x.denominator for row in X for x in row))
-    return D, [[x.numerator * (D // x.denominator) for x in row] for row in X]
+    denominators = {d for row in X for _, d in row}
+    D = lcm(*denominators)
+    scale = {d: D // d for d in denominators}
+    return D, [[p * scale[d] if p else 0 for p, d in row] for row in X]
 
 
 # ---------------------------------------------------------------------------
@@ -294,54 +310,91 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
 # randomized dependent rounding
 
 
-def _walk_cycle_or_path(adj: list[dict[int, None]], n: int) -> Optional[list[tuple[int, int]]]:
-    """Edges (agent, good) of one cycle (preferred) or one maximal path of the
-    floating graph `adj`; None when it has no edges.  Agent i is vertex i and
-    good j is vertex n + j, each vertex's neighbours are in ascending order,
-    and scans are lowest-index-first, so the choice is deterministic."""
-    if not any(adj[:n]):
-        return None
+def _walks(adj: list[dict[int, int]], n: int) -> Iterator[list[int]]:
+    """The walks of successive pivots on the floating graph `adj`, as vertex
+    lists: a cycle (its first vertex repeated at the end) while one is
+    left, then a maximal path.  Agent i is vertex i and good j is vertex
+    n + j, each vertex's neighbours are the keys of its dict in ascending
+    order, and scans are lowest-index-first, so the choice is deterministic.
+    Between two walks the caller may change the values of the last walk's
+    edges and delete some of them, at least one, and nothing else.
 
-    def edges(vertices: list[int]) -> list[tuple[int, int]]:
-        return [(u, w - n) if u < w else (w, u - n) for u, w in zip(vertices, vertices[1:])]
-
-    # Depth-first search for a cycle, iterative: `path` holds the open
-    # vertices, `scans` the neighbours each has left to try, and `at` each
-    # open vertex's position on the path.
-    seen: set[int] = set()
+    Each walk is the one a lowest-index depth-first search from scratch
+    finds.  One search serves the whole call and resumes after each pivot,
+    which is exact because the graph only loses edges:
+    - A root whose component was explored without a cycle stays acyclic, so
+      its vertices stay finished.
+    - No walk edge lies on the open path from the root to the junction, the
+      cycle's first vertex, nor in a subtree finished off that path before
+      the search went on past the junction.  A new search would rebuild that
+      path with the same scan positions, so the search resumes at the
+      junction with a fresh scan of its neighbours, which skips the
+      finished ones as a new scan would after exploring them again.
+    - Every vertex opened or finished after the junction's successor on the
+      path is forgotten: the pivot may have cut it off into a component
+      that a new search enters from another vertex.
+    - Once no cycle is left the graph stays a forest.  Each walk starts at
+      the first leaf, which integral column sums force to be an agent, and
+      takes the lowest neighbour it did not come from."""
+    place: list[Optional[int]] = [None] * len(adj)  # position on the path; -1 once finished
+    path: list[int] = []  # the open vertices; `scan` holds path[-1]'s neighbours left to try
+    scans: list[Iterator[int]] = []  # scans[k]: the neighbours path[k] has left to try
+    finished: list[tuple[int, int]] = []  # (position, vertex) as each vertex finished
     for root in range(n):
-        if not adj[root] or root in seen:
+        if not adj[root] or place[root] is not None:
             continue
-        seen.add(root)
-        path, scans, at = [root], [iter(adj[root])], {root: 0}
-        while path:
-            parent = path[-2] if len(path) > 1 else None
-            for w in scans[-1]:
-                if w == parent:
-                    continue
-                if w in at:  # a back edge closes the cycle from w onward
-                    return edges(path[at[w] :] + [w])
-                if w not in seen:
+        place[root] = 0
+        path.append(root)
+        scan, parent = iter(adj[root]), -1
+        while True:
+            for w in scan:
+                if w != parent and (at := place[w]) != -1:
                     break
             else:
-                del at[path.pop()]
-                scans.pop()
+                v = path.pop()
+                place[v] = -1
+                finished.append((len(path), v))
+                if not path:
+                    break
+                scan, parent = scans.pop(), path[-2] if len(path) > 1 else -1
                 continue
-            seen.add(w)
-            at[w] = len(path)
-            path.append(w)
-            scans.append(iter(adj[w]))
+            if at is None:
+                place[w] = len(path)
+                parent = path[-1]
+                path.append(w)
+                scans.append(scan)
+                scan = iter(adj[w])
+                continue
+            # a back edge closes the cycle from the junction w onward
+            walk = path[at:] + [w]
+            yield walk
+            # Resume at the junction: forget its successor on the path and
+            # everything opened since, the subtrees finished since included
+            # (their positions are past at + 1).
+            for v in path[at + 1 :]:
+                place[v] = None
+            while finished and finished[-1][0] > at + 1:
+                place[finished.pop()[1]] = None
+            del path[at + 1 :], scans[at:]
+            scan, parent = iter(adj[w]), path[at - 1] if at else -1
 
-    # No cycle: the floating graph is a forest.  Maximal paths run between
-    # two leaves; integral column sums force every leaf to be an agent.
-    v = next(u for u, nbrs in enumerate(adj) if len(nbrs) == 1)
-    if v >= n:
-        raise AssertionError("a column with a single fractional entry cannot have an integral sum")
-    path, prev = [v], None
-    while (w := next((u for u in adj[v] if u != prev), None)) is not None:
-        path.append(w)
-        prev, v = v, w
-    return edges(path)
+    while True:
+        degrees = list(map(len, adj))
+        if 1 not in degrees:
+            return
+        v = degrees.index(1)
+        if v >= n:
+            raise AssertionError("a column with a single fractional entry cannot have an integral sum")
+        walk, prev = [v], -1
+        while True:
+            for w in adj[v]:
+                if w != prev:
+                    break
+            else:
+                break
+            walk.append(w)
+            prev, v = v, w
+        yield walk
 
 
 def dependent_round(
@@ -352,49 +405,46 @@ def dependent_round(
     and negative correlation within columns."""
     D, X = _scaled(rows)
     n, m = len(X), len(X[0])
-    for row in X:
-        for x in row:
-            if x < 0 or x > D:
-                raise PreconditionError("entries must lie in [0, 1]")
-    target = [Fraction(s, D) for s in map(sum, zip(*X))]
-    for j, s in enumerate(target):
-        if s.denominator != 1:
-            raise PreconditionError(f"column {j} sum {s} is not an integer")
+    if min(chain.from_iterable(X), default=0) < 0 or max(chain.from_iterable(X), default=0) > D:
+        raise PreconditionError("entries must lie in [0, 1]")
+    sums = list(map(sum, zip(*X)))
+    for j, s in enumerate(sums):
+        if s % D:
+            raise PreconditionError(f"column {j} sum {Fraction(s, D)} is not an integer")
 
-    # The floating graph, an edge per entry with 0 < x < D: deleting from
-    # insertion-ordered dicts keeps every neighbour scan ascending.
-    adj = [dict.fromkeys(n + j for j in range(m) if 0 < X[i][j] < D) for i in range(n)]
-    adj += [dict.fromkeys(i for i in range(n) if 0 < X[i][j] < D) for j in range(m)]
+    # The floating graph, an edge per entry with 0 < x < D (x % D != 0),
+    # each vertex's dict mapping its neighbours to the entry of the edge, so
+    # a walk reads its entries without telling agents from goods.  Deleting
+    # from insertion-ordered dicts keeps every neighbour scan ascending.
+    goods = range(n, n + m)
+    adj = [dict(compress(zip(goods, row), map(D.__rmod__, row))) for row in X]
+    adj += [{} for _ in goods]
+    for i in range(n):
+        for g, x in adj[i].items():
+            adj[g][i] = x
     rng = SplitMix64(seed)
-    while True:
-        walk = _walk_cycle_or_path(adj, n)
-        if walk is None:
-            break
-        plus = walk[0::2]
-        minus = walk[1::2]
-        alpha = min(
-            min(D - X[i][j] for i, j in plus),
-            min(X[i][j] for i, j in minus),
-        )
-        beta = min(
-            min(X[i][j] for i, j in plus),
-            min(D - X[i][j] for i, j in minus),
-        )
-        if rng.event(Fraction(beta, alpha + beta)):
-            delta_plus, delta_minus = alpha, -alpha
-        else:
-            delta_plus, delta_minus = -beta, beta
-        for i, j in plus:
-            X[i][j] += delta_plus
-        for i, j in minus:
-            X[i][j] += delta_minus
-        for i, j in walk:
-            if X[i][j] in (0, D):
-                del adj[i][n + j], adj[n + j][i]
+    for walk in _walks(adj, n):
+        # edge k joins walk[k] and walk[k + 1]; the even edges form one
+        # alternating class and the odd edges the other
+        ends = walk[1:]
+        entries = list(map(getitem, map(adj.__getitem__, walk), ends))
+        plus, minus = entries[0::2], entries[1::2]
+        alpha = min(D - max(plus), min(minus))
+        beta = min(min(plus), D - max(minus))
+        shift = (alpha, -alpha) if rng.event(Fraction(beta, alpha + beta)) else (-beta, beta)
+        for u, w, x in zip(walk, ends, map(add, entries, cycle(shift))):
+            if x % D:
+                adj[u][w] = adj[w][u] = x
+            else:
+                del adj[u][w], adj[w][u]
+                if u < w:
+                    X[u][w - n] = x
+                else:
+                    X[w][u - n] = x
 
-    out = tuple(tuple(x // D for x in row) for row in X)
-    for j in range(m):
-        if sum(r[j] for r in out) != target[j]:  # hard guarantee, never tolerated
+    out = tuple(tuple(map(D.__rfloordiv__, row)) for row in X)
+    for j, (s, t) in enumerate(zip(map(sum, zip(*out)), sums)):
+        if s * D != t:  # hard guarantee, never tolerated
             raise AssertionError(f"column {j} sum drifted during rounding")
     return out
 

@@ -69,6 +69,19 @@ def test_event_frequency_one_third_within_three_sigma():
     assert abs(hits - mean) <= 3 * sd
 
 
+def test_event_refuses_probabilities_outside_the_unit_interval():
+    rng = SplitMix64(19)
+    for p in (Fraction(-1, 3), Fraction(-1), Fraction(4, 3), Fraction(2), 2, -1):
+        with pytest.raises(ValueError, match="probability out of range"):
+            rng.event(p)
+    # neither the refusals nor the certain events draw, and an event with
+    # odds p/q is one draw below q
+    assert rng.event(1) and not rng.event(Fraction(0))
+    twin = SplitMix64(19)
+    for p in (Fraction(1, 2), Fraction(2, 3), Fraction(5, 7), Fraction(3, 10**12 + 39)) * 5:
+        assert rng.event(p) == (twin.below(p.denominator) < p.numerator)
+
+
 def test_permutation_covers_range():
     rng = SplitMix64(23)
     for size in (1, 2, 5, 9):

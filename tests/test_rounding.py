@@ -655,3 +655,135 @@ def test_dependent_round_long_path_needs_no_stack_depth():
         tuple(tuple(int(i == j) for j in range(n - 1)) for i in range(n)),
         tuple(tuple(int(i == j + 1) for j in range(n - 1)) for i in range(n)),
     )
+
+
+def _benchmark_size_matrices() -> list:
+    # the rounding inputs of the benchmark-size reference test above
+    rng = SplitMix64(8082)
+    inputs = [_permutation_mixture(rng, n, n) for n in (16, 24)]
+    inputs += [_integral_columns(rng, 8, 10) for _ in range(2)]
+    inputs += [_k2_supergood_matrix(rng, n) for n in (12, 14, 16)]
+    return inputs
+
+
+def test_dependent_round_draws_one_event_per_pivot(monkeypatch):
+    # the benchmark tracer counts rounding pivots as the `event` draws made
+    # under dependent_round, so each pivot must draw exactly once, with the
+    # odds the reference draws with
+    drawn: list[Fraction] = []
+    event = SplitMix64.event
+
+    def spy(rng, p):
+        drawn.append(p)
+        return event(rng, p)
+
+    monkeypatch.setattr(SplitMix64, "event", spy)
+    for idx, rows in enumerate(_benchmark_size_matrices()):
+        for r in range(3):
+            seed = derive_seed(idx, r)
+            del drawn[:]
+            out = dependent_round(rows, seed)
+            got = list(drawn)
+            del drawn[:]
+            assert out == _ref_dependent_round(rows, seed)
+            assert got == drawn and len(got) > 0, (idx, r)
+            assert all(type(p) is Fraction for p in got)
+
+
+def _walk_branches(monkeypatch) -> set[str]:
+    # Wrap the resumable search and name the branches it takes, read from
+    # the generator's own state at each walk: a cycle found under a root
+    # above 0, a junction above the root (the resumed path keeps a nonempty
+    # tail of open vertices and their scans), a finished vertex beside the
+    # junction (kept, and skipped by the junction's fresh scan), a finished
+    # pendant tree beside a cycle vertex past the junction (forgotten at the
+    # resume), and a leaf path after a cycle.
+    branches: set[str] = set()
+    walks = rounding._walks
+
+    def spy(adj, n):
+        search = walks(adj, n)
+        cycles = 0
+        for walk in search:
+            if walk[0] != walk[-1]:
+                branches.add("leaf path after a cycle" if cycles else "leaf path")
+            else:
+                cycles += 1
+                state = search.gi_frame.f_locals
+                place = state["place"]
+                if state["root"] > 0:
+                    branches.add("root above 0")
+                if state["at"] > 0:
+                    branches.add("junction above root")
+                if any(place[u] == -1 for u in adj[walk[0]]):
+                    branches.add("finished beside the junction")
+                if any(place[u] == -1 for v in walk[1:-1] for u in adj[v]):
+                    branches.add("pendant past the junction")
+            yield walk
+
+    monkeypatch.setattr(rounding, "_walks", spy)
+    return branches
+
+
+def _with_weights(rng: SplitMix64, q: int, shape: list[list[int]]) -> list[list[Fraction]]:
+    # entry (i, j) is shape[i][j] / q, and each column of `shape` sums to a
+    # multiple of q; `rng` only picks which of two mirror images to return
+    rows = [[F(x, q) for x in row] for row in shape]
+    return rows if rng.below(2) else [row[::-1] for row in rows]
+
+
+def _resume_cases() -> dict[str, list[list[list[Fraction]]]]:
+    rng = SplitMix64(8084)
+    return {
+        # agents 0-1 share good 0 (a path, explored and finished first);
+        # agents 2-4 hold a 6-cycle on goods 1-3
+        "acyclic component first": [
+            _with_weights(rng, q, [[q // 2, 0, 0, 0], [q - q // 2, 0, 0, 0], [0, a, q - a, 0], [0, q - a, 0, a], [0, 0, a, q - a]])
+            for q, a in ((4, 1), (6, 1), (6, 5), (10, 3))
+        ],
+        # the 4-cycle a0-g0-a2-g1, with agent 1 (a row that sums below 1)
+        # scanned from good 0 before agent 2: a pendant leaf in the first
+        # two matrices, a branch to a second cycle in the third; the last
+        # matrix is one where a pivot cuts a pendant tree off with its cycle
+        # vertex, into a component a fresh search enters from a lower agent
+        # than the resumed one would
+        "pendant tree past the junction": [
+            _with_weights(rng, 4, [[2, 2, 0], [1, 0, 0], [1, 2, 1], [0, 0, 3]]),
+            _with_weights(rng, 6, [[3, 3, 0], [1, 0, 0], [2, 3, 2], [0, 0, 4]]),
+            _with_weights(rng, 12, [[5, 6, 0], [3, 0, 1], [4, 6, 2], [0, 0, 9]]),
+            [[F(x, 4) for x in row] for row in [[3, 1], [1, 2], [0, 3], [2, 2], [0, 1], [2, 2], [4, 1]]],
+        ],
+        # agent 1 lies on the 4-cycles g1-a2-g2 and g3-a3-g4, below a path
+        # from agent 0 through good 0
+        "two cycles sharing a vertex": [
+            _with_weights(rng, q, [[q // 2] + [0] * 4, [q - q // 2] + [a] * 4, [0, q - a, q - a, 0, 0], [0, 0, 0, q - a, q - a]])
+            for q, a in ((4, 1), (8, 3), (6, 1))
+        ],
+        # a 4-cycle on agents 0-1 and goods 0-1 with a path through agents
+        # 1-3 hanging off it, left floating after the cycle's pivots
+        "forest after the last cycle": [
+            _with_weights(rng, q, [[a, q - a, 0, 0], [q - a, a, b, 0], [0, 0, q - b, c], [0, 0, 0, q - c]])
+            for q, a, b, c in ((4, 1, 1, 2), (6, 1, 2, 3), (12, 5, 7, 1))
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "case, targets",
+    [
+        ("acyclic component first", {"root above 0"}),
+        ("pendant tree past the junction", {"pendant past the junction"}),
+        ("two cycles sharing a vertex", {"junction above root", "finished beside the junction"}),
+        ("forest after the last cycle", {"leaf path after a cycle"}),
+    ],
+)
+def test_resumed_walks_match_the_fraction_reference(monkeypatch, case, targets):
+    # each case steers the resumable search into the branch it names; at
+    # every pivot its walk must be the one a search from scratch finds, so
+    # the draws and outputs equal the reference's
+    branches = _walk_branches(monkeypatch)
+    for idx, rows in enumerate(_resume_cases()[case]):
+        for r in range(12):
+            seed = derive_seed(idx, r)
+            assert dependent_round(rows, seed) == _ref_dependent_round(rows, seed), (idx, r)
+    assert targets <= branches, branches
