@@ -17,7 +17,9 @@ a strictly better construction exists: aggregate all last goods into one
 capacity-two column, round the matrix with dependent rounding, and let a fair
 coin decide which of the two winners keeps just its own last good while the
 other takes every remaining good.  This is a sampler (its support can be
-exponential), with a 9/10 envy guarantee in expectation.
+exponential), with a 9/10 envy guarantee in expectation.  It checks and
+scales the aggregated matrix once (``rounding.PreparedMatrix``), and each
+draw rounds that prepared matrix with a fresh seed.
 
 utse and k2_sampler each run eating once; solve_lex_bobw runs it once, reads
 k, and hands the same summary to one of the two, returning (k, outcome): the
@@ -47,7 +49,7 @@ from .core import (
 )
 from .eating import TraceSummary, ordinal_rankings, summarize, unit_run
 from .rng import SplitMix64, derive_seed
-from .rounding import Decomposition, build_supergood_matrix, bvn_decompose, dependent_round
+from .rounding import Decomposition, PreparedMatrix, build_supergood_matrix, bvn_decompose, dependent_round
 
 EXACT_PERMUTATION_CAP = 8
 
@@ -168,7 +170,9 @@ def _k2_draws(inst: Instance, summary: TraceSummary) -> Callable[[int], Integral
     if summary.k != 2:
         raise PreconditionError(f"this sampler needs last-good mass exactly 2, got {summary.k}")
     base_goods, matrix = build_supergood_matrix(summary)
-    return lambda seed: _k2_from_rounding(inst, summary, base_goods, matrix, seed)
+    # checked, scaled and made a graph once; each draw rounds a copy
+    prepared = PreparedMatrix(matrix)
+    return lambda seed: _k2_from_rounding(inst, summary, base_goods, prepared, seed)
 
 
 def _k2_from_rounding(inst, summary, base_goods, matrix, seed: int) -> IntegralAllocation:
@@ -178,11 +182,7 @@ def _k2_from_rounding(inst, summary, base_goods, matrix, seed: int) -> IntegralA
         raise AssertionError("the aggregated column must land on exactly two agents")
     coin = SplitMix64(derive_seed(seed, 2))
     a, b = (holders[0], holders[1]) if coin.event(Fraction(1, 2)) else (holders[1], holders[0])
-    bundles = [set() for _ in inst.agents]
-    for i in range(inst.n):
-        for idx, g in enumerate(base_goods):
-            if rounded[i][idx] == 1:
-                bundles[i].add(g)
+    bundles = [set(itertools.compress(base_goods, row)) for row in rounded]
     leftovers = summary.L | summary.U
     bundles[a] = {summary.last_goods[a]}
     bundles[b] = set(leftovers - {summary.last_goods[a]})

@@ -6,6 +6,7 @@ because the full state transition is integer arithmetic mod 2**64, so streams
 are bit-identical across platforms and Python versions.  Bounded draws use
 rejection sampling, which makes every probability in the package exact: an
 event with rational probability p/q is decided by one uniform draw below q.
+A bound past 2**64 draws as many 64-bit words per try as it needs.
 
 Replica streams (for repeated sampling at a base seed) are derived by mixing
 seed XOR replica-index through the output function, never by reusing the raw
@@ -47,10 +48,18 @@ class SplitMix64:
         """Uniform integer in [0, n) via rejection sampling, exactly uniform."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        # Largest multiple of n that fits in 64 bits; draws past it are retried.
-        limit = (1 << 64) - ((1 << 64) % n)
+        # Each try joins as many 64-bit words as n needs, high word first (one
+        # word for every n <= 2**64), into a draw below span = 2**(64 * words),
+        # and keeps draws below the largest multiple of n under span, at least
+        # half of them.
+        span = 1 << 64
+        while span < n:
+            span <<= 64
+        limit = span - span % n
         while True:
-            r = self.next64()
+            r, width = self.next64(), 1 << 64
+            while width < span:
+                r, width = r << 64 | self.next64(), width << 64
             if r < limit:
                 return r % n
 

@@ -27,9 +27,13 @@ largest feasible amounts, choosing the direction with odds that keep every
 entry a martingale.  Column sums never change (fractional columns always
 have two or more fractional entries, so path endpoints are row vertices),
 per-entry marginals equal the input, and entries sharing a column are
-negatively correlated.  The floating graph is built once per call and only
-loses edges: a pivot moves only the walk's entries, all fractional, so it
-drops the walk edges that reached 0 or 1 and nothing else.  Each vertex maps
+negatively correlated.  A ``PreparedMatrix`` holds what does not depend on
+the seed: the checked, scaled matrix, its column sums and its floating
+graph.  A sampler that rounds one matrix with many seeds prepares it once;
+``dependent_round`` prepares raw rows itself, and each call pivots on its
+own copy of the entries and of the graph.  The graph only loses edges: a
+pivot moves only the walk's entries, all fractional, so it drops the walk
+edges that reached 0 or 1 and nothing else.  Each vertex maps
 its neighbours to the entries of their edges, so a pivot reads its walk's
 entries in one pass, takes both shifts from the minimum and maximum of the
 two alternating classes, and writes the entries and drops the finished
@@ -39,11 +43,12 @@ the cycle's first vertex instead of restarting from the first agent, and
 once no cycle is left it takes each maximal path from the first leaf.
 Every walk, draw and output is the one a search from scratch gives.
 
-Both scale their input once: each entry is read as an exact rational, its
-numerator and denominator once, the matrix is multiplied by D, the LCM of
-the distinct denominators, and the pivots run on the resulting ints, where
-"one" is D.  Only the pivot odds (reduced, so the random draws are those of
-the rational odds) and the emitted term weights are Fractions.
+Both scale their input once (rounding, once per prepared matrix): each
+entry is read as an exact rational, its numerator and denominator once, the
+matrix is multiplied by D, the LCM of the distinct denominators, and the
+pivots run on the resulting ints, where "one" is D.  Only the pivot odds
+(reduced, so the random draws are those of the rational odds) and the
+emitted term weights are Fractions.
 """
 
 from __future__ import annotations
@@ -397,12 +402,16 @@ def _walks(adj: list[dict[int, int]], n: int) -> Iterator[list[int]]:
         yield walk
 
 
-def dependent_round(
-    rows: Sequence[Sequence[Fraction]], seed: int
-) -> tuple[tuple[int, ...], ...]:
-    """Round a fractional matrix with integral column sums to 0/1, exactly
-    preserving every column sum, with per-entry marginals equal to the input
-    and negative correlation within columns."""
+def _prepare(
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[int, list[list[int]], list[int], list[dict[int, int]]]:
+    """(D, X, column_sums, adj) of a matrix to round, checked: the scaled
+    matrix (``_scaled``), its integral column sums and its floating graph,
+    an edge per entry with 0 < x < D, each vertex's dict mapping its
+    neighbours to the entry of the edge, agent i as vertex i and good j as
+    vertex n + j.  A walk reads its entries without telling agents from
+    goods, and deleting from insertion-ordered dicts keeps every neighbour
+    scan ascending."""
     D, X = _scaled(rows)
     n, m = len(X), len(X[0])
     if min(chain.from_iterable(X), default=0) < 0 or max(chain.from_iterable(X), default=0) > D:
@@ -411,17 +420,46 @@ def dependent_round(
     for j, s in enumerate(sums):
         if s % D:
             raise PreconditionError(f"column {j} sum {Fraction(s, D)} is not an integer")
-
-    # The floating graph, an edge per entry with 0 < x < D (x % D != 0),
-    # each vertex's dict mapping its neighbours to the entry of the edge, so
-    # a walk reads its entries without telling agents from goods.  Deleting
-    # from insertion-ordered dicts keeps every neighbour scan ascending.
     goods = range(n, n + m)
     adj = [dict(compress(zip(goods, row), map(D.__rmod__, row))) for row in X]
     adj += [{} for _ in goods]
     for i in range(n):
         for g, x in adj[i].items():
             adj[g][i] = x
+    return D, X, [s // D for s in sums], adj
+
+
+class PreparedMatrix:
+    """A matrix checked, scaled and turned into its floating graph once, for
+    ``dependent_round`` to round with many seeds.  ``D`` is the LCM of the
+    entries' denominators, ``X`` the entries times D (ints),
+    ``column_sums`` the (integral) column sums and ``adj`` the graph of
+    fractional entries.  Each draw pivots on copies of ``X`` and ``adj``:
+    none mutates the object."""
+
+    __slots__ = ("D", "X", "column_sums", "adj")
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]]):
+        D, X, column_sums, adj = _prepare(rows)
+        self.D = D
+        self.X = tuple(map(tuple, X))
+        self.column_sums = tuple(column_sums)
+        self.adj = tuple(adj)
+
+
+def dependent_round(
+    rows: Sequence[Sequence[Fraction]] | PreparedMatrix, seed: int
+) -> tuple[tuple[int, ...], ...]:
+    """Round a fractional matrix with integral column sums to 0/1, exactly
+    preserving every column sum, with per-entry marginals equal to the input
+    and negative correlation within columns.  `rows` may be a
+    ``PreparedMatrix``, to check and scale a matrix once for many seeds."""
+    if isinstance(rows, PreparedMatrix):
+        D, column_sums = rows.D, rows.column_sums
+        X, adj = list(map(list, rows.X)), list(map(dict.copy, rows.adj))
+    else:  # prepared for this call alone, so pivoted on in place
+        D, X, column_sums, adj = _prepare(rows)
+    n = len(X)
     rng = SplitMix64(seed)
     for walk in _walks(adj, n):
         # edge k joins walk[k] and walk[k + 1]; the even edges form one
@@ -443,8 +481,8 @@ def dependent_round(
                     X[w][u - n] = x
 
     out = tuple(tuple(map(D.__rfloordiv__, row)) for row in X)
-    for j, (s, t) in enumerate(zip(map(sum, zip(*out)), sums)):
-        if s * D != t:  # hard guarantee, never tolerated
+    for j, (s, t) in enumerate(zip(map(sum, zip(*out)), column_sums)):
+        if s != t:  # hard guarantee, never tolerated
             raise AssertionError(f"column {j} sum drifted during rounding")
     return out
 

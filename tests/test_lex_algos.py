@@ -13,6 +13,7 @@ from bobw import (
     PreconditionError,
     RandomizedAllocation,
     ResourceCapError,
+    build_supergood_matrix,
     bvn_decompose,
     check_efx,
     check_exante_ef,
@@ -30,7 +31,7 @@ from bobw import (
     unit_run,
     utse,
 )
-from bobw import lex_algos
+from bobw import lex_algos, rounding
 from bobw.rng import SplitMix64
 
 from helpers import additive_instance, lex_instance
@@ -278,6 +279,33 @@ def test_k2_draw_rounds_through_the_module_binding(monkeypatch):
     monkeypatch.setattr(lex_algos, "dependent_round", counted)
     assert k2_sampler(inst)(13) == expected
     assert len(calls) == 1
+
+
+def test_k2_sampler_scales_its_matrix_once(monkeypatch):
+    # a sampler checks and scales its supergood matrix when it is built, not
+    # on every draw; each draw is the one the raw matrix gives
+    rng = SplitMix64(2207)
+    insts = [get_fixture("FIX-C")]
+    while len(insts) < 4:
+        inst = lex_instance(rng, 6 + rng.below(5), 8 + rng.below(5))
+        if summarize(unit_run(inst)).k == 2:
+            insts.append(inst)
+    for inst in insts:
+        summary = summarize(unit_run(inst))
+        base_goods, matrix = build_supergood_matrix(summary)
+        expected = [lex_algos._k2_from_rounding(inst, summary, base_goods, matrix, seed) for seed in range(50)]
+        calls = []
+        scaled = rounding._scaled
+
+        def counted(rows):
+            calls.append(rows)
+            return scaled(rows)
+
+        monkeypatch.setattr(rounding, "_scaled", counted)
+        sample = k2_sampler(inst)
+        assert [sample(seed) for seed in range(50)] == expected
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 # reference: utse with its own dummy-goods branch, kept verbatim (helper

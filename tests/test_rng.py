@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +50,59 @@ def test_below_rejects_nonpositive():
     rng = SplitMix64(9)
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+def _ref_below(rng: SplitMix64, n: int) -> int:
+    # the one-word rejection loop that drew every bound before bounds past
+    # 2**64 were supported, kept verbatim as the reference below
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        r = rng.next64()
+        if r < limit:
+            return r % n
+
+
+def test_below_draws_as_the_one_word_reference_up_to_two_to_the_64():
+    # every bound a 64-bit word covers keeps its draws, so no seeded output
+    # moves; bounds near 2**64 reject often and walk the stream on retries
+    bounds = [1, 2, 3, 7, 10**12 + 39, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64]
+    bounds += [1 + SplitMix64(31).below(2**k) for k in range(1, 65)]
+    for k, n in enumerate(bounds):
+        rng, twin = SplitMix64(k), SplitMix64(k)
+        for _ in range(20):
+            assert rng.below(n) == _ref_below(twin, n), n
+        assert rng.next64() == twin.next64()
+
+
+def test_below_past_two_to_the_64_stays_in_range_and_spreads():
+    # one 64-bit word has no multiple of such a bound to keep, so the bound
+    # needs wider tries; draws must fill the range, high words included
+    for n in (2**64 + 1, 3 * 2**64, 2**200 + 12345):
+        rng = SplitMix64(n % 97)
+        draws = [rng.below(n) for _ in range(300)]
+        assert all(0 <= x < n for x in draws)
+        assert sum(x >= n // 2 for x in draws) > 100, n
+    rng = SplitMix64(37)
+    assert {rng.event(Fraction(2**64, 2**64 + 1)) for _ in range(20)} == {True}
+
+
+def test_odds_past_64_bits_finish_a_rounding():
+    # entries 1e-30 and 1 - 1e-30 give pivot odds whose denominator passes
+    # 2**64; run in a child process under a timeout, so a regression fails
+    # here instead of hanging the suite
+    code = (
+        "from fractions import Fraction as F\n"
+        "from bobw import SplitMix64, dependent_round\n"
+        "e = F(1, 10**30)\n"
+        "assert SplitMix64(3).event(1 - e) in (True, False)\n"
+        "print(dependent_round(((e, 1 - e), (1 - e, e)), 3))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
+    out = ast.literal_eval(run.stdout)
+    assert out in (((0, 1), (1, 0)), ((1, 0), (0, 1)))
 
 
 def test_event_degenerate_probabilities():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,10 +21,10 @@ from bobw import (
 )
 from bobw import rounding
 from bobw.rng import SplitMix64, derive_seed
-from bobw.rounding import _resume_matching
+from bobw.rounding import PreparedMatrix, _resume_matching
 
 from helpers import lex_instance
-from test_acceptance import _BATTERY
+from test_acceptance import _BATTERY, _k2_instances
 
 F = Fraction
 HALF = F(1, 2)
@@ -688,6 +689,51 @@ def test_dependent_round_draws_one_event_per_pivot(monkeypatch):
             assert out == _ref_dependent_round(rows, seed)
             assert got == drawn and len(got) > 0, (idx, r)
             assert all(type(p) is Fraction for p in got)
+
+
+def _criterion_6_supergood_matrices() -> list:
+    return [build_supergood_matrix(summarize(unit_run(inst)))[1] for inst in _k2_instances()]
+
+
+def test_prepared_matrix_rounds_as_its_raw_rows():
+    # a sampler prepares its matrix once and rounds it with every seed; each
+    # draw must be the one the raw rows give
+    inputs = list(_BATTERY) + _benchmark_size_matrices() + _criterion_6_supergood_matrices()
+    for idx, rows in enumerate(inputs):
+        prepared = PreparedMatrix(rows)
+        for r in range(50):
+            seed = derive_seed(idx, r)
+            assert dependent_round(prepared, seed) == dependent_round(rows, seed), (idx, r)
+
+
+def test_prepared_matrix_is_unchanged_by_its_draws():
+    fractional = [rows for rows in _criterion_6_supergood_matrices() if any(0 < x < 1 for row in rows for x in row)]
+    for rows in _benchmark_size_matrices() + fractional[:4]:
+        prepared = PreparedMatrix(rows)
+        before = (prepared.D, prepared.X, prepared.column_sums, [dict(a) for a in prepared.adj])
+        assert any(before[3]), "no floating entry: the draws would not pivot"
+        for seed in range(50):
+            dependent_round(prepared, seed)
+        assert (prepared.D, prepared.X, prepared.column_sums, list(prepared.adj)) == before
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((HALF, HALF), (HALF,)), "matrix must be rectangular and nonempty"),
+        ((), "matrix must be rectangular and nonempty"),
+        (((F(3, 2), F(0)), (F(-1, 2), F(1))), "entries must lie in [0, 1]"),
+        (((F(1, 3), F(0)), (F(1, 3), F(1))), "column 0 sum 2/3 is not an integer"),
+        (((HALF, F(1, 3)), (HALF, F(1, 3)), (F(0), F(1, 3)), (F(0), HALF)), "column 1 sum 3/2 is not an integer"),
+    ],
+    ids=["ragged", "empty", "out of range", "column sum 2/3", "column sum 3/2"],
+)
+def test_raw_rows_are_checked_as_before_preparation(rows, message):
+    # the raw path prepares the rows itself, with the checks and messages
+    # rounding had before matrices could be prepared
+    for call in (lambda: dependent_round(rows, seed=1), lambda: PreparedMatrix(rows)):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def _walk_branches(monkeypatch) -> set[str]:
