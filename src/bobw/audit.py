@@ -66,15 +66,6 @@ def _pair_witness(i: int, j: int, **extra) -> dict:
 # pairwise envy notions on integral allocations
 
 
-def envies_set(inst: Instance, alloc: IntegralAllocation, i: int, goods) -> bool:
-    value = inst.valuations[i].int_value
-    return value(alloc.bundles[i]) < value(goods)
-
-
-def enviers_of_set(inst: Instance, alloc: IntegralAllocation, goods) -> list[int]:
-    return [i for i in inst.agents if envies_set(inst, alloc, i, goods)]
-
-
 def envy_graph(values: Sequence[Callable], bundles: Sequence) -> dict[int, list[int]]:
     """The envy graph: each envious agent to the agents it envies, ascending.
     `values[i]` is agent i's integer value of a bundle in whatever form
@@ -164,8 +155,8 @@ def check_efx_with_charity(inst: Instance, alloc: IntegralAllocation) -> AuditRe
     efx = check_efx(inst, alloc)
     if not efx.passed:
         return AuditReport("efx-with-charity", False, efx.witness)
-    for i in inst.agents:
-        if envies_set(inst, alloc, i, alloc.pool):
+    for i, val in enumerate(inst.valuations):
+        if val.int_value(alloc.bundles[i]) < val.int_value(alloc.pool):
             return AuditReport(
                 "efx-with-charity", False, {"viewer": i, "toward": "pool", "pool": sorted(alloc.pool)}
             )

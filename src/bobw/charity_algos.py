@@ -16,8 +16,8 @@ candidate's value once per agent, a table by one lookup of `weights[mask]`
 and per-good weights by a sum over the mask's bits.  The sampler, the
 trace replay, `oracle`'s exact walk over swap-loop states and the post-pass
 all carry (bundle masks, pool mask) and build sets only for the trace's
-subsets and the allocations they return; `minimal_envied_subset` and
-`resolve_envy_cycles` are the set-valued entry points to the same routines.
+subsets and the allocations they return; `minimal_envied_subset`, the
+set-valued entry point to `_envied_subset`, is kept for perfbench's tracer.
 
 The deterministic post-pass shrinks the pool below the number of unenvied
 agents with one move per iteration: a pool swap while the pool is envied,
@@ -150,12 +150,6 @@ class SwapTrace:
         }
 
 
-def empty_start(inst: Instance) -> IntegralAllocation:
-    return IntegralAllocation(
-        bundles=tuple(frozenset() for _ in inst.agents), pool=frozenset(range(inst.m))
-    )
-
-
 def random_charity_swap(inst: Instance, seed: int) -> tuple[IntegralAllocation, SwapTrace]:
     """Run the uniform-envier pool-swap loop from all goods pooled until no
     agent envies the pool.  Bundles and pool are carried as bitmasks."""
@@ -240,17 +234,10 @@ def _find_cycle(edges: dict[int, list[int]], n: int) -> Optional[list[int]]:
     return None
 
 
-def resolve_envy_cycles(inst: Instance, alloc: IntegralAllocation) -> IntegralAllocation:
-    """Rotate bundles along envy cycles until the envy graph is acyclic.
-    Every agent ends at least as happy; cycle members strictly gain."""
-    masks = [bundle_mask(b) for b in alloc.bundles]
-    _resolve_cycles(_mask_values(inst), masks)
-    return _allocation(masks, bundle_mask(alloc.pool))
-
-
 def _resolve_cycles(values: Sequence[Callable[[int], int]], masks: list[int]) -> dict[int, list[int]]:
-    """`resolve_envy_cycles` on bundle masks, in place; returns the acyclic
-    envy graph it ends with."""
+    """Rotate bundles along envy cycles until the envy graph is acyclic, on
+    bundle masks, in place; returns the acyclic envy graph it ends with.
+    Every agent ends at least as happy; cycle members strictly gain."""
     while True:
         edges = envy_graph(values, masks)
         cycle = _find_cycle(edges, len(masks))
@@ -352,7 +339,7 @@ def _reshuffle(values: Sequence[Callable[[int], int]], masks: list[int], pool: i
     good = pool & -pool
     grown = masks[i] | good
     envy = _envied_subset(values, masks, grown)
-    if envy is None:  # pragma: no cover - a failed commit implies envy
+    if envy is None:
         raise AssertionError("EFX failed for every commit yet nothing envies the grown bundle")
     subset, enviers = envy
     h = enviers[0]

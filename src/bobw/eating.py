@@ -236,15 +236,6 @@ def rounds_allocation(
     return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
-def event_times(trace: EatingTrace) -> list[Fraction]:
-    times = {Fraction(0), trace.duration}
-    for segs in trace.segments:
-        for _, a, b in segs:
-            times.add(a)
-            times.add(b)
-    return sorted(times)
-
-
 def eat_report(inst: Instance, trace: EatingTrace) -> dict:
     """CLI-facing JSON: summary with dummy goods stripped."""
     s = summarize(trace)

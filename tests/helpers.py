@@ -1,10 +1,11 @@
-"""Seeded random-instance generators shared across the test modules."""
+"""Seeded random-instance generators and reference helpers shared across
+the test modules."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from bobw import Additive, Instance, IntegralAllocation, Lexicographic, Table
+from bobw import Additive, Instance, IntegralAllocation, Lexicographic, Table, value_of
 from bobw.rng import SplitMix64
 
 
@@ -59,3 +60,12 @@ def from_assignment(assignment, n: int) -> IntegralAllocation:
     for g, i in enumerate(assignment):
         bundles[i].add(g)
     return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
+
+
+def all_pooled(inst: Instance) -> IntegralAllocation:
+    """The pool-swap loop's start: empty bundles, every good pooled."""
+    return IntegralAllocation(bundles=tuple(frozenset() for _ in inst.agents), pool=frozenset(inst.goods))
+
+
+def _ref_enviers_of_set(inst, alloc, goods):
+    return [i for i in inst.agents if value_of(inst, i, alloc.bundles[i]) < value_of(inst, i, goods)]

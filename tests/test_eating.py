@@ -24,7 +24,6 @@ from bobw.eating import (
     Segment,
     TraceSummary,
     eat_report,
-    event_times,
     ordinal_rankings,
 )
 from bobw.rng import SplitMix64
@@ -158,12 +157,21 @@ def test_prefix_allocation_truncates_exactly():
         prefix_allocation(trace, F(2))
 
 
+def _event_times(trace: EatingTrace) -> list[Fraction]:
+    times = {Fraction(0), trace.duration}
+    for segs in trace.segments:
+        for _, a, b in segs:
+            times.add(a)
+            times.add(b)
+    return sorted(times)
+
+
 def test_anytime_prefix_dominance_at_event_times():
     rng = SplitMix64(103)
     for _ in range(15):
         inst = lex_instance(rng, 2 + rng.below(3), 3 + rng.below(4))
         trace = full_run(inst)
-        for z in event_times(trace):
+        for z in _event_times(trace):
             rows = tuple(row[: inst.m] for row in prefix_allocation(trace, z))
             assert check_sdef(inst, rows).passed
 

@@ -28,19 +28,24 @@ from bobw import (
     sdef_feasibility,
 )
 from bobw import oracle
-from bobw.audit import enviers_of_set
 from bobw.charity_algos import (
     _allocation,
     _envied_subset,
     _goods,
     _mask_values,
-    empty_start,
     require_monotone_integer,
 )
 from bobw.cli import main
 from bobw.rng import SplitMix64
 
-from helpers import additive_instance, capped_additive_instance, lex_instance, monotone_instance
+from helpers import (
+    _ref_enviers_of_set,
+    additive_instance,
+    all_pooled,
+    capped_additive_instance,
+    lex_instance,
+    monotone_instance,
+)
 
 F = Fraction
 
@@ -202,14 +207,14 @@ def _ref_iter_charity_branches(inst):
         if subset is None:
             yield prob, alloc, SwapTrace(steps=tuple(steps))
             return
-        enviers = tuple(enviers_of_set(inst, alloc, subset))
+        enviers = tuple(_ref_enviers_of_set(inst, alloc, subset))
         share = prob / len(enviers)
         for k in enviers:
             steps.append(SwapStep(subset=subset, enviers=enviers, chosen=k))
             yield from walk(_ref_apply_swap(alloc, subset, k), share, steps)
             steps.pop()
 
-    yield from walk(empty_start(inst), F(1), [])
+    yield from walk(all_pooled(inst), F(1), [])
 
 
 def test_branch_enumeration_matches_the_recursive_walk():
