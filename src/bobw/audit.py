@@ -18,6 +18,9 @@ may be worth something), checks every bundle.  Every expected-value audit
 from each agent's scaled probability of holding each bundle, so each viewer
 values each distinct bundle once; ``min_exante_ratio`` compares its ratios
 by cross-multiplication and builds one Fraction.
+``check_stochastic_dominance_half`` scales the probabilities to ints the
+same way, tallies each viewer's mass by integer value once, and sweeps
+each pair's thresholds upward, subtracting masses.
 
 The audits assume allocations that fit the instance: one bundle per agent,
 holding only its goods.  They do not check this, since they run on every
@@ -369,19 +372,27 @@ def check_exante_prop(dist: RandomizedAllocation, inst: Instance, alpha: Fractio
 def check_stochastic_dominance_half(dist: RandomizedAllocation, inst: Instance) -> AuditReport:
     """For every pair (i, j) and every achievable threshold T of v_i:
     Pr[v_i(own) >= T] >= (1/2) Pr[v_i(j's bundle) >= T], exactly.  A failing
-    pair's witness is its least failing threshold."""
-    for i in inst.agents:
-        # viewer i's integer value of every bundle, once per outcome
-        val = inst.valuations[i]
-        views = [(p, [val.int_value(b) for b in a.bundles]) for p, a in dist.support]
-        own_vals = [(p, values[i]) for p, values in views]
-        for j in inst.agents:
+    pair's witness is its least failing threshold.
+
+    Probabilities are scaled to ints by the LCM of their denominators, as in
+    ``_expected_matrix``.  Each viewer tallies, once, its scaled mass of
+    every agent's bundle by integer value.  A pair sweeps the union of its
+    two value sets upward: both tail masses start at the total, and each
+    threshold is tested before its own mass is taken off."""
+    scale = lcm(*(p.denominator for p, _ in dist.support))
+    masses = [(p.numerator * (scale // p.denominator), alloc.bundles) for p, alloc in dist.support]
+    total = sum(q for q, _ in masses)
+    for i, val in enumerate(inst.valuations):
+        tally = [Counter() for _ in inst.agents]  # j -> v_i(j's bundle) -> scaled mass
+        for q, bundles in masses:
+            for held, bundle in zip(tally, bundles):
+                held[val.int_value(bundle)] += q
+        own = tally[i]
+        for j, other in enumerate(tally):
             if i == j:
                 continue
-            other_vals = [(p, values[j]) for p, values in views]
-            for t in sorted({v for _, v in own_vals} | {v for _, v in other_vals}):
-                p_own = sum((p for p, v in own_vals if v >= t), start=Fraction(0))
-                p_other = sum((p for p, v in other_vals if v >= t), start=Fraction(0))
+            p_own = p_other = total
+            for t in sorted(own.keys() | other.keys()):
                 if 2 * p_own < p_other:
                     return AuditReport(
                         "stochastic-dominance-half",
@@ -390,10 +401,12 @@ def check_stochastic_dominance_half(dist: RandomizedAllocation, inst: Instance) 
                             i,
                             j,
                             threshold=format_rational(Fraction(t, val.scale)),
-                            own=format_rational(p_own),
-                            other=format_rational(p_other),
+                            own=format_rational(Fraction(p_own, scale)),
+                            other=format_rational(Fraction(p_other, scale)),
                         ),
                     )
+                p_own -= own[t]
+                p_other -= other[t]
     return AuditReport("stochastic-dominance-half", True)
 
 

@@ -12,9 +12,12 @@ between the two), how `sample` and `estimate` draw from it, how `oracle`
 computes its exact lottery, the `_check` keys its outcomes owe ex post and
 its lottery ex ante (half-proportionality only where every valuation is
 subadditive), and which optional solve flags it reads (--seed unless it has
-a lottery).  The argparse choices of solve, sample, estimate and oracle
-come from it.  solve, oracle and repro each refuse an optional flag that
-their algorithm, op or scenario does not read.
+a lottery).  The tail lottery (utse, and lex-bobw when it returns a
+lottery) owes a least ex-ante ratio of 3k/(3k+1) for its last-good mass k,
+and solve exits 2 when it misses it.  The argparse choices of solve,
+sample, estimate and oracle come from it.  solve, oracle and repro each
+refuse an optional flag that their algorithm, op or scenario does not
+read.
 
 Exit codes: 0 success, 2 a checked property failed (witness in the output),
 3 bad input or precondition (argparse usage errors, files that cannot be
@@ -73,7 +76,7 @@ from .eating import (
     summarize,
     unit_run,
 )
-from .lex_algos import k2_sampler, permutation_sampler, solve_lex_bobw, uniform_permutation, utse
+from .lex_algos import _tail_lottery, k2_sampler, permutation_sampler, solve_lex_bobw, uniform_permutation, utse
 from .oracle import (
     DEFAULT_LEAF_CAP,
     enumerate_efx,
@@ -176,11 +179,13 @@ def cmd_eat(args) -> int:
 class Algorithm:
     """`solve` prints the exact lottery if there is one, else one draw at the
     required --seed; a row with neither is the lex-bobw router, where
-    solve_lex_bobw picks one of the two by k."""
+    solve_lex_bobw picks one of the two by k.  A lottery that comes with a
+    last-good mass k is the tail lottery, which owes a least ex-ante ratio
+    of 3k/(3k+1)."""
 
     # _check keys owed ex post, by every support allocation of a lottery
     audits: tuple[str, ...]
-    lottery: Optional[Callable] = None  # (inst, args) -> RandomizedAllocation
+    lottery: Optional[Callable] = None  # (inst, args) -> (k or None, RandomizedAllocation)
     # (inst, args) -> seed -> (allocation, trace or None); sample, estimate
     draws: Optional[Callable] = None
     exante: tuple[str, ...] = ()  # _check keys owed by the whole lottery
@@ -233,6 +238,13 @@ def _pinned_decomposition(args) -> Optional[Decomposition]:
     return Decomposition.from_json(read_json(args.decomposition))
 
 
+def _utse(inst: Instance, args) -> tuple[int, RandomizedAllocation]:
+    """utse's lottery and its k, from one eating run."""
+    decomposition = _pinned_decomposition(args)
+    summary = summarize(unit_run(inst))
+    return int(summary.k), _tail_lottery(inst, summary, decomposition)
+
+
 def _no_trace(sample: Callable[[int], IntegralAllocation]) -> Callable:
     return lambda seed: (sample(seed), None)
 
@@ -250,14 +262,14 @@ def _bounded_charity_draws(inst: Instance, args) -> Callable:
 ALGORITHMS: dict[str, Algorithm] = {
     "utse": Algorithm(
         ("efx", "po_lex"),
-        lottery=lambda inst, args: utse(inst, decomposition=_pinned_decomposition(args)),
+        lottery=_utse,
         flags=("--decomposition",),
     ),
     "depround-k2": Algorithm(("efx", "po_lex"), draws=lambda inst, args: _no_trace(k2_sampler(inst))),
     "lex-bobw": Algorithm(("efx", "po_lex")),
     "uniform-perm": Algorithm(
         ("po_lex",),
-        lottery=lambda inst, args: uniform_permutation(inst),
+        lottery=lambda inst, args: (None, uniform_permutation(inst)),
         draws=lambda inst, args: _no_trace(permutation_sampler(inst)),
         exante=("exante_half_ef",),
     ),
@@ -287,16 +299,19 @@ def cmd_solve(args) -> int:
     inst = _load(args)
     result: dict = {"algorithm": name}
     trace = None
+    k = None  # the tail lottery's last-good mass
     if algo.lottery:
-        outcome = algo.lottery(inst, args)
+        k, outcome = algo.lottery(inst, args)
     elif algo.draws:
         if args.seed is None:
             raise PreconditionError(f"--seed is required for the {name} sampler")
         outcome, trace = algo.draws(inst, args)(args.seed)
     else:  # router
-        result["k"], outcome = solve_lex_bobw(inst, seed=args.seed)
+        k, outcome = solve_lex_bobw(inst, seed=args.seed)
+        result["k"] = k
         result["kind"] = "distribution" if isinstance(outcome, RandomizedAllocation) else "sample"
 
+    floor = None  # the least ex-ante ratio a tail lottery owes, if it misses it
     if isinstance(outcome, RandomizedAllocation):
         result["distribution"] = outcome.to_json()
         reports = check_support(inst, outcome, {key: _check(key) for key in algo.audits})
@@ -304,6 +319,9 @@ def cmd_solve(args) -> int:
         ratio = min_exante_ratio(outcome, inst)
         audits["min_exante_ratio"] = None if ratio is None else format_rational(ratio)
         audits.update(_exante(algo.exante, outcome, inst))
+        # None is an infinite ratio, which meets any floor
+        if k is not None and ratio is not None and ratio < Fraction(3 * k, 3 * k + 1):
+            floor = Fraction(3 * k, 3 * k + 1)
     else:
         result["allocation"] = outcome.to_json()
         if trace is not None:
@@ -312,6 +330,8 @@ def cmd_solve(args) -> int:
     result["audits"] = audits
     if _failed(audits):
         raise PropertyFailure("ex-post audit failed", {"audits": audits})
+    if floor is not None:
+        raise PropertyFailure("ex-ante floor missed", {"k": k, "floor": format_rational(floor), "audits": audits})
     _emit(result, args.output)
     return EXIT_OK
 

@@ -16,9 +16,12 @@ supported:
 Each valuation holds an integer form: a positive ``scale`` and integer
 ``weights`` (per good, or per table bitmask), with v(B) = ``int_value(B)``
 / ``scale``.  ``Additive`` and ``Table`` build it from their values when
-constructed, parsing with ``int()`` first (``parse_exact``), and refuse
-a decimal string past Python's 4,300-digit limit in its digits or its
-exponent; ``Lexicographic`` derives its powers of two once, on first use.
+constructed.  Strings that are all JSON integers, as ``instance_to_json``
+writes a table, are read in one ``json.loads`` pass over the values
+joined by commas; everything else falls through to ``int()`` per value
+and then ``parse_exact``, which refuse a decimal string past Python's
+4,300-digit limit in its digits or its exponent.  ``Lexicographic``
+derives its powers of two once, on first use.
 ``Instance`` checks that each valuation fits its goods (``shape_error``),
 so code past construction may index freely.  A table's monotonicity is
 one pass over the table packed into one int, a byte-aligned field per
@@ -148,8 +151,24 @@ def sums_to_one(weights: Sequence[Fraction]) -> bool:
 
 def _integer_form(values: Iterable) -> tuple[int, tuple[int, ...]]:
     """(scale, weights) with value k = weights[k] / scale: the scale is the
-    LCM of the reduced denominators, so it is 1 iff every value is an integer."""
+    LCM of the reduced denominators, so it is 1 iff every value is an integer.
+
+    Strings that are all JSON integers (a table written by instance_to_json)
+    are read in one json.loads pass: joined by commas, they hold nothing but
+    digits, '-' and ',', and as many integers come back as there are values
+    only if no value holds a comma, so each value is one JSON integer token
+    and json reads it as int() does.  Anything else falls through: a value
+    that is not a str, another character, a token JSON refuses (leading
+    zeros, a lone '-', past the digit limit) or a count mismatch."""
     values = tuple(values)
+    try:
+        text = ",".join(values)
+        if not text.encode().translate(None, b"0123456789,-"):  # non-ASCII bytes stay
+            ints = json.loads(f"[{text}]")
+            if len(ints) == len(values):
+                return 1, tuple(ints)
+    except (TypeError, ValueError):  # a value not a str, a lone surrogate, JSON's refusal
+        pass
     if set(map(type, values)) <= {int, str}:  # parse_exact's int() path, in one pass
         try:
             return 1, tuple(map(int, values))

@@ -40,7 +40,14 @@ from bobw.audit import AuditReport, envied_agents, envy_edges, unenvied_agents
 from bobw.eating import ordinal_rankings
 from bobw.rng import SplitMix64
 
-from helpers import _ref_enviers_of_set, additive_instance, from_assignment, lex_instance, monotone_instance
+from helpers import (
+    _ref_enviers_of_set,
+    additive_instance,
+    capped_additive_instance,
+    from_assignment,
+    lex_instance,
+    monotone_instance,
+)
 
 F = Fraction
 
@@ -585,6 +592,23 @@ def test_exante_audits_match_per_pair_loops():
             assert got.to_json() == expected.to_json()
             failing += not got.passed
     assert failing > 300
+
+    # the exact charity lotteries of oracle-size tables, and each again with
+    # its probabilities permuted across outcomes, some of which fail
+    failing = 0
+    for make in (monotone_instance, capped_additive_instance):
+        for m in (5, 6):
+            for _ in range(10):
+                inst = make(rng, 3, m)
+                dist = oracle.exact_distribution_charity(inst, algorithm=3)
+                probs = [p for p, _ in dist.support]
+                order = rng.permutation(len(probs))
+                permuted = RandomizedAllocation(tuple((probs[k], a) for k, (_, a) in zip(order, dist.support)))
+                for lottery in (dist, permuted):
+                    got = check_stochastic_dominance_half(lottery, inst)
+                    assert got.to_json() == _ref_check_stochastic_dominance_half(lottery, inst).to_json()
+                    failing += not got.passed
+    assert 8 < failing < 72  # witnesses compared, and passes too
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,9 @@ from bobw import (
 from bobw import cli
 from bobw.audit import AuditReport
 from bobw.cli import ALGORITHMS, _check, build_parser, main
+from bobw.rng import SplitMix64
 
-from helpers import from_assignment
+from helpers import capped_additive_instance, from_assignment, monotone_instance
 
 
 def _run(capsys, argv):
@@ -150,6 +152,50 @@ def test_charity_commands_reject_a_non_monotone_table(capsys, tmp_path, command)
     assert main([word, str(path), *rest]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: agent 0: non-monotone table\n")
+
+
+def _mutants(text: bytes, rng: random.Random, count: int):
+    """`count` copies of `text`, each with one byte flipped in one bit,
+    inserted or deleted."""
+    for _ in range(count):
+        data = bytearray(text)
+        pos = rng.randrange(len(data))
+        edit = rng.randrange(3)
+        if edit == 0:
+            data[pos] ^= 1 << rng.randrange(8)
+        elif edit == 1:
+            data.insert(pos, rng.randrange(256))
+        else:
+            del data[pos]
+        yield bytes(data)
+
+
+def test_mutated_table_files_exit_cleanly(capsys, tmp_path):
+    # seeded single-byte mutants of a monotone and a capped-additive 3/5
+    # table file; bounded-charity is left out while its pool-shrinking pass
+    # can break its own guarantee
+    commands = (
+        ["validate"],
+        ["solve", "--algorithm", "charity", "--seed", "1"],
+        ["oracle", "--op", "exact-charity"],
+    )
+    path = tmp_path / "inst.json"
+    codes = {}
+    rng = random.Random(24)
+    for seed, make in ((1, monotone_instance), (2, capped_additive_instance)):
+        text = json.dumps(instance_to_json(make(SplitMix64(seed), 3, 5))).encode()
+        for data in _mutants(text, rng, 1000):
+            path.write_bytes(data)
+            for word, *rest in commands:
+                try:
+                    code = main([word, str(path), *rest])
+                except Exception as exc:  # the mutant goes into the failure message
+                    raise AssertionError(f"{word} raised on {data!r}") from exc
+                assert code in (0, 2, 3, 4), (word, data)
+                codes[word, code] = codes.get((word, code), 0) + 1
+            capsys.readouterr()
+    # mutants that still load and run, beside the ones refused
+    assert codes["solve", 0] > 100 and codes["oracle", 0] > 100 and codes["validate", 2] > 10
 
 
 # allocation, lottery, supports and decomposition files on FIX-A (n = 3, m = 4)
@@ -715,6 +761,36 @@ def test_solve_exits_2_when_an_audit_fails(capsys, tmp_path, monkeypatch):
     assert main(["solve", "FIX-D", "--algorithm", "utse", "-o", str(target)]) == 2
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text()) == data
+
+
+@pytest.mark.parametrize("algorithm", ["utse", "lex-bobw"])
+def test_solve_exits_2_when_the_tail_lottery_misses_its_floor(capsys, tmp_path, monkeypatch, algorithm):
+    # FIX-D has k = 1, so the tail lottery owes 3/4; cmd_solve looks
+    # min_exante_ratio up in the cli module when it runs
+    argv = ["solve", "FIX-D", "--algorithm", algorithm]
+    monkeypatch.setattr(cli, "min_exante_ratio", lambda dist, inst: Fraction(3, 4))
+    code, passing = _run_json(capsys, argv)
+    assert code == 0 and passing["audits"]["min_exante_ratio"] == "3/4"
+    assert "floor" not in passing and "error" not in passing
+
+    monkeypatch.setattr(cli, "min_exante_ratio", lambda dist, inst: Fraction(3, 4) - Fraction(1, 10**9))
+    code, data = _run_json(capsys, argv)
+    assert code == 2
+    assert (data["error"], data["k"], data["floor"]) == ("ex-ante floor missed", 1, "3/4")
+    assert data["audits"]["min_exante_ratio"] == "749999999/1000000000"
+    assert data["audits"]["efx"]["passed"] is True
+    target = tmp_path / "out.json"
+    assert main([*argv, "-o", str(target)]) == 2
+    assert capsys.readouterr().out == ""
+    assert json.loads(target.read_text()) == data
+
+
+def test_solve_floor_gate_skips_samples_and_uniform_orders(capsys, monkeypatch):
+    # a k = 2 draw has no lottery to rate, and the uniform-order lottery owes 1/2-EF instead
+    monkeypatch.setattr(cli, "min_exante_ratio", lambda dist, inst: Fraction(1, 100))
+    assert _run_json(capsys, ["solve", "FIX-C", "--algorithm", "lex-bobw", "--seed", "5"])[0] == 0
+    code, data = _run_json(capsys, ["solve", "FIX-B", "--algorithm", "uniform-perm"])
+    assert code == 0 and data["audits"]["min_exante_ratio"] == "1/100"
 
 
 def test_solve_refuses_decomposition_outside_utse(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from operator import le
 from typing import Sequence
 
@@ -29,6 +30,8 @@ from bobw import (
 )
 from bobw import core
 from bobw.rng import SplitMix64
+
+from helpers import monotone_instance
 
 F = Fraction
 
@@ -308,6 +311,97 @@ def test_valuations_hold_an_integer_form():
     lex = Lexicographic((2, 0, 1))
     assert (lex.scale, lex.weights) == (1, canonical_lex_values((2, 0, 1)))
     assert repr(Table((0, 1))) == "Table(values=(Fraction(0, 1), Fraction(1, 1)), subadditive=False)"
+
+
+# ---------------------------------------------------------------------------
+# differential check of the one-pass JSON read of integer strings against
+# the per-value int() loop it runs ahead of, kept verbatim
+
+
+def _ref_integer_form(values):
+    values = tuple(values)
+    if set(map(type, values)) <= {int, str}:  # parse_exact's int() path, in one pass
+        try:
+            return 1, tuple(map(int, values))
+        except ValueError:
+            pass
+    exact = [core.parse_exact(v) for v in values]
+    scale = lcm(*(x.denominator for x in exact))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in exact)
+
+
+def _outcome(form, values):
+    try:
+        scale, weights = form(values)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return scale, weights, [type(w) for w in weights]
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reaches_the_slow_path(monkeypatch, values) -> bool:
+    """Whether _integer_form calls int() or parse_exact on `values`: both are
+    shadowed in bobw.core by spies that stop the call."""
+
+    def spy(*args):
+        raise _Reached
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "int", spy, raising=False)
+        patch.setattr(core, "parse_exact", spy)
+        try:
+            core._integer_form(values)
+        except _Reached:
+            return True
+    return False
+
+
+def _written_table() -> list[str]:
+    values = instance_to_json(monotone_instance(SplitMix64(24), 1, 12, max_step=9))["valuations"][0]["values"]
+    assert len(values) == 4096 and len(set(values)) > 20
+    return values
+
+
+_BULK = {
+    "table": _written_table(),
+    "negatives": ["-3", "0", "12", "-40", "-1"],
+    "minus-zero": ["-0", "0", "-0"],
+    "4300-digits": ["0", "9" * 4300, "-" + "9" * 4300],
+}
+_ODD = ["007", "+5", " 5", "5\n", "1_000", "٣", "５", "1,2", "", "-", "--1", "1-2", "1e3", "1.0", "3/2",
+        "\ud800", True, 1.5, F(1, 2), [1], ()]
+_FALL_THROUGH = {
+    **{f"{x!r}-alone": [x] for x in _ODD},
+    **{f"{x!r}-inside": ["0", x, "1"] for x in _ODD},
+    "json-ints": [0, 5, -3, 12],
+    "mixed": ["0", 5, "-3"],
+    "4301-digits": ["0", "1" * 4301],
+}
+
+
+@pytest.mark.parametrize("values", list(_BULK.values()), ids=list(_BULK))
+def test_integer_strings_take_one_json_pass(monkeypatch, values):
+    assert _outcome(core._integer_form, values) == _outcome(_ref_integer_form, values)
+    assert core._integer_form(values)[0] == 1
+    # a silent fall-through would give the same weights more slowly
+    assert not _reaches_the_slow_path(monkeypatch, values)
+    assert not _reaches_the_slow_path(monkeypatch, iter(values))
+
+
+@pytest.mark.parametrize("values", list(_FALL_THROUGH.values()), ids=list(_FALL_THROUGH))
+def test_other_values_fall_through_to_the_int_loop(monkeypatch, values):
+    assert _outcome(core._integer_form, values) == _outcome(_ref_integer_form, values)
+    assert _reaches_the_slow_path(monkeypatch, values)
+
+
+def test_the_digit_limit_holds_on_both_paths():
+    assert Table(("0", "1" * 4300)).weights == (0, int("1" * 4300))
+    for values in (("0", "1" * 4301), ("0", "-" + "1" * 4301)):
+        with pytest.raises(PreconditionError, match="^numbers are limited to 4300 digits"):
+            Table(values)
 
 
 @pytest.mark.parametrize("ranking", [(1.5, 0), ("a", 1), (True, 0), (1.0, 0)], ids=repr)
