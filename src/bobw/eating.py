@@ -7,8 +7,19 @@ does: a good whose rest would last d more time units at a eaters lasts
 d * a / b at b eaters.  The run jumps to the earliest finish time (capped by
 the requested duration); only the eaters of the goods that ran out move on,
 and an agent's segment is closed only when its good runs out or the run
-ends.  Every switch happens at a rational time, so the consumption matrix
-is exact.  `summarize` and `representative_matrix` read each segment once.
+ends.
+
+Every switch happens at a rational time, and the loop keeps all of them on
+one integer clock: a time is an int over a common scale L, which starts at
+the LCM of the first eater groups' sizes.  A good that goes from a to b
+eaters has rest r = (finish - T) * a clock units (L for a fresh good) and
+now finishes at T + r / b; when b does not divide r, L, the current time T,
+r and every live finish time are first multiplied by b / gcd(r, b).  So
+each time is the rational the Fraction arithmetic would give, comparisons
+are int comparisons, and one ``Fraction`` per event closes the segments.
+`summarize` adds each segment's share as an int over the LCM of the
+segment ends' denominators and builds one ``Fraction`` per nonzero cell;
+`summarize` and `representative_matrix` read each segment once.
 
 A run of duration one (feasible whenever m >= n) is the building block for
 the lottery constructions: its summary records each agent's final good g_i,
@@ -26,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
 from .core import Instance, IntegralAllocation, PreconditionError, format_rational, parse_rational
@@ -92,13 +103,17 @@ def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> Eating
     eaters: dict[int, list[int]] = {}  # per good being eaten
     for i, r in enumerate(rankings):
         eaters.setdefault(r[0], []).append(i)
-    finish = {g: Fraction(1, len(group)) for g, group in eaters.items()}
+    # every time is an int over the clock scale L (see the module docstring)
+    L = lcm(*map(len, eaters.values()))
+    finish = {g: L // len(group) for g, group in eaters.items()}
+    stop, per = duration.numerator, duration.denominator
 
     while True:
-        t = min(finish.values())
-        if t >= duration:
+        T = min(finish.values())
+        if T * per >= stop * L:
             break
-        gone = [g for g, f in finish.items() if f == t]
+        t = Fraction(T, L)
+        gone = [g for g, f in finish.items() if f == T]
         for g in gone:
             finished[g] = True
             del finish[g]
@@ -114,10 +129,17 @@ def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> Eating
                 joining.setdefault(r[c], []).append(i)
         for g, new in joining.items():
             group = eaters.setdefault(g, [])
-            if group:  # the rest, (f - t) * len(group) units, now has more eaters
-                finish[g] = t + (finish[g] - t) * len(group) / (len(group) + len(new))
-            else:
-                finish[g] = t + Fraction(1, len(new))
+            a = len(group)
+            b = a + len(new)
+            rest = (finish[g] - T) * a if a else L  # clock units of g left
+            if rest % b:
+                q = b // gcd(rest, b)
+                L *= q
+                T *= q
+                rest *= q
+                for h in finish:
+                    finish[h] *= q
+            finish[g] = T + rest // b
             group += new
 
     for i, r in enumerate(rankings):
@@ -135,27 +157,35 @@ def summarize(trace: EatingTrace) -> TraceSummary:
     if not all(trace.segments):
         raise PreconditionError("agent with empty trace")
     m = trace.m_total
+    # shares are ints over D, the LCM of the segment ends' denominators
+    denominators = {t.denominator for segs in trace.segments for _, a, b in segs for t in (a, b)}
+    D = lcm(*denominators)
+    scale = {d: D // d for d in denominators}
     zero = Fraction(0)
     X = [[zero] * m for _ in range(trace.n)]
-    eaten = [zero] * m
+    eaten = [0] * m
     for row, segs in zip(X, trace.segments):
+        shares: dict[int, int] = {}
         for g, a, b in segs:
-            share = b - a
-            row[g] += share
+            share = b.numerator * scale[b.denominator] - a.numerator * scale[a.denominator]
+            shares[g] = shares.get(g, 0) + share
             eaten[g] += share
+        for g, x in shares.items():
+            if x:
+                row[g] = Fraction(x, D)
     last = tuple(segs[-1][0] for segs in trace.segments)
     L = frozenset(last)
     U = frozenset(g for g in range(m) if not eaten[g])
-    k = sum((eaten[g] for g in L), start=zero)
+    k = Fraction(sum(eaten[g] for g in L), D)
     if trace.duration == 1 and k.denominator != 1:
         raise AssertionError(f"last-good mass k = {k} is not integral on a duration-one run")
     return TraceSummary(
-        X=tuple(tuple(row) for row in X),
+        X=tuple(map(tuple, X)),
         last_goods=last,
         L=L,
         U=U,
         k=k,
-        eaten=tuple(eaten),
+        eaten=tuple(Fraction(x, D) if x else zero for x in eaten),
         duration=trace.duration,
     )
 

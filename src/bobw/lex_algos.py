@@ -1,5 +1,5 @@
-"""Lottery constructions for agents with strict ordinal (lexicographic or
-distinct-value additive) preferences.
+"""Lottery constructions for agents with strict ordinal preferences: a
+lexicographic ranking, or distinct additive values read as their ranking.
 
 The centerpiece pipeline runs duration-one simultaneous eating, decomposes
 the consumption matrix into assignment terms, and then hands each term's
@@ -8,9 +8,12 @@ The tail always fits: every term assigns all fully-eaten ordinary goods, so
 exactly k agents sit on last goods and the leftover tail is shared among
 those k candidates with weight split evenly.  With fewer goods than agents,
 dummy goods pad the run, every term is a perfect matching, the tail is empty
-and dummies are dropped from the bundles.  The result is envy-free in
+and dummies are dropped from the bundles.  For lexicographic agents, and
+additive values consistent with a lexicographic order (each good worth more
+than all goods it outranks together), the result is envy-free in
 expectation up to the factor 3k/(3k+1) and each support outcome is EFX and
-Pareto optimal.
+Pareto optimal.  Other additive values get the lottery of their ranking,
+which owes them none of these guarantees: the audits may fail on them.
 
 When the eating stage ends with exactly two units of last-good mass (k = 2),
 a strictly better construction exists: aggregate all last goods into one
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .audit import envied_agents
@@ -116,18 +121,26 @@ def _tail_lottery(
         decomposition = bvn_decompose(summary.X)
     elif decomposition.reconstruct(inst.n, len(summary.eaten)) != summary.X:
         raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
-    # with dummy goods (m < n) every term is a perfect matching: the tail is
-    # empty and the k winners' copies of one outcome merge back to weight w.
-    # Outcomes merge as they are made, keyed by their bundles' sorted goods
-    # (every pool is empty); masses add up as ints over the LCM of the term
-    # weights' denominators.
+    # Outcomes merge as they are made, each under a flat key: the term's
+    # assignment with dummy goods as -1 and, when the tail is non-empty, the
+    # winner's entry as m.  A non-empty tail means no dummies (m >= n) and
+    # the winner is the one agent holding two goods or more; its own good
+    # is its last good, so the key fixes the outcome.  An empty tail (every
+    # term a perfect matching, as with dummy goods when m < n) gives every
+    # winner the same outcome, so it merges into one entry of k times the
+    # term's mass.  Masses add up as ints over the LCM of the term weights'
+    # denominators.  Each distinct outcome builds its bundles and its sort
+    # key, the bundles' sorted goods (every pool is empty), once; the
+    # singletons are shared, so equal positions compare by identity.
     k = int(summary.k)
     m = inst.m
     goods = frozenset(range(m))
     outside = summary.L | summary.U
+    m_total = len(summary.eaten)
+    singles = [frozenset((g,)) for g in range(m)] + [frozenset()] * (m_total - m)
+    sorted_singles = [(g,) for g in range(m)] + [()] * (m_total - m)
     scale = math.lcm(*(w.denominator for w, _ in decomposition.terms))
-    mass: dict[tuple, int] = {}
-    outcomes: dict[tuple, list[frozenset[int]]] = {}
+    outcomes: dict[tuple[int, ...], list] = {}  # flat key -> [mass, sort key, bundles]
     for w, assignment in decomposition.terms:
         tail = goods.difference(assignment)
         if not tail <= outside:
@@ -135,25 +148,38 @@ def _tail_lottery(
         winners = [i for i, g in enumerate(assignment) if g in summary.L]
         if len(winners) != k:
             raise AssertionError("a term does not hold exactly k last goods")
-        held = [frozenset((g,)) if g < m else frozenset() for g in assignment]
-        keys = [(g,) if g < m else () for g in assignment]
         units = w.numerator * (scale // w.denominator)
-        for i in winners:
-            bundle = held[i] | tail
-            own = keys[i]
-            keys[i] = tuple(sorted(bundle))
-            key = tuple(keys)
-            keys[i] = own
-            if key in mass:
-                mass[key] += units
+        held = list(map(singles.__getitem__, assignment))
+        order = list(map(sorted_singles.__getitem__, assignment))
+        if not tail:  # every winner gets the term's own outcome
+            key = tuple(g if g < m else -1 for g in assignment)
+            entry = outcomes.get(key)
+            if entry is None:
+                outcomes[key] = [k * units, tuple(order), held]
             else:
-                mass[key] = units
-                outcomes[key] = bundles = held.copy()
-                bundles[i] = bundle
+                entry[0] += k * units
+            continue
+        rest = sorted(tail)
+        flat = list(assignment)  # a non-empty tail means no dummy goods
+        for i in winners:
+            flat[i] = m
+            key = tuple(flat)
+            flat[i] = assignment[i]
+            entry = outcomes.get(key)
+            if entry is not None:
+                entry[0] += units
+                continue
+            own = rest.copy()
+            insort(own, assignment[i])
+            bundles = held.copy()
+            bundles[i] = frozenset(own)
+            order[i] = tuple(own)
+            outcomes[key] = [units, tuple(order), bundles]
+            order[i] = sorted_singles[assignment[i]]
     return RandomizedAllocation(
         tuple(
-            (Fraction(mass[key], scale * k), IntegralAllocation(bundles=tuple(outcomes[key])))
-            for key in sorted(mass)
+            (Fraction(units, scale * k), IntegralAllocation(bundles=tuple(bundles)))
+            for units, _, bundles in sorted(outcomes.values(), key=itemgetter(1))
         )
     )
 

@@ -17,7 +17,11 @@ entries and their columns, and drops an entry that reaches 0 from both
 lists.  The matching resumes too: each root's search records the columns
 it reached, and since the graph only loses edges, a term reruns the search
 only from the first root that reached a column along an edge the previous
-term removed.  So every term gets the matching a search from scratch would.
+term removed.  A root whose first positive column is still unmatched takes
+it without a search, recording what the search would have reached.  So
+every term gets the matching a search from scratch would.  A term skips the
+repair when every full column is already matched, and the slack scan when
+every column is.
 
 ``dependent_round`` rounds a fractional matrix with integral column sums to a
 0/1 matrix by randomized pipage: repeatedly pick a cycle (else a maximal
@@ -191,7 +195,12 @@ def _resume_matching(
     match_col = dict(runs[start - 1][1]) if start else {}
     del runs[start:]
     for root in range(start, len(adj)):
-        runs.append((_kuhn_search(adj, match_col, root), dict(match_col)))
+        row = adj[root]
+        if row and row[0] not in match_col:  # the search would take it and reach nothing else
+            match_col[row[0]] = root
+            runs.append(({row[0]: root}, dict(match_col)))
+        else:
+            runs.append((_kuhn_search(adj, match_col, root), dict(match_col)))
     return match_col
 
 
@@ -257,11 +266,12 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
     remaining = D
     while remaining > 0:
-        full = {j for j in range(m) if col_sums[j] == remaining}
+        full = {j for j, s in enumerate(col_sums) if s == remaining}
         match_col = _resume_matching(adj, runs, start)
-        for c in sorted(full):
-            if not _repair_matching(col_adj, match_col, c, protected=full):
-                raise AssertionError("a saturated column could not be matched")
+        if not full <= match_col.keys():
+            for c in sorted(full):
+                if not _repair_matching(col_adj, match_col, c, protected=full):
+                    raise AssertionError("a saturated column could not be matched")
 
         # Cap the weight so no unmatched column can outgrow the residual row
         # sum; when the cap binds below the matched entries, force the binding
@@ -269,8 +279,8 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         banned: set[int] = set()
         forced = set(full)
         while True:
-            entry_min = min(X[match_col[g]][g] for g in match_col)
-            slack = {
+            entry_min = min([X[i][g] for g, i in match_col.items()])
+            slack = {} if len(match_col) == m else {
                 j: remaining - col_sums[j]
                 for j in range(m)
                 if j not in match_col and col_sums[j] > 0
@@ -295,9 +305,10 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         # unless it reached a column along an edge this term removes.
         start = n
         for i, g in enumerate(vector):
-            X[i][g] -= weight
+            row = X[i]
+            x = row[g] = row[g] - weight
             col_sums[g] -= weight
-            if X[i][g] == 0:
+            if not x:
                 adj[i].remove(g)
                 col_adj[g].remove(i)
                 for r in range(start):

@@ -15,6 +15,8 @@ from bobw import (
     get_fixture,
     instance_from_json,
     instance_to_json,
+    summarize,
+    unit_run,
     utse,
 )
 from bobw import cli
@@ -857,6 +859,26 @@ def test_help_still_exits_0(capsys, argv):
 # wiring cannot change a byte unnoticed
 
 
+def test_utse_owes_nothing_to_additive_values_no_lexicographic_order_fits(capsys, tmp_path):
+    # distinct additive values whose bundle values disagree with the
+    # lexicographic order of the goods: the tail lottery's outcome 0 is not
+    # EFX and its ratio 153/208 is below k = 1's floor of 3/4, and the audit
+    # says so with exit 2
+    values = (
+        (44, 4, 42, 16, 23, 33, 35, 3, 32),
+        (50, 22, 25, 10, 39, 17, 7, 48, 38),
+        (29, 15, 6, 24, 23, 11, 3, 33, 19),
+    )
+    data = {"n": 3, "m": 9, "valuations": [{"kind": "additive", "values": list(v)} for v in values]}
+    path = tmp_path / "additive.json"
+    path.write_text(json.dumps(data))
+    assert summarize(unit_run(instance_from_json(data))).k == 1
+    code, out = _run_json(capsys, ["solve", str(path), "--algorithm", "utse"])
+    assert (code, out["error"]) == (2, "ex-post audit failed")
+    assert out["audits"]["efx"]["witness"] == {"support_index": 0, "inner": {"viewer": 0, "toward": 1, "good": 1}}
+    assert out["audits"]["min_exante_ratio"] == "153/208"
+
+
 def _verify_files(tmp_path) -> dict:
     inst = get_fixture("FIX-D")
     files = {
@@ -905,6 +927,8 @@ _GOLDEN = [
     ("repro utse-tight", 0, "d1d5356706b1fdafb4299662efec514c0a57fcf52c575331ddf27b238da01a88"),
     ("repro ps-baseline", 0, "d61d9bda4ae575b052014d1e2c213878a18edc4ac290e8a9ce077c9b0de4e79e"),
     ("eat FIX-C", 0, "18c8e65b38573f9ef808b4e47131870ac1803292985b4d786c695dc0260290a7"),
+    ("eat FIX-A --duration 4/3", 0, "00c208ad468f4715dd0457d311aa63456fb08b26af03aedb0f3d3adca7848963"),
+    ("eat FIX-C --duration 2/3 --pad 1", 0, "6fa1e71c3f2a21af7b79f97ee372ff10e15749133da44f9a7b814f78901a4be5"),
     ("solve FIX-C --algorithm lex-bobw", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("solve FIX-D --algorithm depround-k2 --seed 1", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("solve FIX-E --algorithm charity", 3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -28,7 +28,7 @@ from bobw.eating import (
 )
 from bobw.rng import SplitMix64
 
-from helpers import lex_instance
+from helpers import additive_instance, lex_instance
 
 F = Fraction
 HALF = F(1, 2)
@@ -449,3 +449,54 @@ def test_event_loop_matches_the_per_event_reference():
         assert trace.segments == _ref_run_eating(inst, trace.duration, trace.n_dummies).segments
         full += 1
     assert runs >= 800 and partial >= 300 and padded >= 400 and full >= 400
+
+
+def _scale_growing_instance() -> Instance:
+    # first-choice groups of sizes 2, 3, 5 and 7 start the clock at 210; as
+    # the goods run out the groups merge into sizes whose finish times need
+    # denominators 210 does not hold
+    m = 34
+    first = [0] * 2 + [1] * 3 + [2] * 5 + [3] * 7
+    rankings = []
+    for i, g in enumerate(first):
+        rest = [h for h in range(m) if h != g]
+        shift = (3 * i) % len(rest)
+        rankings.append(Lexicographic(ranking=(g, *rest[shift:], *rest[:shift])))
+    return Instance(n=len(first), m=m, valuations=tuple(rankings))
+
+
+def test_integer_clock_matches_the_reference_at_benchmark_sizes():
+    rng = SplitMix64(107)
+
+    def additive(rng, n, m):
+        return additive_instance(rng, n, m, spread=4 * m)
+
+    cases = []  # (instance, duration, dummies)
+    for n in (16, 20):
+        for draw in (lex_instance, additive):
+            for _ in range(2):
+                cases.append((draw(rng, n, 2 * n), F(2), 0))
+    for draw in (lex_instance, additive):
+        cases.append((draw(rng, 32, 64), F(1), 0))
+    for duration in (F(7, 5), F(13, 9)):
+        cases.append((lex_instance(rng, 10, 20), duration, 0))
+        cases.append((additive(rng, 9, 16), duration, 3))
+    cases.append((lex_instance(rng, 12, 7), F(1), 5))
+    cases.append((additive(rng, 7, 9), F(12, 7), 3))
+    grown = _scale_growing_instance()
+    # 1/7 is the first event: a run that ends on an event must not take it
+    cases += [(grown, duration, 0) for duration in (F(1, 7), F(1), F(12, 17), F(13, 9), F(2))]
+    for inst, duration, pad in cases:
+        trace = run_eating(inst, duration, n_dummies=pad)
+        ref = _ref_run_eating(inst, duration, n_dummies=pad)
+        assert trace.segments == ref.segments, (inst.n, inst.m, pad, duration)
+        assert all(type(t) is Fraction for segs in trace.segments for _, a, b in segs for t in (a, b))
+        s = summarize(trace)
+        assert s == _ref_summarize(ref)
+        assert _all_fractions(s.X) and _all_fractions([s.eaten, [s.k]])
+        if duration.denominator == 1 and duration * inst.n == inst.m + pad:
+            Y = representative_matrix(trace)
+            assert Y == _ref_representative_matrix(ref) and _all_fractions(Y)
+    # the clock's scale had to grow past 210 at several events
+    grown_ends = {b for segs in run_eating(grown, F(2)).segments for _, _, b in segs}
+    assert len({t.denominator for t in grown_ends if 210 % t.denominator}) >= 3

@@ -384,3 +384,47 @@ def test_utse_matches_the_two_branch_reference():
         largest = max(largest, len(got.support))
     assert padded == 2 * 36
     assert largest >= 150
+
+
+def _permuted_decomposition(summary, rng: SplitMix64) -> Decomposition:
+    # bvn_decompose of the eating matrix with its goods permuted, mapped back:
+    # another valid decomposition of the same matrix
+    perm = rng.permutation(len(summary.eaten))
+    terms = bvn_decompose([[row[g] for g in perm] for row in summary.X]).terms
+    return Decomposition(tuple((w, tuple(perm[c] for c in a)) for w, a in terms))
+
+
+def test_utse_under_decompositions_of_permuted_goods():
+    rng = SplitMix64(504)
+    checked = floors = 0
+    for inst in _differential_instances():
+        if inst.n < 3:
+            continue
+        summary = summarize(unit_run(inst))
+        lexicographic = all(isinstance(v, Lexicographic) for v in inst.valuations)
+        for _ in range(3):
+            decomposition = _permuted_decomposition(summary, rng)
+            assert decomposition.reconstruct(inst.n, len(summary.eaten)) == summary.X
+            got = utse(inst, decomposition)
+            assert got.to_json() == _ref_utse(inst, decomposition).to_json()
+            checked += 1
+            # the floor is owed to lexicographic agents only: the plain
+            # additive values here need not agree with any lexicographic order
+            if lexicographic:
+                ratio = min_exante_ratio(got, inst)
+                k = int(summary.k)
+                assert ratio is None or ratio >= F(3 * k, 3 * k + 1), (inst, decomposition)
+                floors += 1
+    assert checked >= 500 and floors >= 250
+
+
+def test_utse_merges_equal_outcomes_across_terms():
+    # a winner's own good is its last good, so two terms give one outcome
+    # only when their assignments are equal; bvn_decompose never repeats an
+    # assignment, so split every term into two copies
+    for inst in _differential_instances():
+        pinned = bvn_decompose(summarize(unit_run(inst)).X)
+        thirds = [(w / 3, a) for w, a in pinned.terms]
+        rest = [(2 * w / 3, a) for w, a in reversed(pinned.terms)]
+        split = Decomposition(tuple(thirds + rest))
+        assert utse(inst, split).to_json() == utse(inst, pinned).to_json()
