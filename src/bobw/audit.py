@@ -12,15 +12,20 @@ share and stochastic dominance compare one viewer's values.  ``check_efx``
 skips one-good bundles under per-good weights for a viewer whose own value
 is at least 0: removing the good leaves the empty bundle, worth 0.  A
 viewer with a negative own value, and any table viewer (whose empty bundle
-may be worth something), checks every bundle.  Every expected-value audit
-(``exante_ratio``, ``min_exante_ratio``, ``check_exante_ef``,
-``check_exante_prop``) reads one n x n integer matrix of E[v_i(A_j)], built
-from each agent's scaled probability of holding each bundle, so each viewer
-values each distinct bundle once; ``min_exante_ratio`` compares its ratios
-by cross-multiplication and builds one Fraction.
-``check_stochastic_dominance_half`` scales the probabilities to ints the
-same way, tallies each viewer's mass by integer value once, and sweeps
-each pair's thresholds upward, subtracting masses.
+may be worth something), checks every bundle.  Under per-good weights a
+pair can fail only if the bundle's total exceeds the viewer's own value
+plus the viewer's least weight overall (``least_weight``), so only such a
+pair takes the least weight within the bundle.  ``check_po_lex`` places
+only agents with own goods left in its picking greedy.  Every
+expected-value audit (``exante_ratio``, ``min_exante_ratio``,
+``check_exante_ef``, ``check_exante_prop``) reads one n x n integer matrix
+of E[v_i(A_j)], built from each agent's scaled probability of holding each
+good: a viewer with per-good weights takes one dot product per agent, and
+only a table viewer values the distinct bundles, once each.
+``min_exante_ratio`` compares its ratios by cross-multiplication and
+builds one Fraction.  ``check_stochastic_dominance_half`` scales the
+probabilities to ints the same way, tallies each viewer's mass by integer
+value once, and sweeps each pair's thresholds upward, subtracting masses.
 
 The audits assume allocations that fit the instance: one bundle per agent,
 holding only its goods.  They do not check this, since they run on every
@@ -35,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -127,7 +133,10 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     empty bundle, worth 0 under per-good weights, so a viewer whose own
     value is at least 0 checks only the bundles of two goods or more.  A
     viewer with a negative own value checks every bundle, and so does a
-    table viewer, whose empty bundle may be worth something."""
+    table viewer, whose empty bundle may be worth something.  The least
+    weight in a bundle is at least the viewer's least weight overall, so
+    only a pair whose total exceeds own value plus that least weight takes
+    the bundle's minimum."""
     bundles = alloc.bundles
     multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
     for i, val in enumerate(inst.valuations):
@@ -143,12 +152,13 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
                         return AuditReport("efx", False, _pair_witness(i, j, good=g))
             continue
         weight = w.__getitem__
+        bound = vi + val.least_weight  # a pair can fail only if its total exceeds this
         for j in multi if vi >= 0 else inst.agents:
             bundle = bundles[j]
             if i == j or not bundle:
                 continue
             total = sum(map(weight, bundle))
-            if vi < total - min(map(weight, bundle)):
+            if total > bound and vi < total - min(map(weight, bundle)):
                 g = next(g for g in bundle if vi < total - w[g])
                 return AuditReport("efx", False, _pair_witness(i, j, good=g))
     return AuditReport("efx", True)
@@ -194,7 +204,9 @@ def check_po_lex(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     turn to any agent whose top-ranked remaining good sits in its own bundle
     (removing a good never promotes another agent's top choice past its own),
     so it succeeds exactly on the sequencible allocations.  The witness on
-    success is the reconstructed sequence.
+    success is the reconstructed sequence.  An agent whose own goods are
+    all picked can never pick again, so only agents with goods left take
+    part; a failing report names every agent's top remaining good.
     """
     if alloc.pool or not alloc.is_complete(inst.m):
         raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
@@ -204,36 +216,42 @@ def check_po_lex(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     for i, bundle in enumerate(alloc.bundles):
         for g in bundle:
             owner[g] = i
+    left = [len(bundle) for bundle in alloc.bundles]  # own goods not yet picked
     taken = [False] * m
-    cursors = [0] * inst.n  # each agent's top remaining good, or m
+    cursors = [0] * inst.n  # each placed agent's top remaining good
     ready: list[int] = []  # min-heap of agents whose top remaining good is their own
     waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
     sequence: list[int] = []
-    # place every agent, then after each pick only the picker and the agents
-    # waiting on the picked good: the lowest ready agent picks
-    movers = inst.agents
+    # place every agent with own goods left, then after each pick only the
+    # picker (if it has goods left) and the agents waiting on the picked
+    # good: the lowest ready agent picks.  A placed agent holds an untaken
+    # good, so its scan stops inside its ranking.
+    movers = [i for i in inst.agents if left[i]]
     while True:
         for k in movers:
             r = rankings[k]
             c = cursors[k]
-            while c < m and taken[r[c]]:
+            while taken[r[c]]:
                 c += 1
             cursors[k] = c
-            if c < m:
-                g = r[c]
-                if owner[g] == k:
-                    heappush(ready, k)
-                else:
-                    waiting.setdefault(g, []).append(k)
+            g = r[c]
+            if owner[g] == k:
+                heappush(ready, k)
+            else:
+                waiting.setdefault(g, []).append(k)
         if not ready:
             break
         i = heappop(ready)
         g = rankings[i][cursors[i]]
         taken[g] = True
         sequence.append(i)
-        movers = [i, *waiting.pop(g, ())]
+        left[i] -= 1
+        movers = waiting.pop(g, [])
+        if left[i]:
+            movers.insert(0, i)
     if len(sequence) < m:
-        top = {str(i): r[c] if c < m else None for i, (r, c) in enumerate(zip(rankings, cursors))}
+        # some good is untaken, so every ranking holds a top remaining good
+        top = {str(i): next(g for g in r if not taken[g]) for i, r in enumerate(rankings)}
         unconsumed = [g for g in range(m) if not taken[g]]
         return AuditReport("po-lex", False, {"unconsumed": unconsumed, "top_choices": top})
     return AuditReport("po-lex", True, {"sequence": sequence})
@@ -282,15 +300,29 @@ def _expected_matrix(dist: RandomizedAllocation, inst: Instance) -> tuple[list[l
     """E[i][j] / den[i] = E[v_i(j's bundle)], every entry an int.
 
     One pass over the support sums each agent's probability of holding each
-    bundle, scaled by the LCM of the probabilities' denominators; each
-    viewer then values each distinct bundle once, in its integer form."""
+    good, scaled by the LCM of the probabilities' denominators, so a viewer
+    with per-good weights takes one dot product per agent (the same ints, by
+    linearity of expectation).  When the instance has a table, the pass also
+    sums each agent's scaled probability of holding each bundle, and a table
+    viewer values each distinct bundle once."""
     scale = lcm(*(p.denominator for p, _ in dist.support))
-    mass = [Counter() for _ in inst.agents]  # j -> bundle -> scaled probability
+    shares = [[0] * inst.m for _ in inst.agents]  # j -> good -> scaled probability
+    tables = any(isinstance(val, Table) for val in inst.valuations)
+    mass = [Counter() for _ in inst.agents]  # j -> bundle -> scaled probability, for tables
     for p, alloc in dist.support:
         q = p.numerator * (scale // p.denominator)
-        for j in inst.agents:
-            mass[j][alloc.bundles[j]] += q
-    matrix = [[sum(q * val.int_value(b) for b, q in held.items()) for held in mass] for val in inst.valuations]
+        for row, bundle in zip(shares, alloc.bundles):
+            for g in bundle:
+                row[g] += q
+        if tables:
+            for held, bundle in zip(mass, alloc.bundles):
+                held[bundle] += q
+    matrix = [
+        [sum(q * val.int_value(b) for b, q in held.items()) for held in mass]
+        if isinstance(val, Table)
+        else [sum(map(mul, val.weights, row)) for row in shares]
+        for val in inst.valuations
+    ]
     return matrix, [scale * val.scale for val in inst.valuations]
 
 

@@ -218,6 +218,11 @@ class _IntegerForm:
     def int_value(self, bundle: Iterable[int]) -> int:
         return sum(map(self.weights.__getitem__, bundle))
 
+    @cached_property
+    def least_weight(self) -> int:
+        # the EFX audit's per-pair pre-test; read for per-good weights only
+        return min(self.weights, default=0)
+
     def value(self, bundle: Iterable[int]) -> Fraction:
         return Fraction(self.int_value(bundle), self.scale)
 

@@ -34,6 +34,7 @@ from .rng import derive_seed
 
 ENUMERATION_CAP = 10**7
 SDEF_SUPPORT_CAP = 12
+SDEF_CONSTRAINT_CAP = 100_000  # pairwise combinations, over all eliminations
 DEFAULT_LEAF_CAP = 10**6
 
 
@@ -107,7 +108,9 @@ def sdef_feasibility(
     """Can a lottery over `supports` be prefix-dominance envy-free for every
     pair?  Exact rational elimination; feasible gives verified witness
     weights, infeasible gives the combination chain ending in an impossible
-    constant constraint."""
+    constant constraint.  Elimination can derive doubly exponentially many
+    constraints, so past SDEF_CONSTRAINT_CAP pairwise combinations it
+    raises ResourceCapError."""
     q = len(supports)
     if q == 0:
         raise PreconditionError("need at least one support allocation")
@@ -166,6 +169,7 @@ def sdef_feasibility(
     stages: list[list[_Constraint]] = [list(constraints)]
     system = list(constraints)
     num_vars = q - 1
+    combined = 0  # derived constraints, duplicates and trivial ones included
     for var in range(num_vars):
         pos = [c for c in system if c.coeffs[var] > 0]
         neg = [c for c in system if c.coeffs[var] < 0]
@@ -174,6 +178,11 @@ def sdef_feasibility(
         seen: dict[tuple, int] = {}
         for p in pos:
             for ng in neg:
+                combined += 1
+                if combined > SDEF_CONSTRAINT_CAP:
+                    raise ResourceCapError(
+                        f"feasibility capped at {SDEF_CONSTRAINT_CAP} derived constraints (SDEF_CONSTRAINT_CAP)"
+                    )
                 a, b = p.coeffs[var], -ng.coeffs[var]
                 coeffs = [b * pc + a * nc for pc, nc in zip(p.coeffs, ng.coeffs)]
                 const = b * p.const + a * ng.const

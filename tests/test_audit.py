@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import lcm
 
 import pytest
 
@@ -509,21 +511,26 @@ def _picking_allocation(rng, inst):
     return IntegralAllocation(bundles=tuple(frozenset(b) for b in bundles))
 
 
+def _po_lex_case(rng, case):
+    maker = (lex_instance, additive_instance)[case % 2]
+    inst = maker(rng, 2 + rng.below(7), 1 + rng.below(16))
+    # picking outcomes pass; random ones and picking outcomes with two
+    # goods traded mostly fail, often deep into the sequence
+    alloc = _random_allocation(rng, inst) if case % 3 == 0 else _picking_allocation(rng, inst)
+    i, j = rng.below(inst.n), rng.below(inst.n)
+    if case % 3 == 2 and i != j and alloc.bundles[i] and alloc.bundles[j]:
+        g, h = min(alloc.bundles[i]), min(alloc.bundles[j])
+        bundles = list(alloc.bundles)
+        bundles[i], bundles[j] = bundles[i] - {g} | {h}, bundles[j] - {h} | {g}
+        alloc = IntegralAllocation(bundles=tuple(bundles))
+    return inst, alloc
+
+
 def test_po_lex_heap_matches_the_rescanning_loop():
     rng = SplitMix64(5151)
     verdicts = []
     for case in range(600):
-        maker = (lex_instance, additive_instance)[case % 2]
-        inst = maker(rng, 2 + rng.below(7), 1 + rng.below(16))
-        # picking outcomes pass; random ones and picking outcomes with two
-        # goods traded mostly fail, often deep into the sequence
-        alloc = _random_allocation(rng, inst) if case % 3 == 0 else _picking_allocation(rng, inst)
-        i, j = rng.below(inst.n), rng.below(inst.n)
-        if case % 3 == 2 and i != j and alloc.bundles[i] and alloc.bundles[j]:
-            g, h = min(alloc.bundles[i]), min(alloc.bundles[j])
-            bundles = list(alloc.bundles)
-            bundles[i], bundles[j] = bundles[i] - {g} | {h}, bundles[j] - {h} | {g}
-            alloc = IntegralAllocation(bundles=tuple(bundles))
+        inst, alloc = _po_lex_case(rng, case)
         rep = check_po_lex(inst, alloc)
         assert rep.to_json() == _ref_check_po_lex(inst, alloc).to_json()
         verdicts.append(rep.passed)
@@ -789,3 +796,197 @@ def test_efx_witness_of_a_negative_viewer_facing_one_good():
             i, j = rep.witness["viewer"], rep.witness["toward"]
             faced += inst.valuations[i].int_value(alloc.bundles[i]) < 0 and len(alloc.bundles[j]) == 1
     assert faced > 20
+
+
+# ---------------------------------------------------------------------------
+# differential check of the least-weight EFX pre-test, the Pareto greedy
+# that places only agents with goods left, and the per-good share matrix
+# against the routines they replaced, kept verbatim
+
+
+def _ref_multi_check_efx(inst, alloc):
+    bundles = alloc.bundles
+    multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
+    for i, val in enumerate(inst.valuations):
+        w = val.weights
+        vi = val.int_value(bundles[i])
+        if isinstance(val, Table):
+            for j in inst.agents:
+                if i == j:
+                    continue
+                mask = core.bundle_mask(bundles[j])
+                for g in bundles[j]:
+                    if vi < w[mask ^ (1 << g)]:
+                        return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
+            continue
+        weight = w.__getitem__
+        for j in multi if vi >= 0 else inst.agents:
+            bundle = bundles[j]
+            if i == j or not bundle:
+                continue
+            total = sum(map(weight, bundle))
+            if vi < total - min(map(weight, bundle)):
+                g = next(g for g in bundle if vi < total - w[g])
+                return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
+    return AuditReport("efx", True)
+
+
+def _ref_cursor_check_po_lex(inst, alloc):
+    if alloc.pool or not alloc.is_complete(inst.m):
+        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
+    rankings = ordinal_rankings(inst)
+    m = inst.m
+    owner = [0] * m
+    for i, bundle in enumerate(alloc.bundles):
+        for g in bundle:
+            owner[g] = i
+    taken = [False] * m
+    cursors = [0] * inst.n  # each agent's top remaining good, or m
+    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
+    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
+    sequence: list[int] = []
+    # place every agent, then after each pick only the picker and the agents
+    # waiting on the picked good: the lowest ready agent picks
+    movers = inst.agents
+    while True:
+        for k in movers:
+            r = rankings[k]
+            c = cursors[k]
+            while c < m and taken[r[c]]:
+                c += 1
+            cursors[k] = c
+            if c < m:
+                g = r[c]
+                if owner[g] == k:
+                    heappush(ready, k)
+                else:
+                    waiting.setdefault(g, []).append(k)
+        if not ready:
+            break
+        i = heappop(ready)
+        g = rankings[i][cursors[i]]
+        taken[g] = True
+        sequence.append(i)
+        movers = [i, *waiting.pop(g, ())]
+    if len(sequence) < m:
+        top = {str(i): r[c] if c < m else None for i, (r, c) in enumerate(zip(rankings, cursors))}
+        unconsumed = [g for g in range(m) if not taken[g]]
+        return AuditReport("po-lex", False, {"unconsumed": unconsumed, "top_choices": top})
+    return AuditReport("po-lex", True, {"sequence": sequence})
+
+
+def _ref_bundle_expected_matrix(dist, inst):
+    scale = lcm(*(p.denominator for p, _ in dist.support))
+    mass = [Counter() for _ in inst.agents]  # j -> bundle -> scaled probability
+    for p, alloc in dist.support:
+        q = p.numerator * (scale // p.denominator)
+        for j in inst.agents:
+            mass[j][alloc.bundles[j]] += q
+    matrix = [[sum(q * val.int_value(b) for b, q in held.items()) for held in mass] for val in inst.valuations]
+    return matrix, [scale * val.scale for val in inst.valuations]
+
+
+def _same_outcome_audits(inst, alloc):
+    efx = check_efx(inst, alloc)
+    assert efx.to_json() == _ref_multi_check_efx(inst, alloc).to_json()
+    po = check_po_lex(inst, alloc)
+    assert po.to_json() == _ref_cursor_check_po_lex(inst, alloc).to_json()
+    return efx, po
+
+
+def _exante_outputs(inst, dist):
+    out = [exante_ratio(dist, inst, i, j) for i in inst.agents for j in inst.agents]
+    ratio = min_exante_ratio(dist, inst)
+    out.append((ratio, type(ratio)))
+    for alpha in (F(0), F(1, 2), F(3, 4), F(1), F(3, 2)) + ((ratio,) if ratio is not None else ()):
+        out.append(check_exante_ef(dist, inst, alpha).to_json())
+        out.append(check_exante_prop(dist, inst, alpha).to_json())
+    return out
+
+
+def _same_exante_outputs(monkeypatch, inst, dist):
+    assert audit._expected_matrix(dist, inst) == _ref_bundle_expected_matrix(dist, inst)
+    got = _exante_outputs(inst, dist)
+    with monkeypatch.context() as patched:
+        patched.setattr(audit, "_expected_matrix", _ref_bundle_expected_matrix)
+        assert got == _exante_outputs(inst, dist)
+    return got
+
+
+def test_support_audits_match_todays_routines_on_lotteries(monkeypatch):
+    rng = SplitMix64(2601)
+    makers = (lex_instance, _fraction_lex_instance, additive_instance)
+    failing = 0
+    for case in range(24):
+        n = 2 + case % 7
+        inst = makers[case % 3](rng, n, n + rng.below(n + 3))
+        dist = utse(inst)
+        for _, alloc in dist.support:
+            efx, po = _same_outcome_audits(inst, alloc)
+            if case % 3 < 2:  # lexicographic preferences: every outcome is EFX and PO
+                assert efx.passed and po.passed
+        _same_exante_outputs(monkeypatch, inst, dist)
+        if len(set(ordinal_rankings(inst))) > 1:
+            not_efx, not_po = _failing_pair(inst)
+            failing += not _same_outcome_audits(inst, not_efx)[0].passed
+            failing += not _same_outcome_audits(inst, not_po)[1].passed
+    draws = 0
+    while draws < 30:
+        inst = lex_instance(rng, 3 + rng.below(4), 5 + rng.below(6))
+        if summarize(unit_run(inst)).k == 2:
+            sample = k2_sampler(inst)
+            for seed in range(10):
+                efx, po = _same_outcome_audits(inst, sample(seed))
+                assert efx.passed and po.passed
+            draws += 10
+    assert failing > 30
+
+
+def test_po_lex_names_the_top_good_of_agents_with_finished_bundles():
+    # a failing report names the top remaining good of every agent, also of
+    # one whose own goods were all picked or who holds none
+    rng = SplitMix64(2602)
+    failing = finished = 0
+    for case in range(500):
+        inst, alloc = _po_lex_case(rng, case)
+        _, po = _same_outcome_audits(inst, alloc)
+        if not po.passed:
+            failing += 1
+            unconsumed = set(po.witness["unconsumed"])
+            finished += sum(not bundle & unconsumed for bundle in alloc.bundles)
+    assert failing > 200 and finished > 200
+
+
+def test_efx_pre_test_with_negative_and_zero_weights(monkeypatch):
+    # ties, zeros and negatives: the least weight can be 0 or negative, and a
+    # viewer worth less than the empty bundle scans every agent
+    rng = SplitMix64(2603)
+    failing = negative = 0
+    for _ in range(600):
+        inst = _fraction_additive_instance(rng, 2 + rng.below(4), 1 + rng.below(8))
+        alloc = _random_allocation(rng, inst)
+        efx = check_efx(inst, alloc)
+        assert efx.to_json() == _ref_multi_check_efx(inst, alloc).to_json()
+        failing += not efx.passed
+        negative += any(val.least_weight < 0 for val in inst.valuations)
+        _same_exante_outputs(monkeypatch, inst, _random_lottery(rng, inst))
+    assert 100 < failing < 500 and negative > 300
+
+
+def test_exante_audits_match_todays_matrix_on_mixed_table_instances(monkeypatch):
+    # every instance holds a table and a per-good viewer, so both halves of
+    # the matrix are read in one call
+    rng = SplitMix64(2604)
+    failing = 0
+    for case in range(300):
+        n, m = 2 + rng.below(3), 1 + rng.below(6)
+        table = (monotone_instance, capped_additive_instance)[case % 2](rng, 1, m).valuations[0]
+        vals = list((lex_instance, _fraction_additive_instance)[case // 2 % 2](rng, n - 1, m).valuations)
+        vals.insert(rng.below(n), table)
+        inst = Instance(n=n, m=m, valuations=tuple(vals))
+        dist = _random_lottery(rng, inst)
+        outputs = _same_exante_outputs(monkeypatch, inst, dist)
+        failing += sum(not out["passed"] for out in outputs if isinstance(out, dict))
+        for _, alloc in dist.support:
+            assert check_efx(inst, alloc).to_json() == _ref_multi_check_efx(inst, alloc).to_json()
+    assert failing > 300

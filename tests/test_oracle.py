@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +145,25 @@ def test_sdef_feasibility_refuses_supports_that_do_not_fit():
     # the shape is checked before the support cap: 13 misfits are bad input
     with pytest.raises(PreconditionError):
         sdef_feasibility(inst, [one_bundle] * (oracle.SDEF_SUPPORT_CAP + 1))
+
+
+def test_sdef_feasibility_caps_the_derived_constraints(capsys, tmp_path):
+    # 12 EFX allocations, inside the support cap: the first 10 take 13,947
+    # combinations, and 11 would derive millions of constraints
+    rankings = ([4, 3, 0, 2, 1], [4, 0, 3, 2, 1], [4, 1, 3, 0, 2])
+    inst = Instance(n=3, m=5, valuations=tuple(Lexicographic(ranking=r) for r in rankings))
+    supports = enumerate_efx(inst)
+    assert len(supports) == 12
+    assert not sdef_feasibility(inst, supports[:10]).feasible
+    message = f"feasibility capped at {oracle.SDEF_CONSTRAINT_CAP} derived constraints (SDEF_CONSTRAINT_CAP)"
+    with pytest.raises(ResourceCapError, match=re.escape(message)):
+        sdef_feasibility(inst, supports[:11])
+    path = tmp_path / "fm.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    started = time.perf_counter()
+    assert main(["oracle", str(path), "--op", "sdef-feasibility"]) == 4
+    assert time.perf_counter() - started < 20
+    assert capsys.readouterr() == ("", f"resource cap: {message}\n")
 
 
 def test_feasibility_result_json():
