@@ -15,8 +15,12 @@ viewer with a negative own value, and any table viewer (whose empty bundle
 may be worth something), checks every bundle.  Under per-good weights a
 pair can fail only if the bundle's total exceeds the viewer's own value
 plus the viewer's least weight overall (``least_weight``), so only such a
-pair takes the least weight within the bundle.  ``check_po_lex`` places
-only agents with own goods left in its picking greedy.  Every
+pair takes the least weight within the bundle.  What ``check_efx`` reads
+of each viewer (its weights, their getter and, unless it is a table, its
+least weight) is cached on the instance, so the outcomes of a lottery
+share it, and each own value is summed inline.  ``check_po_lex`` reads
+the rankings the instance caches (``ordinal_rankings``) and places only
+agents with own goods left in its picking greedy.  Every
 expected-value audit (``exante_ratio``, ``min_exante_ratio``,
 ``check_exante_ef``, ``check_exante_prop``) reads one n x n integer matrix
 of E[v_i(A_j)], built from each agent's scaled probability of holding each
@@ -136,13 +140,14 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
     table viewer, whose empty bundle may be worth something.  The least
     weight in a bundle is at least the viewer's least weight overall, so
     only a pair whose total exceeds own value plus that least weight takes
-    the bundle's minimum."""
+    the bundle's minimum.  Each viewer's weights, their getter and its least
+    weight are cached on the instance; a table viewer never takes its
+    minimum."""
     bundles = alloc.bundles
     multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
-    for i, val in enumerate(inst.valuations):
-        w = val.weights
-        vi = val.int_value(bundles[i])
-        if isinstance(val, Table):
+    for i, (w, weight, least) in enumerate(inst._efx_viewers):
+        if least is None:  # a table
+            vi = w[bundle_mask(bundles[i])]
             for j in inst.agents:
                 if i == j:
                     continue
@@ -151,8 +156,8 @@ def check_efx(inst: Instance, alloc: IntegralAllocation) -> AuditReport:
                     if vi < w[mask ^ (1 << g)]:
                         return AuditReport("efx", False, _pair_witness(i, j, good=g))
             continue
-        weight = w.__getitem__
-        bound = vi + val.least_weight  # a pair can fail only if its total exceeds this
+        vi = sum(map(weight, bundles[i]))
+        bound = vi + least  # a pair can fail only if its total exceeds this
         for j in multi if vi >= 0 else inst.agents:
             bundle = bundles[j]
             if i == j or not bundle:

@@ -23,11 +23,14 @@ and then ``parse_exact``, which refuse a decimal string past Python's
 4,300-digit limit in its digits or its exponent.  ``Lexicographic``
 derives its powers of two once, on first use.
 ``Instance`` checks that each valuation fits its goods (``shape_error``),
-so code past construction may index freely.  A table's monotonicity is
-one pass over the table packed into one int, a byte-aligned field per
-bundle holding its value, or its dense rank when some value does not fit
-a byte: one guarded subtraction per good compares every bundle with the
-bundle that adds the good, in at most 4 bytes per bundle.
+so code past construction may index freely, and caches on first use what
+the per-outcome audits read: the agents' ordinal rankings (never a
+refusal) and each viewer's weights, their getter and its least weight.
+A table's monotonicity is one pass over the table packed into one int, a
+byte-aligned field per bundle holding its value, or its dense rank when
+some value does not fit a byte: one guarded subtraction per good
+compares every bundle with the bundle that adds the good, in at most 4
+bytes per bundle.
 
 Allocation containers come in two flavours: integral (bundles plus an
 optional unallocated pool) and randomized (a finitely supported lottery over
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 TABLE_GOODS_CAP = 20
 DIGIT_LIMIT = 4300  # Python's limit on int() strings, sys.int_info.default_max_str_digits
@@ -118,7 +121,7 @@ def parse_rational(value: Union[int, str, Fraction]) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def json_field(data, key: str, kind: Optional[type] = None):
@@ -440,6 +443,27 @@ class Instance:
             if shape := shape_error(val, self.m):
                 raise PreconditionError(f"agent {i}: {shape}")
 
+    @cached_property
+    def _ordinal_rankings(self) -> tuple[tuple[int, ...], ...]:
+        # eating.ordinal_rankings reads it, once per outcome in the audits; a
+        # valuation without a strict order raises on every read, uncached
+        rankings = []
+        for i, val in enumerate(self.valuations):
+            try:
+                rankings.append(val.ordinal_ranking())
+            except PreconditionError as exc:
+                raise PreconditionError(f"agent {i}: {exc}") from None
+        return tuple(rankings)
+
+    @cached_property
+    def _efx_viewers(self) -> tuple[tuple[tuple[int, ...], Callable[[int], int], Optional[int]], ...]:
+        # per viewer, for the EFX audit: its weights, their getter and its
+        # least weight, None for a table (whose minimum spans 2^m bundles)
+        return tuple(
+            (val.weights, val.weights.__getitem__, None if isinstance(val, Table) else val.least_weight)
+            for val in self.valuations
+        )
+
     @property
     def goods(self) -> range:
         return range(self.m)
@@ -552,13 +576,10 @@ class IntegralAllocation:
         return len(self.bundles)
 
     def allocated(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for b in self.bundles:
-            out |= b
-        return out
+        return frozenset().union(*self.bundles)
 
     def is_complete(self, m: int) -> bool:
-        return self.allocated() | self.pool == frozenset(range(m))
+        return frozenset().union(*self.bundles, self.pool) == frozenset(range(m))
 
     def key(self) -> tuple:
         """Canonical identity used to merge lottery supports."""
@@ -585,7 +606,7 @@ class RandomizedAllocation:
     def __post_init__(self):
         sup = tuple((parse_rational(p), a) for p, a in self.support)
         object.__setattr__(self, "support", sup)
-        if any(p <= 0 for p, _ in sup):
+        if any(p.numerator <= 0 for p, _ in sup):
             raise PreconditionError("support probabilities must be positive")
         if not sums_to_one([p for p, _ in sup]):
             raise PreconditionError("support probabilities must sum to exactly one")

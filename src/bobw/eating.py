@@ -45,15 +45,10 @@ from .core import Instance, IntegralAllocation, PreconditionError, format_ration
 Segment = tuple[int, Fraction, Fraction]  # (good, start, end)
 
 
-def ordinal_rankings(inst: Instance) -> list[tuple[int, ...]]:
-    """Strict preference order per agent; rejects valuations without one."""
-    rankings = []
-    for i, val in enumerate(inst.valuations):
-        try:
-            rankings.append(val.ordinal_ranking())
-        except PreconditionError as exc:
-            raise PreconditionError(f"agent {i}: {exc}") from None
-    return rankings
+def ordinal_rankings(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """Strict preference order per agent; rejects valuations without one,
+    naming the agent.  The instance caches the rankings, never a refusal."""
+    return inst._ordinal_rankings
 
 
 @dataclass(frozen=True)

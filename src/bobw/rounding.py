@@ -252,7 +252,7 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
     for i, row in enumerate(X):
         if sum(row) != D:
             raise PreconditionError(f"row {i} must sum to exactly one")
-        if any(x < 0 for x in row):
+        if min(row) < 0:
             raise PreconditionError("entries must be nonnegative")
     col_sums = list(map(sum, zip(*X)))
     for j, s in enumerate(col_sums):
@@ -317,7 +317,7 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
                         break
         remaining -= weight
 
-    if any(x != 0 for row in X for x in row):  # pragma: no cover
+    if any(map(any, X)):  # pragma: no cover
         raise AssertionError("decomposition left mass behind")
     return Decomposition(tuple(terms))
 

@@ -27,6 +27,7 @@ from bobw import (
     check_stochastic_dominance_half,
     check_support,
     exante_ratio,
+    format_rational,
     get_fixture,
     k2_sampler,
     min_exante_ratio,
@@ -990,3 +991,222 @@ def test_exante_audits_match_todays_matrix_on_mixed_table_instances(monkeypatch)
         for _, alloc in dist.support:
             assert check_efx(inst, alloc).to_json() == _ref_multi_check_efx(inst, alloc).to_json()
     assert failing > 300
+
+
+# ---------------------------------------------------------------------------
+# differential check of the audits that read the instance's cached rankings
+# and EFX viewer state against the routines that rebuilt both per outcome,
+# kept verbatim but for the `_ref_` helpers they call
+
+
+def _ref_ordinal_rankings(inst):
+    rankings = []
+    for i, val in enumerate(inst.valuations):
+        try:
+            rankings.append(val.ordinal_ranking())
+        except PreconditionError as exc:
+            raise PreconditionError(f"agent {i}: {exc}") from None
+    return rankings
+
+
+def _ref_allocated(alloc):
+    out = frozenset()
+    for b in alloc.bundles:
+        out |= b
+    return out
+
+
+def _ref_is_complete(alloc, m):
+    return _ref_allocated(alloc) | alloc.pool == frozenset(range(m))
+
+
+def _ref_format_rational(x):
+    return str(Fraction(x))
+
+
+def _ref_least_check_efx(inst, alloc):
+    bundles = alloc.bundles
+    multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
+    for i, val in enumerate(inst.valuations):
+        w = val.weights
+        vi = val.int_value(bundles[i])
+        if isinstance(val, Table):
+            for j in inst.agents:
+                if i == j:
+                    continue
+                mask = core.bundle_mask(bundles[j])
+                for g in bundles[j]:
+                    if vi < w[mask ^ (1 << g)]:
+                        return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
+            continue
+        weight = w.__getitem__
+        bound = vi + val.least_weight  # a pair can fail only if its total exceeds this
+        for j in multi if vi >= 0 else inst.agents:
+            bundle = bundles[j]
+            if i == j or not bundle:
+                continue
+            total = sum(map(weight, bundle))
+            if total > bound and vi < total - min(map(weight, bundle)):
+                g = next(g for g in bundle if vi < total - w[g])
+                return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
+    return AuditReport("efx", True)
+
+
+def _ref_left_check_po_lex(inst, alloc):
+    if alloc.pool or not _ref_is_complete(alloc, inst.m):
+        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
+    rankings = _ref_ordinal_rankings(inst)
+    m = inst.m
+    owner = [0] * m
+    for i, bundle in enumerate(alloc.bundles):
+        for g in bundle:
+            owner[g] = i
+    left = [len(bundle) for bundle in alloc.bundles]  # own goods not yet picked
+    taken = [False] * m
+    cursors = [0] * inst.n  # each placed agent's top remaining good
+    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
+    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
+    sequence: list[int] = []
+    movers = [i for i in inst.agents if left[i]]
+    while True:
+        for k in movers:
+            r = rankings[k]
+            c = cursors[k]
+            while taken[r[c]]:
+                c += 1
+            cursors[k] = c
+            g = r[c]
+            if owner[g] == k:
+                heappush(ready, k)
+            else:
+                waiting.setdefault(g, []).append(k)
+        if not ready:
+            break
+        i = heappop(ready)
+        g = rankings[i][cursors[i]]
+        taken[g] = True
+        sequence.append(i)
+        left[i] -= 1
+        movers = waiting.pop(g, [])
+        if left[i]:
+            movers.insert(0, i)
+    if len(sequence) < m:
+        top = {str(i): next(g for g in r if not taken[g]) for i, r in enumerate(rankings)}
+        unconsumed = [g for g in range(m) if not taken[g]]
+        return AuditReport("po-lex", False, {"unconsumed": unconsumed, "top_choices": top})
+    return AuditReport("po-lex", True, {"sequence": sequence})
+
+
+def _outcome(inst, alloc):
+    # both audits, each beside its reference; a refusal counts as an output
+    out = []
+    for check, ref in ((check_efx, _ref_least_check_efx), (check_po_lex, _ref_left_check_po_lex)):
+        got = []
+        for run in (check, ref):
+            try:
+                got.append(run(inst, alloc).to_json())
+            except PreconditionError as exc:
+                got.append(str(exc))
+        assert got[0] == got[1]
+        out.append(got[0])
+    assert alloc.allocated() == _ref_allocated(alloc)
+    for m in (inst.m - 1, inst.m, inst.m + 1):
+        assert alloc.is_complete(m) == _ref_is_complete(alloc, m)
+    return out
+
+
+def _same_lottery(inst, dist):
+    for p, _ in dist.support:
+        assert format_rational(p) == _ref_format_rational(p)
+    ref = {"support": [{"prob": _ref_format_rational(p), **alloc.to_json()} for p, alloc in dist.support]}
+    assert dist.to_json() == ref
+    return [_outcome(inst, alloc) for _, alloc in dist.support]
+
+
+def test_cached_instance_state_matches_the_per_outcome_routines():
+    rng = SplitMix64(2701)
+    makers = (lex_instance, _fraction_lex_instance, additive_instance)
+    failing = 0
+    for case in range(24):
+        n = (2, 5, 8, 12)[case % 4]
+        inst = makers[case % 3](rng, n, n + rng.below(n + 1))
+        outputs = _same_lottery(inst, utse(inst))
+        if case % 3 < 2:  # lexicographic preferences: every outcome is EFX and PO
+            assert all(efx["passed"] and po["passed"] for efx, po in outputs)
+        rankings = ordinal_rankings(inst)
+        assert rankings is ordinal_rankings(inst) and rankings == tuple(_ref_ordinal_rankings(inst))
+        if len(set(rankings)) > 1:
+            not_efx, not_po = _failing_pair(inst)
+            failing += not _outcome(inst, not_efx)[0]["passed"]
+            failing += not _outcome(inst, not_po)[1]["passed"]
+    assert failing > 40  # of at most 48 controls; a two-agent control can pass
+    # random bundles under ties, zeros and negative weights: own values at
+    # the edge of every pair's test
+    envious = 0
+    for _ in range(400):
+        inst = _fraction_additive_instance(rng, 2 + rng.below(4), 1 + rng.below(8))
+        envious += not _outcome(inst, _random_allocation(rng, inst))[0]["passed"]
+    assert 100 < envious < 350
+    draws = 0
+    while draws < 30:
+        inst = lex_instance(rng, 3 + rng.below(4), 5 + rng.below(6))
+        if summarize(unit_run(inst)).k == 2:
+            sample = k2_sampler(inst)
+            for seed in range(10):
+                efx, po = _outcome(inst, sample(seed))
+                assert efx["passed"] and po["passed"]
+            draws += 10
+
+
+def test_cached_efx_state_on_tables_skips_the_least_weight():
+    # a table's least weight would be a minimum over 2^m bundles: the EFX
+    # audit reads only per-good viewers' least weights
+    rng = SplitMix64(2702)
+    failing = 0
+    for case in range(300):
+        n, m = 2 + rng.below(3), 1 + rng.below(6)
+        tables = (monotone_instance, capped_additive_instance)[case % 2](rng, n, m).valuations
+        vals = list(tables)
+        if case % 3:
+            vals[rng.below(n)] = _fraction_additive_instance(rng, 1, m).valuations[0]
+        inst = Instance(n=n, m=m, valuations=tuple(vals))
+        alloc = _random_allocation(rng, inst)
+        if case % 4 == 0:  # a pool: the EFX audit ignores it, the Pareto audit refuses it
+            pooled = [g for g in inst.goods if rng.below(3) == 0]
+            alloc = IntegralAllocation(tuple(b - set(pooled) for b in alloc.bundles), frozenset(pooled))
+        efx, po = _outcome(inst, alloc)
+        failing += not efx["passed"]
+        refusal = "Pareto audit needs a complete allocation with an empty pool"
+        assert po == refusal if alloc.pool else po.startswith("agent ")  # a table or tied values
+        for val in inst.valuations:
+            assert ("least_weight" in vars(val)) is (not isinstance(val, Table))
+    assert 50 < failing < 250
+
+
+def test_tied_rankings_raise_on_every_call_and_are_never_cached():
+    tied = Instance(n=2, m=3, valuations=(Lexicographic(ranking=(2, 0, 1)), Additive(values=(3, 1, 3))))
+    message = "agent 1: additive values are tied: ordinal order is ambiguous"
+    alloc = from_assignment([0, 1, 1], 2)
+    for _ in range(2):
+        for run in (ordinal_rankings, _ref_ordinal_rankings):
+            with pytest.raises(PreconditionError) as exc:
+                run(tied)
+            assert str(exc.value) == message
+        assert _outcome(tied, alloc)[1] == message
+        assert "_ordinal_rankings" not in vars(tied)
+    # an incomplete allocation and one with a pool are refused before the
+    # rankings are read
+    fine = Instance(n=2, m=3, valuations=(Lexicographic(ranking=(2, 0, 1)), Additive(values=(3, 1, 2))))
+    partial = IntegralAllocation((frozenset({0}), frozenset({1})))
+    pooled = IntegralAllocation((frozenset({0}), frozenset({1})), frozenset({2}))
+    refusal = "Pareto audit needs a complete allocation with an empty pool"
+    for inst in (tied, fine):
+        for alloc in (partial, pooled):
+            assert _outcome(inst, alloc)[1] == refusal
+
+
+def test_format_rational_matches_the_fraction_round_trip():
+    values = [F(0), F(-7, 3), F(5), F(10**30 + 1, 7), 0, 3, -12, True, False]
+    values += [F(SplitMix64(2703 + k).below(1000) - 500, 1 + k) for k in range(40)]
+    for x in values:
+        assert format_rational(x) == _ref_format_rational(x)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from bobw import (
     IntegralAllocation,
+    bvn_decompose,
     exact_distribution_charity,
     get_fixture,
     instance_from_json,
@@ -198,6 +200,39 @@ def test_mutated_table_files_exit_cleanly(capsys, tmp_path):
             capsys.readouterr()
     # mutants that still load and run, beside the ones refused
     assert codes["solve", 0] > 100 and codes["oracle", 0] > 100 and codes["validate", 2] > 10
+
+
+def test_mutated_lottery_allocation_and_decomposition_files_exit_cleanly(capsys, tmp_path):
+    # seeded single-byte mutants of a utse lottery, of one of its outcomes
+    # and of the decomposition of its eating matrix, on a lexicographic and
+    # an additive fixture: every run exits with a documented code
+    verify = ["verify", "--properties", "efx,po-lex,sdef,ef1,efx-charity", "--allocation"]
+    solve = ["solve", "--algorithm", "utse", "--decomposition"]
+    path = tmp_path / "input.json"
+    codes = Counter()
+    rng = random.Random(27)
+    for name in ("FIX-A", "FIX-C"):
+        inst = get_fixture(name)
+        dist = utse(inst)
+        files = (
+            ("lottery", verify, dist.to_json()),
+            ("allocation", verify, dist.support[-1][1].to_json()),
+            ("decomposition", solve, bvn_decompose(summarize(unit_run(inst)).X).to_json()),
+        )
+        for kind, (word, *rest), data in files:
+            for mutant in _mutants(json.dumps(data).encode(), rng, 750):
+                path.write_bytes(mutant)
+                try:
+                    code = main([word, name, *rest, str(path)])
+                except Exception as exc:  # the mutant goes into the failure message
+                    raise AssertionError(f"{word} raised on {mutant!r}") from exc
+                assert code in (0, 2, 3, 4), (word, mutant)
+                codes[kind, code] += 1
+            capsys.readouterr()
+    # mutants that still load and run, beside the ones refused: a utse
+    # lottery is not SD-EF, so every verify run that loads exits 2
+    assert codes["lottery", 2] > 50 and codes["allocation", 2] > 50 and codes["decomposition", 0] > 50
+    assert all(codes[kind, 3] > 1000 for kind in ("lottery", "allocation", "decomposition"))
 
 
 # allocation, lottery, supports and decomposition files on FIX-A (n = 3, m = 4)

@@ -111,7 +111,7 @@ def test_bvn_rejects_bad_rows():
         bvn_decompose(((F(1, 2), F(1, 4)),))  # row sum below one
     with pytest.raises(PreconditionError):
         bvn_decompose(((F(1), F(0)), (F(1), F(0))))  # column above one
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="entries must be nonnegative"):
         bvn_decompose(((F(5, 4), F(-1, 4)),))  # out of range entries
 
 
