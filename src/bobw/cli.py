@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from math import floor
 from typing import Callable, Optional
 
 from . import fixtures
@@ -160,10 +161,19 @@ def cmd_eat(args) -> int:
     inst = _load(args)
     if args.duration is None and args.pad is None:
         trace = unit_run(inst)
+        pad = trace.n_dummies
     else:
         duration = Fraction(1) if args.duration is None else parse_rational(args.duration)
-        trace = run_eating(inst, duration, n_dummies=args.pad or 0)
-    _emit(eat_report(inst, trace), args.output)
+        pad = args.pad or 0
+        # A run of duration d eats n * d units, and every agent ranks the
+        # dummies in one order below all real goods, so it finishes at most
+        # floor(n * d) dummies and starts one more.  Dummies past those are
+        # never eaten and widen only the matrix rows the report drops.
+        reach = floor(duration * inst.n) + 1
+        trace = run_eating(inst, duration, n_dummies=min(pad, reach))
+    report = eat_report(inst, trace)
+    report["padded_with"] = pad
+    _emit(report, args.output)
     return EXIT_OK
 
 

@@ -119,69 +119,81 @@ def _tail_lottery(
 ) -> RandomizedAllocation:
     if decomposition is None:
         decomposition = bvn_decompose(summary.X)
-    elif decomposition.reconstruct(inst.n, len(summary.eaten)) != summary.X:
+    elif not decomposition.reconstructs(summary.X):
         raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
-    # Outcomes merge as they are made, each under a flat key: the term's
-    # assignment with dummy goods as -1 and, when the tail is non-empty, the
-    # winner's entry as m.  A non-empty tail means no dummies (m >= n) and
-    # the winner is the one agent holding two goods or more; its own good
-    # is its last good, so the key fixes the outcome.  An empty tail (every
-    # term a perfect matching, as with dummy goods when m < n) gives every
-    # winner the same outcome, so it merges into one entry of k times the
-    # term's mass.  Masses add up as ints over the LCM of the term weights'
-    # denominators.  Each distinct outcome builds its bundles and its sort
-    # key, the bundles' sorted goods (every pool is empty), once; the
-    # singletons are shared, so equal positions compare by identity.
+    # Outcomes are made term by term.  A non-empty tail means no dummies
+    # (m > n), and the winner is the one agent holding two goods or more;
+    # its own good is its last good, so an outcome fixes its term's
+    # assignment and its winner.  So when the assignments are pairwise
+    # distinct, no two outcomes coincide and none needs a merge key: each
+    # (term, winner) is one outcome of mass w / k, a Fraction built once per
+    # term and shared by its k winners.  Otherwise (a repeated assignment,
+    # or m <= n) outcomes merge as they are made, each under a flat key:
+    # the term's assignment with dummy goods as -1 and, when the tail is
+    # non-empty, the winner's entry as m.  An empty tail (every term a
+    # perfect matching, as with dummy goods when m < n) gives every winner
+    # the same outcome, so it merges into one entry of k times the term's
+    # mass.  Merged masses add up as ints over the LCM of the term weights'
+    # denominators.  Each term lists its bundles and its sort key, the
+    # bundles' sorted goods (every pool is empty), as shared singletons, so
+    # equal positions compare by identity; each outcome sets its winner's
+    # entries, copies both lists into tuples and puts the singletons back,
+    # which at n = 32 takes less time than splicing the winner's entries
+    # into per-term tuples.
     k = int(summary.k)
     m = inst.m
+    L = summary.L
     goods = frozenset(range(m))
-    outside = summary.L | summary.U
+    outside = L | summary.U
     m_total = len(summary.eaten)
     singles = [frozenset((g,)) for g in range(m)] + [frozenset()] * (m_total - m)
     sorted_singles = [(g,) for g in range(m)] + [()] * (m_total - m)
-    scale = math.lcm(*(w.denominator for w, _ in decomposition.terms))
+    terms = decomposition.terms
+    keyed = m <= inst.n or len(set(map(itemgetter(1), terms))) < len(terms)
+    scale = math.lcm(*(w.denominator for w, _ in terms)) if keyed else None
     outcomes: dict[tuple[int, ...], list] = {}  # flat key -> [mass, sort key, bundles]
-    for w, assignment in decomposition.terms:
+    made: list[tuple[Fraction, tuple, tuple]] = []  # (mass, sort key, bundles), unkeyed
+    for w, assignment in terms:
         tail = goods.difference(assignment)
         if not tail <= outside:
             raise AssertionError("unallocated tail reaches outside the last/untouched goods")
-        winners = [i for i, g in enumerate(assignment) if g in summary.L]
+        winners = [i for i, g in enumerate(assignment) if g in L]
         if len(winners) != k:
             raise AssertionError("a term does not hold exactly k last goods")
-        units = w.numerator * (scale // w.denominator)
         held = list(map(singles.__getitem__, assignment))
         order = list(map(sorted_singles.__getitem__, assignment))
+        if keyed:
+            units = w.numerator * (scale // w.denominator)
+        else:
+            p = Fraction(w.numerator, w.denominator * k)
         if not tail:  # every winner gets the term's own outcome
             key = tuple(g if g < m else -1 for g in assignment)
             entry = outcomes.get(key)
             if entry is None:
-                outcomes[key] = [k * units, tuple(order), held]
+                outcomes[key] = [k * units, tuple(order), tuple(held)]
             else:
                 entry[0] += k * units
             continue
         rest = sorted(tail)
-        flat = list(assignment)  # a non-empty tail means no dummy goods
         for i in winners:
-            flat[i] = m
-            key = tuple(flat)
-            flat[i] = assignment[i]
-            entry = outcomes.get(key)
-            if entry is not None:
-                entry[0] += units
-                continue
+            g = assignment[i]
+            if keyed:
+                key = assignment[:i] + (m,) + assignment[i + 1 :]
+                entry = outcomes.get(key)
+                if entry is not None:
+                    entry[0] += units
+                    continue
             own = rest.copy()
-            insort(own, assignment[i])
-            bundles = held.copy()
-            bundles[i] = frozenset(own)
-            order[i] = tuple(own)
-            outcomes[key] = [units, tuple(order), bundles]
-            order[i] = sorted_singles[assignment[i]]
-    return RandomizedAllocation(
-        tuple(
-            (Fraction(units, scale * k), IntegralAllocation(bundles=tuple(bundles)))
-            for units, _, bundles in sorted(outcomes.values(), key=itemgetter(1))
-        )
-    )
+            insort(own, g)
+            held[i], order[i] = frozenset(own), tuple(own)
+            if keyed:
+                outcomes[key] = [units, tuple(order), tuple(held)]
+            else:
+                made.append((p, tuple(order), tuple(held)))
+            held[i], order[i] = singles[g], sorted_singles[g]
+    made += ((Fraction(units, scale * k), order, bundles) for units, order, bundles in outcomes.values())
+    made.sort(key=itemgetter(1))
+    return RandomizedAllocation(tuple((p, IntegralAllocation(bundles=bundles)) for p, _, bundles in made))
 
 
 def k2_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:

@@ -17,11 +17,16 @@ entries and their columns, and drops an entry that reaches 0 from both
 lists.  The matching resumes too: each root's search records the columns
 it reached, and since the graph only loses edges, a term reruns the search
 only from the first root that reached a column along an edge the previous
-term removed.  A root whose first positive column is still unmatched takes
-it without a search, recording what the search would have reached.  So
-every term gets the matching a search from scratch would.  A term skips the
-repair when every full column is already matched, and the slack scan when
-every column is.
+term removed.  Root r's search visits only rows up to r, because the
+matching before it holds only rows below r; so the scan for the first such
+root starts, for an entry of row i that reached 0, at root i.  A root whose
+first positive column is still unmatched takes it without a search,
+recording what the search would have reached.  So every term gets the
+matching a search from scratch would.  A term skips the repair when every
+full column is already matched, and the slack scan when every column is.
+``Decomposition.reconstructs`` checks a supplied decomposition against a
+matrix in ints: each cell sums as an int over the LCM of the weights'
+denominators and is cross-multiplied with its entry.
 
 ``dependent_round`` rounds a fractional matrix with integral column sums to a
 0/1 matrix by randomized pipage: repeatedly pick a cycle (else a maximal
@@ -120,17 +125,39 @@ class Decomposition:
             if len(set(assignment)) != len(assignment):
                 raise PreconditionError("a term assigns one good to two agents")
 
-    def reconstruct(self, n: int, m: int) -> Matrix:
-        """The n x m share matrix the terms add up to; each term must give
-        each of the n agents one of the m goods."""
+    def _check_shape(self, n: int, m: int) -> None:
         for _, assignment in self.terms:
             if len(assignment) != n or not all(type(g) is int and 0 <= g < m for g in assignment):
                 raise PreconditionError(f"a term must give each of the {n} agents one of the {m} goods")
+
+    def reconstruct(self, n: int, m: int) -> Matrix:
+        """The n x m share matrix the terms add up to; each term must give
+        each of the n agents one of the m goods."""
+        self._check_shape(n, m)
         rows = [[Fraction(0)] * m for _ in range(n)]
         for w, assignment in self.terms:
             for i, g in enumerate(assignment):
                 rows[i][g] += w
         return tuple(tuple(r) for r in rows)
+
+    def reconstructs(self, rows: Matrix) -> bool:
+        """Whether the terms add up to `rows`, an n x m matrix of Fractions,
+        with reconstruct's shape checks.  Each cell is summed as an int over
+        D, the LCM of the weights' denominators, and compared with its entry
+        by cross-multiplication, so no Fraction is built."""
+        n, m = len(rows), len(rows[0]) if rows else 0
+        self._check_shape(n, m)
+        D = lcm(*(w.denominator for w, _ in self.terms))
+        sums = [[0] * m for _ in range(n)]
+        for w, assignment in self.terms:
+            units = w.numerator * (D // w.denominator)
+            for row, g in zip(sums, assignment):
+                row[g] += units
+        return all(
+            x.numerator * D == s * x.denominator
+            for row, target in zip(sums, rows)
+            for s, x in zip(row, target)
+        )
 
     def to_json(self) -> dict:
         return {
@@ -196,9 +223,9 @@ def _resume_matching(
     del runs[start:]
     for root in range(start, len(adj)):
         row = adj[root]
-        if row and row[0] not in match_col:  # the search would take it and reach nothing else
-            match_col[row[0]] = root
-            runs.append(({row[0]: root}, dict(match_col)))
+        if row and (g := row[0]) not in match_col:  # the search would take it and reach nothing else
+            match_col[g] = root
+            runs.append(({g: root}, dict(match_col)))
         else:
             runs.append((_kuhn_search(adj, match_col, root), dict(match_col)))
     return match_col
@@ -259,14 +286,19 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         if s > D:
             raise PreconditionError(f"column {j} sums above one")
 
-    adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
-    col_adj = [[i for i in range(n) if X[i][j] > 0] for j in range(m)]
+    # entries are nonnegative, so a nonzero entry is an edge; rows are read
+    # in ascending order, so each column lists its rows ascending
+    adj = [[j for j, x in enumerate(row) if x] for row in X]
+    col_adj: list[list[int]] = [[] for _ in range(m)]
+    for i, goods in enumerate(adj):
+        for j in goods:
+            col_adj[j].append(i)
     runs: list[tuple[dict[int, int], dict[int, int]]] = []
     start = 0
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
     remaining = D
     while remaining > 0:
-        full = {j for j, s in enumerate(col_sums) if s == remaining}
+        full = set(compress(range(m), map(remaining.__eq__, col_sums)))
         match_col = _resume_matching(adj, runs, start)
         if not full <= match_col.keys():
             for c in sorted(full):
@@ -285,11 +317,11 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
                 for j in range(m)
                 if j not in match_col and col_sums[j] > 0
             }
-            binding = [j for j, s in sorted(slack.items()) if s < entry_min and j not in banned]
-            if not binding:
-                weight = min([entry_min] + list(slack.values()))
+            # slack is built in ascending column order
+            c = next((j for j, s in slack.items() if s < entry_min and j not in banned), None)
+            if c is None:
+                weight = min([entry_min, *slack.values()])
                 break
-            c = binding[0]
             if _repair_matching(col_adj, match_col, c, protected=forced):
                 forced.add(c)
             else:
@@ -311,7 +343,9 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
             if not x:
                 adj[i].remove(g)
                 col_adj[g].remove(i)
-                for r in range(start):
+                # root r's search visits only rows <= r, so no root before i
+                # reached g from row i
+                for r in range(i, start):
                     if runs[r][0].get(g) == i:
                         start = r
                         break

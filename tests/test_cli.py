@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,11 +13,13 @@ import pytest
 
 from bobw import (
     IntegralAllocation,
+    PreconditionError,
     bvn_decompose,
     exact_distribution_charity,
     get_fixture,
     instance_from_json,
     instance_to_json,
+    run_eating,
     summarize,
     unit_run,
     utse,
@@ -24,9 +27,10 @@ from bobw import (
 from bobw import cli
 from bobw.audit import AuditReport
 from bobw.cli import ALGORITHMS, _check, build_parser, main
+from bobw.eating import eat_report
 from bobw.rng import SplitMix64
 
-from helpers import capped_additive_instance, from_assignment, monotone_instance
+from helpers import capped_additive_instance, from_assignment, lex_instance, monotone_instance
 
 
 def _run(capsys, argv):
@@ -234,6 +238,26 @@ def test_mutated_lottery_allocation_and_decomposition_files_exit_cleanly(capsys,
     assert codes["lottery", 2] > 50 and codes["allocation", 2] > 50 and codes["decomposition", 0] > 50
     assert all(codes[kind, 3] > 1000 for kind in ("lottery", "allocation", "decomposition"))
 
+
+
+def test_mutated_supports_files_exit_cleanly(capsys, tmp_path):
+    # seeded single-byte mutants of FIX-A's EFX allocations as `oracle --op
+    # enumerate-efx` writes them, read back as a supports file
+    code, data = _run_json(capsys, ["oracle", "FIX-A", "--op", "enumerate-efx"])
+    assert code == 0 and data["count"] == 4
+    path = tmp_path / "supports.json"
+    codes = Counter()
+    for mutant in _mutants(json.dumps(data).encode(), random.Random(28), 1500):
+        path.write_bytes(mutant)
+        try:
+            code = main(["oracle", "FIX-A", "--op", "sdef-feasibility", "--supports", str(path)])
+        except Exception as exc:  # the mutant goes into the failure message
+            raise AssertionError(f"oracle raised on {mutant!r}") from exc
+        assert code in (0, 2, 3, 4), mutant
+        codes[code] += 1
+        capsys.readouterr()
+    # mutants that still load and run, beside the ones refused
+    assert codes[0] > 100 and codes[3] > 1000
 
 # allocation, lottery, supports and decomposition files on FIX-A (n = 3, m = 4)
 _ALLOCATION_INPUTS = {
@@ -485,6 +509,47 @@ def test_eat_report_shape(capsys):
     assert data["k"] == "1"
     assert data["L"] == [1]
     assert data["U"] == [2]
+
+
+
+def test_eat_pad_builds_only_the_dummies_a_run_can_reach(capsys):
+    # a pad of 10**12 dummy goods answers at once, with the report of any
+    # pad the run cannot use up
+    start = time.perf_counter()
+    code, out = _run(capsys, ["eat", "FIX-C", "--pad", str(10**12)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    data = json.loads(out)
+    assert data["padded_with"] == 10**12
+    code, small = _run_json(capsys, ["eat", "FIX-C", "--pad", "5"])
+    assert code == 0 and {**small, "padded_with": 10**12} == data
+
+
+def test_eat_report_is_the_full_pad_report(capsys, tmp_path):
+    # for every pad and duration, the CLI prints the report of a run with
+    # every dummy built, or refuses it with that run's message
+    rng = SplitMix64(2805)
+    cases = [("FIX-A", get_fixture("FIX-A")), ("FIX-C", get_fixture("FIX-C"))]
+    for n, m in ((3, 2), (4, 6), (5, 5)):
+        inst = lex_instance(rng, n, m)
+        path = tmp_path / f"inst-{n}-{m}.json"
+        path.write_text(json.dumps(instance_to_json(inst)))
+        cases.append((str(path), inst))
+    checked = refused = 0
+    for name, inst in cases:
+        for duration in ("1/3", "1/2", "1", "3/2", "2", "7/3", "0"):
+            for pad in (0, 1, 2, 3, 5, 8, 13, 40, -1):
+                code = main(["eat", name, "--duration", duration, "--pad", str(pad)])
+                out, err = capsys.readouterr()
+                try:
+                    expected = eat_report(inst, run_eating(inst, Fraction(duration), n_dummies=pad))
+                except PreconditionError as exc:
+                    assert (code, out, err) == (3, "", f"error: {exc}\n"), (name, duration, pad)
+                    refused += 1
+                else:
+                    assert code == 0 and json.loads(out) == expected, (name, duration, pad)
+                    checked += 1
+    assert checked > 100 and refused > 50
 
 
 def test_solve_utse_embeds_passing_audits(capsys):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import math
+import re
+from bisect import insort
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 import pytest
@@ -32,6 +36,7 @@ from bobw import (
     utse,
 )
 from bobw import lex_algos, rounding
+from bobw.eating import TraceSummary
 from bobw.rng import SplitMix64
 
 from helpers import additive_instance, lex_instance
@@ -416,6 +421,132 @@ def test_utse_under_decompositions_of_permuted_goods():
                 assert ratio is None or ratio >= F(3 * k, 3 * k + 1), (inst, decomposition)
                 floors += 1
     assert checked >= 500 and floors >= 250
+
+
+# reference: the tail lottery as it stood with a merge key for every outcome,
+# a Fraction per outcome and a Fraction matrix to check a supplied
+# decomposition, kept verbatim (renamed); the trimmed one must give the same
+# lottery and refuse the same decompositions
+
+
+def _ref_tail_lottery(
+    inst: Instance, summary: TraceSummary, decomposition: Optional[Decomposition] = None
+) -> RandomizedAllocation:
+    if decomposition is None:
+        decomposition = bvn_decompose(summary.X)
+    elif decomposition.reconstruct(inst.n, len(summary.eaten)) != summary.X:
+        raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
+    # Outcomes merge as they are made, each under a flat key: the term's
+    # assignment with dummy goods as -1 and, when the tail is non-empty, the
+    # winner's entry as m.  A non-empty tail means no dummies (m >= n) and
+    # the winner is the one agent holding two goods or more; its own good
+    # is its last good, so the key fixes the outcome.  An empty tail (every
+    # term a perfect matching, as with dummy goods when m < n) gives every
+    # winner the same outcome, so it merges into one entry of k times the
+    # term's mass.  Masses add up as ints over the LCM of the term weights'
+    # denominators.  Each distinct outcome builds its bundles and its sort
+    # key, the bundles' sorted goods (every pool is empty), once; the
+    # singletons are shared, so equal positions compare by identity.
+    k = int(summary.k)
+    m = inst.m
+    goods = frozenset(range(m))
+    outside = summary.L | summary.U
+    m_total = len(summary.eaten)
+    singles = [frozenset((g,)) for g in range(m)] + [frozenset()] * (m_total - m)
+    sorted_singles = [(g,) for g in range(m)] + [()] * (m_total - m)
+    scale = math.lcm(*(w.denominator for w, _ in decomposition.terms))
+    outcomes: dict[tuple[int, ...], list] = {}  # flat key -> [mass, sort key, bundles]
+    for w, assignment in decomposition.terms:
+        tail = goods.difference(assignment)
+        if not tail <= outside:
+            raise AssertionError("unallocated tail reaches outside the last/untouched goods")
+        winners = [i for i, g in enumerate(assignment) if g in summary.L]
+        if len(winners) != k:
+            raise AssertionError("a term does not hold exactly k last goods")
+        units = w.numerator * (scale // w.denominator)
+        held = list(map(singles.__getitem__, assignment))
+        order = list(map(sorted_singles.__getitem__, assignment))
+        if not tail:  # every winner gets the term's own outcome
+            key = tuple(g if g < m else -1 for g in assignment)
+            entry = outcomes.get(key)
+            if entry is None:
+                outcomes[key] = [k * units, tuple(order), held]
+            else:
+                entry[0] += k * units
+            continue
+        rest = sorted(tail)
+        flat = list(assignment)  # a non-empty tail means no dummy goods
+        for i in winners:
+            flat[i] = m
+            key = tuple(flat)
+            flat[i] = assignment[i]
+            entry = outcomes.get(key)
+            if entry is not None:
+                entry[0] += units
+                continue
+            own = rest.copy()
+            insort(own, assignment[i])
+            bundles = held.copy()
+            bundles[i] = frozenset(own)
+            order[i] = tuple(own)
+            outcomes[key] = [units, tuple(order), bundles]
+            order[i] = sorted_singles[assignment[i]]
+    return RandomizedAllocation(
+        tuple(
+            (Fraction(units, scale * k), IntegralAllocation(bundles=tuple(bundles)))
+            for units, _, bundles in sorted(outcomes.values(), key=itemgetter(1))
+        )
+    )
+
+
+def _tail_cases():
+    """(instance, summary, decomposition) triples: the default and permuted-
+    goods decompositions of utse instances from 8/16 to 32/64, padded and
+    square instances, and each decomposition with every term split in two
+    (a repeated assignment, so outcomes merge)."""
+    rng = SplitMix64(2803)
+    insts = [lex_instance(rng, n, 2 * n) for n in (8, 12, 16, 24, 32)]
+    insts += [additive_instance(rng, n, 2 * n) for n in (8, 16)]
+    insts += [lex_instance(rng, n, m) for n, m in ((5, 3), (9, 4), (12, 7), (6, 6), (10, 10), (7, 9))]
+    for inst in insts:
+        summary = summarize(unit_run(inst))
+        for decomposition in (bvn_decompose(summary.X), _permuted_decomposition(summary, rng)):
+            yield inst, summary, decomposition
+            halves = [(w / 2, a) for w, a in decomposition.terms]
+            yield inst, summary, Decomposition(tuple(halves + halves[::-1]))
+
+
+def test_tail_lottery_matches_the_keyed_reference():
+    kinds = set()
+    for inst, summary, decomposition in _tail_cases():
+        expected = _ref_tail_lottery(inst, summary, decomposition).to_json()
+        assert lex_algos._tail_lottery(inst, summary, decomposition).to_json() == expected
+        if decomposition.terms == bvn_decompose(summary.X).terms:
+            assert lex_algos._tail_lottery(inst, summary).to_json() == expected
+        repeated = len({a for _, a in decomposition.terms}) < len(decomposition.terms)
+        kinds.add((inst.m < inst.n, inst.m == inst.n, repeated))
+    # padded, square and m > n cases, each with distinct and repeated assignments
+    assert kinds == {(p, s, r) for p, s in ((True, False), (False, True), (False, False)) for r in (True, False)}
+
+
+def test_tail_lottery_refuses_what_the_keyed_reference_refuses():
+    # a supplied decomposition that misses the eating matrix by one entry,
+    # or whose terms do not fit the matrix, is refused with the same message
+    rng = SplitMix64(2804)
+    for inst, summary, decomposition in _tail_cases():
+        terms = list(decomposition.terms)
+        w, a = terms[-1]
+        i = rng.below(inst.n)
+        free = [g for g in range(len(summary.eaten)) if g not in a]
+        if free:
+            terms[-1] = (w, a[:i] + (free[rng.below(len(free))],) + a[i + 1 :])
+        else:  # a perfect matching: swap two agents' goods
+            terms[-1] = (w, a[1:] + a[:1])
+        for bad in (Decomposition(tuple(terms)), Decomposition(((F(1), a[:-1]),))):
+            with pytest.raises(PreconditionError) as ref:
+                _ref_tail_lottery(inst, summary, bad)
+            with pytest.raises(PreconditionError, match=re.escape(str(ref.value))):
+                lex_algos._tail_lottery(inst, summary, bad)
 
 
 def test_utse_merges_equal_outcomes_across_terms():

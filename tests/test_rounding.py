@@ -188,6 +188,201 @@ def test_resumed_matching_equals_a_fresh_one_at_every_term(monkeypatch):
     assert sum(start > 0 for start in starts) > len(starts) // 2
 
 
+# reference: bvn_decompose with the resumed matching as it stood before its
+# per-term bookkeeping was trimmed (whole-range resume scans, a comprehension
+# per adjacency list, a set comprehension for the full columns, a sorted
+# slack scan), kept verbatim with its helpers renamed; the trimmed one must
+# give the same decomposition
+
+
+def _ref_kuhn_search(adj: list[list[int]], match_col: dict[int, int], root: int) -> dict[int, int]:
+    """Extend the matching `match_col` ({column: row}) to row `root` by the
+    first augmenting path in ascending-index order.  The search keeps its own
+    stack of (row, column iterator) with the column each row is trying, so
+    the length of an augmenting path is not bounded by Python's recursion
+    limit.  Returns {column: row} for every column the search reached, with
+    the row it reached the column from."""
+    reached: dict[int, int] = {}
+    stack = [(root, iter(adj[root]))]
+    path: list[int] = []  # path[k] is the column stack[k] is trying
+    while stack:
+        row, cols = stack[-1]
+        for g in cols:
+            if g not in reached:
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        reached[g] = row
+        path.append(g)
+        row = match_col.get(g)
+        if row is None:
+            break
+        stack.append((row, iter(adj[row])))
+    else:
+        raise PreconditionError("no agent-saturating matching: matrix violates its shape preconditions")
+    for (row, _), g in zip(stack, path):
+        match_col[g] = row
+    return reached
+
+
+def _ref_resume_matching(
+    adj: list[list[int]], runs: list[tuple[dict[int, int], dict[int, int]]], start: int
+) -> dict[int, int]:
+    """The matching {column: row} saturating every row vertex, found by
+    ascending-index augmenting paths and rerun only from root `start`;
+    `_resume_matching(adj, [], 0)` finds it from scratch.  runs[r] holds
+    what root r's search reached and a copy of the matching after it;
+    runs[:start] must still hold on `adj`, as they do when `adj` has only
+    lost edges since and none of those edges was reached.  The rest of `runs`
+    is redone.  Returns a fresh copy of the matching."""
+    match_col = dict(runs[start - 1][1]) if start else {}
+    del runs[start:]
+    for root in range(start, len(adj)):
+        row = adj[root]
+        if row and row[0] not in match_col:  # the search would take it and reach nothing else
+            match_col[row[0]] = root
+            runs.append(({row[0]: root}, dict(match_col)))
+        else:
+            runs.append((_ref_kuhn_search(adj, match_col, root), dict(match_col)))
+    return match_col
+
+
+def _ref_resumed_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
+    """Decompose a unit-row-sum matrix (column sums <= 1) into assignment
+    terms with exact weights.  Term count never exceeds the number of nonzero
+    entries plus the number of initially unsaturated columns."""
+    D, X = rounding._scaled(rows)
+    n, m = len(X), len(X[0])
+    for i, row in enumerate(X):
+        if sum(row) != D:
+            raise PreconditionError(f"row {i} must sum to exactly one")
+        if min(row) < 0:
+            raise PreconditionError("entries must be nonnegative")
+    col_sums = list(map(sum, zip(*X)))
+    for j, s in enumerate(col_sums):
+        if s > D:
+            raise PreconditionError(f"column {j} sums above one")
+
+    adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
+    col_adj = [[i for i in range(n) if X[i][j] > 0] for j in range(m)]
+    runs: list[tuple[dict[int, int], dict[int, int]]] = []
+    start = 0
+    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    remaining = D
+    while remaining > 0:
+        full = {j for j, s in enumerate(col_sums) if s == remaining}
+        match_col = _ref_resume_matching(adj, runs, start)
+        if not full <= match_col.keys():
+            for c in sorted(full):
+                if not rounding._repair_matching(col_adj, match_col, c, protected=full):
+                    raise AssertionError("a saturated column could not be matched")
+
+        # Cap the weight so no unmatched column can outgrow the residual row
+        # sum; when the cap binds below the matched entries, force the binding
+        # column into the matching if an alternating repair allows it.
+        banned: set[int] = set()
+        forced = set(full)
+        while True:
+            entry_min = min([X[i][g] for g, i in match_col.items()])
+            slack = {} if len(match_col) == m else {
+                j: remaining - col_sums[j]
+                for j in range(m)
+                if j not in match_col and col_sums[j] > 0
+            }
+            binding = [j for j, s in sorted(slack.items()) if s < entry_min and j not in banned]
+            if not binding:
+                weight = min([entry_min] + list(slack.values()))
+                break
+            c = binding[0]
+            if rounding._repair_matching(col_adj, match_col, c, protected=forced):
+                forced.add(c)
+            else:
+                banned.add(c)
+
+        if weight <= 0:  # pragma: no cover - shape invariants forbid this
+            raise AssertionError("nonpositive extraction weight")
+        vector = [0] * n
+        for g, i in match_col.items():
+            vector[i] = g
+        terms.append((Fraction(weight, D), tuple(vector)))
+        # The graph only loses edges, so a root's search runs as before
+        # unless it reached a column along an edge this term removes.
+        start = n
+        for i, g in enumerate(vector):
+            row = X[i]
+            x = row[g] = row[g] - weight
+            col_sums[g] -= weight
+            if not x:
+                adj[i].remove(g)
+                col_adj[g].remove(i)
+                for r in range(start):
+                    if runs[r][0].get(g) == i:
+                        start = r
+                        break
+        remaining -= weight
+
+    if any(map(any, X)):  # pragma: no cover
+        raise AssertionError("decomposition left mass behind")
+    return Decomposition(tuple(terms))
+
+
+def _resumed_bvn_inputs():
+    rng = SplitMix64(2801)
+    # the eating baseline's square matrices, as the benchmark decomposes them
+    for n in (16, 20):
+        for _ in range(3):
+            yield representative_matrix(full_run(lex_instance(rng, n, 2 * n)))
+    # unit-run eating matrices, as utse decomposes them, from 8/16 to 32/64
+    for n in (8, 12, 16, 24, 32):
+        for _ in range(2):
+            yield summarize(unit_run(lex_instance(rng, n, 2 * n))).X
+    # padded unit runs (m < n) and square ones
+    for n, m in ((5, 3), (9, 4), (12, 7), (6, 6), (10, 10)):
+        yield summarize(unit_run(lex_instance(rng, n, m))).X
+    yield from _assignment_mixtures()
+
+
+def test_bvn_matches_the_untrimmed_resumed_reference():
+    count = 0
+    for rows in _resumed_bvn_inputs():
+        got = bvn_decompose(rows)
+        assert got.to_json() == _ref_resumed_bvn_decompose(rows).to_json()
+        count += 1
+    assert count >= 40
+
+
+def test_reconstructs_agrees_with_reconstruct():
+    # the int check of a supplied decomposition against the Fraction matrix
+    # reconstruct builds: equal on the true matrix, and unequal when one
+    # term's weight moves to another assignment or one entry changes
+    rng = SplitMix64(2802)
+    for rows in _resumed_bvn_inputs():
+        rows = tuple(map(tuple, rows))
+        n, m = len(rows), len(rows[0])
+        dec = bvn_decompose(rows)
+        assert dec.reconstructs(rows) and dec.reconstruct(n, m) == rows
+        moved = list(dec.terms)
+        w, a = moved[0]
+        i = rng.below(n)
+        free = [g for g in range(m) if g not in a]
+        if free:
+            moved[0] = (w, a[:i] + (free[rng.below(len(free))],) + a[i + 1 :])
+            other = Decomposition(tuple(moved))
+            assert not other.reconstructs(rows) and other.reconstruct(n, m) != rows
+        j = rng.below(m)
+        bumped = rows[:i] + (rows[i][:j] + (rows[i][j] + F(1, 7),) + rows[i][j + 1 :],) + rows[i + 1 :]
+        assert not dec.reconstructs(bumped)
+        # reconstruct's shape errors: one agent too few, the last assigned good missing
+        with pytest.raises(PreconditionError, match="a term must give each"):
+            dec.reconstructs(rows[:-1])
+        last = max(g for _, assignment in dec.terms for g in assignment)
+        with pytest.raises(PreconditionError, match="a term must give each"):
+            dec.reconstructs([row[:last] for row in rows])
+
+
 def test_decomposition_json_round_trip():
     rows = ((HALF, HALF), (HALF, HALF))
     decomp = bvn_decompose(rows)
