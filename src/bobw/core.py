@@ -16,12 +16,16 @@ supported:
 Each valuation holds an integer form: a positive ``scale`` and integer
 ``weights`` (per good, or per table bitmask), with v(B) = ``int_value(B)``
 / ``scale``.  ``Additive`` and ``Table`` build it from their values when
-constructed.  Strings that are all JSON integers, as ``instance_to_json``
-writes a table, are read in one ``json.loads`` pass over the values
-joined by commas; everything else falls through to ``int()`` per value
-and then ``parse_exact``, which refuse a decimal string past Python's
-4,300-digit limit in its digits or its exponent.  ``Lexicographic``
-derives its powers of two once, on first use.
+constructed.  Strings that are all canonical spellings of ints below
+1024, as ``instance_to_json`` writes a small-valued table, are read by one
+dict lookup per value, tried only when the last value (a monotone table's
+largest) is one; the dict is built on the first list that ends in a
+string.  On a miss, strings that are all JSON integers are read in one
+``json.loads`` pass over the values joined by commas; everything else
+falls through to ``int()`` per value and then ``parse_exact``, which
+refuse a decimal string past Python's 4,300-digit limit in its digits or
+its exponent.  ``Lexicographic`` derives its powers of two once, on first
+use.
 ``Instance`` checks that each valuation fits its goods (``shape_error``),
 so code past construction may index freely, and caches on first use what
 the per-outcome audits read: the agents' ordinal rankings (never a
@@ -49,7 +53,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -152,18 +156,38 @@ def sums_to_one(weights: Sequence[Fraction]) -> bool:
 # valuations
 
 
+@cache
+def _small_ints() -> dict[str, int]:
+    """str(k) -> k for 0 <= k < 1024: the canonical spellings only, so a hit
+    reads as int() does.  Built on the first value list that ends in a str,
+    so code that decodes no strings keeps it out of memory."""
+    return {str(k): k for k in range(1 << 10)}
+
+
 def _integer_form(values: Iterable) -> tuple[int, tuple[int, ...]]:
     """(scale, weights) with value k = weights[k] / scale: the scale is the
     LCM of the reduced denominators, so it is 1 iff every value is an integer.
 
-    Strings that are all JSON integers (a table written by instance_to_json)
-    are read in one json.loads pass: joined by commas, they hold nothing but
-    digits, '-' and ',', and as many integers come back as there are values
-    only if no value holds a comma, so each value is one JSON integer token
-    and json reads it as int() does.  Anything else falls through: a value
-    that is not a str, another character, a token JSON refuses (leading
-    zeros, a lone '-', past the digit limit) or a count mismatch."""
+    Strings that are all canonical spellings of ints below 1024 are looked
+    up in _small_ints(), one dict lookup per value.  The lookup is tried
+    only when the last value is one: a monotone table's largest value is
+    its last, so a table that would miss late goes straight to the next
+    step.  On a miss, strings that are all JSON integers (a table written by
+    instance_to_json) are read in one json.loads pass: joined by commas,
+    they hold nothing but digits, '-' and ',', and as many integers come
+    back as there are values only if no value holds a comma, so each value
+    is one JSON integer token and json reads it as int() does.  Anything
+    else falls through to int() per value, then parse_exact: a value that
+    is not a str, another character, a token JSON refuses (leading zeros,
+    a lone '-', past the digit limit) or a count mismatch."""
     values = tuple(values)
+    if values and type(values[-1]) is str:
+        small = _small_ints()
+        try:
+            if values[-1] in small:
+                return 1, tuple(map(small.__getitem__, values))
+        except (KeyError, TypeError):  # a miss, an unhashable value
+            pass
     try:
         text = ",".join(values)
         if not text.encode().translate(None, b"0123456789,-"):  # non-ASCII bytes stay

@@ -12,25 +12,29 @@ from pathlib import Path
 import pytest
 
 from bobw import (
+    Instance,
     IntegralAllocation,
     PreconditionError,
+    Table,
     bvn_decompose,
     exact_distribution_charity,
     get_fixture,
     instance_from_json,
     instance_to_json,
+    load_instance,
     run_eating,
     summarize,
     unit_run,
     utse,
 )
-from bobw import cli
+from bobw import cli, core
 from bobw.audit import AuditReport
 from bobw.cli import ALGORITHMS, _check, build_parser, main
 from bobw.eating import eat_report
 from bobw.rng import SplitMix64
 
 from helpers import capped_additive_instance, from_assignment, lex_instance, monotone_instance
+from test_core import _ref_integer_form
 
 
 def _run(capsys, argv):
@@ -204,6 +208,50 @@ def test_mutated_table_files_exit_cleanly(capsys, tmp_path):
             capsys.readouterr()
     # mutants that still load and run, beside the ones refused
     assert codes["solve", 0] > 100 and codes["oracle", 0] > 100 and codes["validate", 2] > 10
+
+
+def test_mutated_table_files_across_the_lookup_bound_exit_cleanly(capsys, tmp_path):
+    # seeded single-byte mutants of a monotone 3/5 table file scaled so that
+    # agents 0 and 2 top out just below the integer lookup's bound and
+    # agent 1 just above it: every run exits with a documented code, and
+    # every table that loads holds the weights of the per-value int() loop
+    bound = len(core._small_ints())
+    inst = monotone_instance(SplitMix64(29), 3, 5)
+    tables = []
+    for i, val in enumerate(inst.valuations):
+        top = max(val.weights)
+        scale = bound // top + 1 if i == 1 else (bound - 1) // top
+        tables.append(Table(tuple(w * scale for w in val.weights)))
+    text = json.dumps(instance_to_json(Instance(n=3, m=5, valuations=tuple(tables)))).encode()
+    commands = (
+        ["validate"],
+        ["solve", "--algorithm", "charity", "--seed", "1"],
+        ["oracle", "--op", "exact-charity"],
+    )
+    path = tmp_path / "inst.json"
+    codes = Counter()
+    for data in _mutants(text, random.Random(29), 1000):
+        path.write_bytes(data)
+        try:
+            loaded = load_instance(str(path))
+        except PreconditionError:
+            loaded = None
+        if loaded is not None:
+            for i, (entry, val) in enumerate(zip(json.loads(data)["valuations"], loaded.valuations)):
+                assert (val.scale, val.weights) == _ref_integer_form(entry["values"]), data
+                codes["table", i == 1, max(val.weights) < bound] += 1
+        for word, *rest in commands:
+            try:
+                code = main([word, str(path), *rest])
+            except Exception as exc:  # the mutant goes into the failure message
+                raise AssertionError(f"{word} raised on {data!r}") from exc
+            assert code in (0, 2, 3, 4), (word, data)
+            codes[word, code] += 1
+        capsys.readouterr()
+    # mutants that still load and run, beside the ones refused, and tables
+    # that a mutant pushed across the bound, either way
+    assert codes["solve", 0] > 50 and codes["oracle", 0] > 50 and codes["validate", 2] > 50
+    assert codes["table", False, False] > 0 and codes["table", True, True] > 0
 
 
 def test_mutated_lottery_allocation_and_decomposition_files_exit_cleanly(capsys, tmp_path):

@@ -404,6 +404,66 @@ def test_the_digit_limit_holds_on_both_paths():
             Table(values)
 
 
+# ---------------------------------------------------------------------------
+# the dict lookup of small canonical integer strings, tried ahead of the
+# json pass when the last value is one
+
+
+def test_the_lookup_holds_canonical_spellings_only():
+    table = core._small_ints()
+    assert len(table) >= 1000
+    assert table == {str(k): k for k in range(len(table))}
+    assert all(type(k) is int for k in table.values())
+
+
+def _lookup_sweep() -> list[list]:
+    """Value lists with one value of each kind first, in the middle and
+    last, among seeded in-range canonical strings."""
+    rng = SplitMix64(1024)
+    bound = len(core._small_ints())
+    kinds = [
+        str(bound - 1), str(bound), str(bound + rng.below(10**6)), "9" * 40, str(-1 - rng.below(bound)),
+        "-0", *_ODD, 7, bound, -3, F(3), F(6, 4),
+    ]
+    lists = []
+    for x in kinds:
+        for length in (1, 2, 5):
+            for pos in {0, length // 2, length - 1}:
+                values = [str(rng.below(bound)) for _ in range(length)]
+                values[pos] = x
+                lists.append(values)
+    return lists
+
+
+def test_the_lookup_reads_as_the_int_loop():
+    for values in _lookup_sweep():
+        assert _outcome(core._integer_form, values) == _outcome(_ref_integer_form, values), values
+
+
+def test_values_that_end_in_no_string_never_build_the_lookup(monkeypatch):
+    def spy():
+        raise AssertionError("the lookup was built")
+
+    monkeypatch.setattr(core, "_small_ints", spy)
+    Additive(("2", 3, F(1, 2)))
+    Table((0, 1, 1, 2))
+
+
+def test_small_tables_skip_the_json_pass(monkeypatch):
+    values = _written_table()
+    assert max(map(int, values)) < len(core._small_ints())
+    data = json.loads(json.dumps(instance_to_json(Instance(n=1, m=12, valuations=(Table(values),)))))
+    big = values[:-1] + [str(int(values[-1]) + len(core._small_ints()))]
+    real, texts = json.loads, []
+    monkeypatch.setattr(core.json, "loads", lambda text: texts.append(text) or real(text))
+    assert instance_from_json(data).valuations[0].weights == _ref_integer_form(values)[1]
+    assert texts == []
+    # a table whose last value is out of range takes the one-pass read
+    assert Table(big).weights == _ref_integer_form(big)[1]
+    assert len(texts) == 1
+    assert not _reaches_the_slow_path(monkeypatch, big)
+
+
 @pytest.mark.parametrize("ranking", [(1.5, 0), ("a", 1), (True, 0), (1.0, 0)], ids=repr)
 def test_rankings_hold_integer_goods(ranking):
     with pytest.raises(PreconditionError):
