@@ -3,10 +3,11 @@ feasibility, exact swap-loop distributions, and seeded Monte Carlo envy ratios.
 
 Everything here is deliberately simple and exhaustive; these routines exist
 to check the fast constructions, not to be fast themselves.  The linear
-feasibility solver is a textbook Fourier-Motzkin elimination over exact
-rationals that keeps full provenance, so an infeasible system yields a
-replayable chain of combinations ending in an impossible constant
-inequality, and a feasible one yields explicit witness weights.
+feasibility solver is a textbook Phase-I simplex with Bland's rule over
+exact integers.  A feasible system yields the witness weights of a vertex.
+An infeasible one yields Farkas multipliers: one positive integer per
+labelled constraint, whose combination is negative on every support, which
+a reader checks in one pass.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .eating import ordinal_rankings
 from .rng import derive_seed
 
 ENUMERATION_CAP = 10**7
-SDEF_SUPPORT_CAP = 12
-SDEF_CONSTRAINT_CAP = 100_000  # pairwise combinations, over all eliminations
+# simplex tableau entries: the largest lexicographic instances under it
+# (2/13, 3/9) decide in at most 2.5 s on a 2-CPU host
+SDEF_TABLEAU_CAP = 50_000
 DEFAULT_LEAF_CAP = 10**6
 
 
@@ -65,19 +67,6 @@ def enumerate_efx(inst: Instance) -> tuple[IntegralAllocation, ...]:
 
 
 @dataclass(frozen=True)
-class _Constraint:
-    coeffs: tuple[int, ...]  # integer coefficients over the free weights
-    const: int  # c . x + const >= 0
-    cid: int
-
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs) and self.const >= 0
-
-    def is_contradiction(self) -> bool:
-        return all(c == 0 for c in self.coeffs) and self.const < 0
-
-
-@dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     weights: Optional[tuple[Fraction, ...]] = None
@@ -92,182 +81,92 @@ class FeasibilityResult:
         return out
 
 
-def _normalize(coeffs: Sequence[int], const: int) -> tuple[tuple[int, ...], int]:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    g = math.gcd(g, abs(const))
-    if g > 1:
-        return tuple(c // g for c in coeffs), const // g
-    return tuple(coeffs), const
-
-
-def sdef_feasibility(
-    inst: Instance, supports: Sequence[IntegralAllocation]
-) -> FeasibilityResult:
+def sdef_feasibility(inst: Instance, supports: Sequence[IntegralAllocation]) -> FeasibilityResult:
     """Can a lottery over `supports` be prefix-dominance envy-free for every
-    pair?  Exact rational elimination; feasible gives verified witness
-    weights, infeasible gives the combination chain ending in an impossible
-    constant constraint.  Elimination can derive doubly exponentially many
-    constraints, so past SDEF_CONSTRAINT_CAP pairwise combinations it
-    raises ResourceCapError."""
+    pair?  An exact Phase-I simplex decides.  Feasible gives the weights of
+    a vertex, checked by `check_sdef`; infeasible gives a replayed
+    certificate.  Past SDEF_TABLEAU_CAP entries it raises ResourceCapError."""
     q = len(supports)
     if q == 0:
         raise PreconditionError("need at least one support allocation")
     require_fits(inst, supports)
-    if q > SDEF_SUPPORT_CAP:
-        raise ResourceCapError(f"feasibility capped at {SDEF_SUPPORT_CAP} support allocations")
-    rankings = ordinal_rankings(inst)
-
-    # prefix counts: pc[l][i][j][t] = |A^l_j  intersect  top-(t+1) of i's order|
-    def prefix_counts(alloc: IntegralAllocation, i: int, j: int) -> list[int]:
-        got = 0
-        out = []
-        bundle = alloc.bundles[j]
-        for g in rankings[i]:
-            if g in bundle:
-                got += 1
-            out.append(got)
-        return out
-
-    labels: dict[int, str] = {}
-    constraints: list[_Constraint] = []
-    steps: list[dict] = []
-    next_id = 0
-
-    def add(coeffs: Sequence[int], const: int, label: str) -> None:
-        nonlocal next_id
-        cs, c0 = _normalize(coeffs, const)
-        con = _Constraint(coeffs=cs, const=c0, cid=next_id)
-        labels[next_id] = label
-        next_id += 1
-        constraints.append(con)
-
-    # last weight is 1 - sum(others); q-1 free variables remain
-    for l in range(q - 1):
-        coeffs = [0] * (q - 1)
-        coeffs[l] = 1
-        add(coeffs, 0, f"weight[{l}] >= 0")
-    add([-1] * (q - 1), 1, f"weight[{q - 1}] >= 0")
-
-    for i in inst.agents:
-        for j in inst.agents:
-            if i == j:
-                continue
-            own = [prefix_counts(a, i, i) for a in supports]
-            other = [prefix_counts(a, i, j) for a in supports]
-            for t in range(inst.m):
-                deltas = [own[l][t] - other[l][t] for l in range(q)]
-                coeffs = [deltas[l] - deltas[q - 1] for l in range(q - 1)]
-                const = deltas[q - 1]
-                if all(c == 0 for c in coeffs) and const >= 0:
-                    continue  # trivially satisfied
-                add(coeffs, const, f"agent {i} vs {j}, top-{t + 1} prefix")
-
-    # Fourier-Motzkin elimination, ascending variable order; keep each
-    # intermediate stage for back-substitution.
-    stages: list[list[_Constraint]] = [list(constraints)]
-    system = list(constraints)
-    num_vars = q - 1
-    combined = 0  # derived constraints, duplicates and trivial ones included
-    for var in range(num_vars):
-        pos = [c for c in system if c.coeffs[var] > 0]
-        neg = [c for c in system if c.coeffs[var] < 0]
-        rest = [c for c in system if c.coeffs[var] == 0]
-        derived: list[_Constraint] = []
-        seen: dict[tuple, int] = {}
-        for p in pos:
-            for ng in neg:
-                combined += 1
-                if combined > SDEF_CONSTRAINT_CAP:
-                    raise ResourceCapError(
-                        f"feasibility capped at {SDEF_CONSTRAINT_CAP} derived constraints (SDEF_CONSTRAINT_CAP)"
-                    )
-                a, b = p.coeffs[var], -ng.coeffs[var]
-                coeffs = [b * pc + a * nc for pc, nc in zip(p.coeffs, ng.coeffs)]
-                const = b * p.const + a * ng.const
-                cs, c0 = _normalize(coeffs, const)
-                assert cs[var] == 0
-                key = (cs, c0)
-                if key in seen:
-                    continue
-                con = _Constraint(coeffs=cs, const=c0, cid=len(labels))
-                labels[con.cid] = f"eliminate x{var}: combine #{p.cid} with #{ng.cid}"
-                steps.append(
-                    {"derived": con.cid, "from": [p.cid, ng.cid], "eliminated": var}
-                )
-                seen[key] = con.cid
-                if con.is_contradiction():
-                    chain = _certificate_chain(con.cid, steps, labels)
-                    return FeasibilityResult(feasible=False, certificate=chain)
-                if not con.is_trivial():
-                    derived.append(con)
-        system = rest + derived
-        stages.append(list(system))
-
-    for con in system:
-        if con.is_contradiction():  # q == 1 or leftover constants
-            chain = _certificate_chain(con.cid, steps, labels)
-            return FeasibilityResult(feasible=False, certificate=chain)
-
-    # feasible: back-substitute stage by stage, innermost variable first
-    values: list[Optional[Fraction]] = [None] * num_vars
-    for var in range(num_vars - 1, -1, -1):
-        lowers: list[Fraction] = []
-        uppers: list[Fraction] = []
-        for con in stages[var]:
-            cv = con.coeffs[var]
-            if cv == 0:
-                continue
-            rest_val = Fraction(con.const)
-            for v2 in range(var + 1, num_vars):
-                rest_val += con.coeffs[v2] * values[v2]
-            bound = -rest_val / cv
-            if cv > 0:
-                lowers.append(bound)
-            else:
-                uppers.append(bound)
-        lo = max(lowers) if lowers else Fraction(0)
-        hi = min(uppers) if uppers else lo
-        if lo > hi:  # pragma: no cover - elimination guarantees consistency
-            raise AssertionError("back-substitution found an empty interval")
-        values[var] = (lo + hi) / 2
-    weights = tuple(values) + (1 - sum(values, start=Fraction(0)),)
-
-    # verify the witness before handing it out
-    if any(w < 0 for w in weights) or sum(weights) != 1:  # pragma: no cover
-        raise AssertionError("witness weights are not a distribution")
-    mix = RandomizedAllocation(tuple((w, a) for w, a in zip(weights, supports) if w > 0))
+    margins = _margins(inst, supports)
+    # a lottery's margin mixes its supports' margins, so a row they all meet never binds
+    live = [label for label, row in margins.items() if min(row) < 0]
+    entries = (len(live) + 2) * (q + len(live) + 1)
+    if entries > SDEF_TABLEAU_CAP:
+        raise ResourceCapError(
+            f"feasibility capped at {SDEF_TABLEAU_CAP} tableau entries (SDEF_TABLEAU_CAP), got {entries}"
+        )
+    feasible, values = _phase_one([margins[label] for label in live], q)
+    if not feasible:
+        cert = {"constraints": [{"label": label, "multiplier": y} for label, y in zip(live, values) if y]}
+        if not _replay_certificate(margins, cert):  # pragma: no cover
+            raise AssertionError("infeasibility certificate does not replay")
+        return FeasibilityResult(feasible=False, certificate=cert)
+    # the lottery checks that the positive weights sum to one
+    mix = RandomizedAllocation(tuple((w, a) for w, a in zip(values, supports) if w > 0))
     verdict = check_sdef(inst, mix.associated_fractional(inst.m))
-    if not verdict.passed:  # pragma: no cover
-        raise AssertionError(f"witness mixture fails the dominance check: {verdict.witness}")
-    return FeasibilityResult(feasible=True, weights=weights)
+    if min(values) < 0 or not verdict.passed:  # pragma: no cover
+        raise AssertionError(f"witness {values} is not a dominance-fair distribution: {verdict.witness}")
+    return FeasibilityResult(feasible=True, weights=tuple(values))
 
 
-def _certificate_chain(cid: int, steps: list[dict], labels: dict[int, str]) -> dict:
-    """Original constraints and combination steps that feed the contradiction."""
-    by_derived = {s["derived"]: s for s in steps}
-    needed_steps = []
-    leaves = set()
-    stack = [cid]
-    seen = set()
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        if cur in by_derived:
-            step = by_derived[cur]
-            needed_steps.append(step)
-            stack.extend(step["from"])
-        else:
-            leaves.add(cur)
-    needed_steps.sort(key=lambda s: s["derived"])
-    return {
-        "contradiction": cid,
-        "constraints": [{"id": c, "label": labels[c]} for c in sorted(leaves)],
-        "steps": needed_steps,
-    }
+def _margins(inst: Instance, supports: Sequence[IntegralAllocation]) -> dict[str, tuple[int, ...]]:
+    """Each prefix-dominance constraint by label, as its margin on every
+    support: how many of agent i's top t goods i holds, less how many j
+    holds.  A lottery meets it when its weighted margins sum to >= 0."""
+    rankings = ordinal_rankings(inst)
+    out = {}
+    for i, j in itertools.permutations(inst.agents, 2):
+        margin = [0] * len(supports)
+        for t, g in enumerate(rankings[i]):
+            for l, alloc in enumerate(supports):
+                margin[l] += (g in alloc.bundles[i]) - (g in alloc.bundles[j])
+            out[f"agent {i} vs {j}, top-{t + 1} prefix"] = tuple(margin)
+    return out
+
+
+def _phase_one(rows: list[tuple[int, ...]], q: int) -> tuple[bool, list]:
+    """Phase I with Bland's rule on rows[k] . w >= 0 for every k, sum(w) = 1
+    and w >= 0.  Row k is -rows[k] . w + s_k = 0, its slack basic at 0.  The
+    sum row's artificial is not stored; it has the least index, so it
+    leaves on every tie, and the phase ends when it leaves.  Each row is a
+    primitive integer multiple of the rational row, which keeps every sign,
+    ratio and basic value.  Returns (True, vertex weights), or (False,
+    coprime y >= 0, the slacks' reduced costs) with sum_k y_k rows[k][l] < 0
+    for every l."""
+    m = len(rows)
+    tableau = [[-a for a in row] + [int(k == j) for j in range(m)] + [0] for k, row in enumerate(rows)]
+    # the sum row, then the cost row: z + sum(w) = 1 for the artificial z
+    tableau += [[1] * q + [0] * m + [1], [1] * q + [0] * m + [1]]
+    basis = list(range(q, q + m)) + [-1]
+    while basis[m] < 0:
+        enter = next((j for j, c in enumerate(tableau[-1][:-1]) if c > 0), None)  # a negative reduced cost
+        if enter is None:
+            g = math.gcd(*tableau[-1][q:-1])
+            return False, [-c // g for c in tableau[-1][q:-1]]
+        ratios = [(Fraction(row[-1], row[enter]), basis[k], k) for k, row in enumerate(tableau[:-1]) if row[enter] > 0]
+        out = min(ratios)[2]
+        pivot = tableau[out]
+        for k, row in enumerate(tableau):
+            if row[enter] and k != out:
+                row = [pivot[enter] * x - row[enter] * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                tableau[k] = [x // g for x in row] if g > 1 else row
+        basis[out] = enter
+    basic = dict(zip(basis, tableau))
+    return True, [Fraction(basic[l][-1], basic[l][l]) if l in basic else Fraction(0) for l in range(q)]
+
+
+def _replay_certificate(margins: dict[str, tuple[int, ...]], certificate: dict) -> bool:
+    """Does `certificate` prove that no lottery over the supports of
+    `margins` meets every constraint: positive integer multipliers on named
+    constraints whose combination is negative on every support?"""
+    terms = [(margins.get(entry["label"]), entry["multiplier"]) for entry in certificate["constraints"]]
+    if not terms or any(row is None or type(y) is not int or y <= 0 for row, y in terms):
+        return False
+    return all(sum(y * row[l] for row, y in terms) < 0 for l in range(len(terms[0][0])))
 
 
 # ---------------------------------------------------------------------------

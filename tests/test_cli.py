@@ -14,6 +14,7 @@ import pytest
 from bobw import (
     Instance,
     IntegralAllocation,
+    Lexicographic,
     PreconditionError,
     Table,
     bvn_decompose,
@@ -306,6 +307,31 @@ def test_mutated_supports_files_exit_cleanly(capsys, tmp_path):
         capsys.readouterr()
     # mutants that still load and run, beside the ones refused
     assert codes[0] > 100 and codes[3] > 1000
+
+def test_mutated_instance_files_through_the_efx_oracles_exit_cleanly(capsys, tmp_path):
+    # seeded single-byte mutants of a lexicographic 3/5 instance, which has
+    # 12 EFX allocations, and of the additive FIX-C, through the EFX
+    # enumeration and the SD-EF oracle over every EFX allocation
+    rankings = ([4, 3, 0, 2, 1], [4, 0, 3, 2, 1], [4, 1, 3, 0, 2])
+    lex = Instance(n=3, m=5, valuations=tuple(Lexicographic(r) for r in rankings))
+    path = tmp_path / "inst.json"
+    codes = Counter()
+    rng = random.Random(30)
+    for inst in (lex, get_fixture("FIX-C")):
+        for mutant in _mutants(json.dumps(instance_to_json(inst)).encode(), rng, 400):
+            path.write_bytes(mutant)
+            for op in ("enumerate-efx", "sdef-feasibility"):
+                try:
+                    code = main(["oracle", str(path), "--op", op])
+                except Exception as exc:  # the mutant goes into the failure message
+                    raise AssertionError(f"{op} raised on {mutant!r}") from exc
+                assert code in (0, 2, 3, 4), (op, mutant)
+                codes[op, code] += 1
+            capsys.readouterr()
+    # mutants that still load and run, beside the ones refused
+    assert codes["enumerate-efx", 0] > 50 and codes["sdef-feasibility", 0] > 50
+    assert codes["enumerate-efx", 3] > 500 and codes["sdef-feasibility", 3] > 500
+
 
 # allocation, lottery, supports and decomposition files on FIX-A (n = 3, m = 4)
 _ALLOCATION_INPUTS = {
@@ -1063,14 +1089,14 @@ _GOLDEN = [
     ("estimate FIX-E --sampler charity --samples 1000 --seed 2", 0, "e8302f6a651bb9f4ec64ff0070753eadf085ec03fd2201e97ca4ccb6133bdb09"),
     ("estimate FIX-E --sampler bounded-charity --samples 1000 --seed 2", 0, "127cbf0a917b5af1389e086a735cc818a499181b47d5cc4dc14d2f048fd75ae0"),
     ("oracle FIX-A --op enumerate-efx", 0, "2f34581a4c3ab9847cdf7b4af65157035c7871b33eb8d2db792160954fec7b82"),
-    ("oracle FIX-A --op sdef-feasibility", 0, "c5892aee6b2e49cc265fd9f09255dba2594bb14fafffd22ebf228f7f214d7a9d"),
+    ("oracle FIX-A --op sdef-feasibility", 0, "e31ad7cc9ba9446f91ce061d7b2b805b18e63df6302b744ef6ffcf1030927fb1"),
     ("oracle FIX-E --op exact-charity", 0, "35c6218986e6b3663242399febc433b2d245155ec500981a05496fe77981a538"),
     ("oracle FIX-E --op exact-bounded-charity", 0, "76b6dd6713604ce7c2c917380d218105709c9aa008d5af8c05f0c8aed6dcb635"),
     ("verify FIX-D --allocation PASS --properties efx,po-lex", 0, "87bf18905c66548653ea20776f55a65d181569a800de46c0287dd79aa8df9dcd"),
     ("verify FIX-D --allocation FAIL --properties efx", 2, "2bf8c1dbc22da897a8286f4dc855c59d5af87a0231a10f9a39abd0b4b00f7a7c"),
     ("verify FIX-D --allocation DIST --properties po-lex,sdef", 0, "a43c6c8bed161b639c41b177da3d27e7c46c565b4440a0c48fd84f66dce27839"),
     ("verify FIX-D --allocation PASS --properties sdef,efx", 2, "aa1002f3a47ef75a9e387bd6e322b99ace79fafb7898667ca603e10683cee61f"),
-    ("repro impossibility", 0, "2f36290cc8f2b58fc8a491ad9c306d0da32616294cb204aae8d53e8e0ec5f964"),
+    ("repro impossibility", 0, "56c6d1e79090cd176480cda6acf91704e09cfebc4a7a06afd652e876dc08a439"),
     ("repro example-4-1", 0, "2d6730f26e0f8887db1c56767fdf3d6b136a4f5ddd70674ff92a733da5d98892"),
     ("repro utse-tight", 0, "d1d5356706b1fdafb4299662efec514c0a57fcf52c575331ddf27b238da01a88"),
     ("repro ps-baseline", 0, "d61d9bda4ae575b052014d1e2c213878a18edc4ac290e8a9ce077c9b0de4e79e"),
