@@ -595,6 +595,15 @@ class IntegralAllocation:
         if len(frozenset().union(*parts)) != sum(map(len, parts)):
             raise PreconditionError("bundles and pool must be pairwise disjoint")
 
+    @classmethod
+    def _built(cls, bundles: tuple[frozenset[int], ...], pool: frozenset[int] = frozenset()) -> "IntegralAllocation":
+        """An allocation of frozensets the caller has made pairwise disjoint,
+        set as they are: no conversion and no disjointness check."""
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "bundles", bundles)
+        object.__setattr__(alloc, "pool", pool)
+        return alloc
+
     @property
     def n(self) -> int:
         return len(self.bundles)

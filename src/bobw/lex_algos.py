@@ -139,7 +139,11 @@ def _tail_lottery(
     # equal positions compare by identity; each outcome sets its winner's
     # entries, copies both lists into tuples and puts the singletons back,
     # which at n = 32 takes less time than splicing the winner's entries
-    # into per-term tuples.
+    # into per-term tuples.  A term that repeats no good gives every one of
+    # its outcomes pairwise disjoint bundles: its singletons are distinct,
+    # and the tail is the goods outside its assignment.  So disjointness is
+    # checked once per term, here, and each outcome is built without
+    # IntegralAllocation's own check.
     k = int(summary.k)
     m = inst.m
     L = summary.L
@@ -154,6 +158,8 @@ def _tail_lottery(
     outcomes: dict[tuple[int, ...], list] = {}  # flat key -> [mass, sort key, bundles]
     made: list[tuple[Fraction, tuple, tuple]] = []  # (mass, sort key, bundles), unkeyed
     for w, assignment in terms:
+        if len(set(assignment)) != len(assignment):
+            raise AssertionError("a term's assignment repeats a good")
         tail = goods.difference(assignment)
         if not tail <= outside:
             raise AssertionError("unallocated tail reaches outside the last/untouched goods")
@@ -193,7 +199,7 @@ def _tail_lottery(
             held[i], order[i] = singles[g], sorted_singles[g]
     made += ((Fraction(units, scale * k), order, bundles) for units, order, bundles in outcomes.values())
     made.sort(key=itemgetter(1))
-    return RandomizedAllocation(tuple((p, IntegralAllocation(bundles=bundles)) for p, _, bundles in made))
+    return RandomizedAllocation(tuple((p, IntegralAllocation._built(bundles)) for p, _, bundles in made))
 
 
 def k2_sampler(inst: Instance) -> Callable[[int], IntegralAllocation]:

@@ -1,10 +1,7 @@
 from __future__ import annotations
 
-import math
 import re
-from bisect import insort
 from fractions import Fraction
-from operator import itemgetter
 from typing import Optional
 
 import pytest
@@ -36,7 +33,6 @@ from bobw import (
     utse,
 )
 from bobw import lex_algos, rounding
-from bobw.eating import TraceSummary
 from bobw.rng import SplitMix64
 
 from helpers import additive_instance, lex_instance
@@ -314,7 +310,10 @@ def test_k2_sampler_scales_its_matrix_once(monkeypatch):
 
 
 # reference: utse with its own dummy-goods branch, kept verbatim (helper
-# renamed); the single tail loop must give the same lottery
+# renamed), is the one specification of the tail lottery: each (term,
+# winner) outcome is built through the public constructor and merged by its
+# key.  The tail lottery must give the same lottery and refuse the same
+# decompositions.
 
 
 def _ref_strip(bundle: frozenset[int], m_real: int) -> frozenset[int]:
@@ -357,6 +356,13 @@ def _ref_utse(inst: Instance, decomposition: Optional[Decomposition] = None) -> 
     return RandomizedAllocation.merged(support)
 
 
+def _assert_partitions(dist: RandomizedAllocation, m: int) -> None:
+    # the public constructors accept what the tail lottery built unchecked
+    assert RandomizedAllocation(dist.support) == dist
+    for _, alloc in dist.support:
+        assert alloc == IntegralAllocation(alloc.bundles, alloc.pool) and alloc.is_complete(m)
+
+
 def _differential_instances():
     for name in ("FIX-A", "FIX-B", "FIX-C", "FIX-D"):
         yield get_fixture(name)
@@ -385,6 +391,7 @@ def test_utse_matches_the_two_branch_reference():
         for decomposition in (None, pinned):
             got = utse(inst, decomposition)
             assert got.to_json() == _ref_utse(inst, decomposition).to_json()
+            _assert_partitions(got, inst.m)
         padded += inst.m < inst.n
         largest = max(largest, len(got.support))
     assert padded == 2 * 36
@@ -412,6 +419,7 @@ def test_utse_under_decompositions_of_permuted_goods():
             assert decomposition.reconstruct(inst.n, len(summary.eaten)) == summary.X
             got = utse(inst, decomposition)
             assert got.to_json() == _ref_utse(inst, decomposition).to_json()
+            _assert_partitions(got, inst.m)
             checked += 1
             # the floor is owed to lexicographic agents only: the plain
             # additive values here need not agree with any lexicographic order
@@ -421,82 +429,6 @@ def test_utse_under_decompositions_of_permuted_goods():
                 assert ratio is None or ratio >= F(3 * k, 3 * k + 1), (inst, decomposition)
                 floors += 1
     assert checked >= 500 and floors >= 250
-
-
-# reference: the tail lottery as it stood with a merge key for every outcome,
-# a Fraction per outcome and a Fraction matrix to check a supplied
-# decomposition, kept verbatim (renamed); the trimmed one must give the same
-# lottery and refuse the same decompositions
-
-
-def _ref_tail_lottery(
-    inst: Instance, summary: TraceSummary, decomposition: Optional[Decomposition] = None
-) -> RandomizedAllocation:
-    if decomposition is None:
-        decomposition = bvn_decompose(summary.X)
-    elif decomposition.reconstruct(inst.n, len(summary.eaten)) != summary.X:
-        raise PreconditionError("supplied decomposition does not reconstruct the eating matrix")
-    # Outcomes merge as they are made, each under a flat key: the term's
-    # assignment with dummy goods as -1 and, when the tail is non-empty, the
-    # winner's entry as m.  A non-empty tail means no dummies (m >= n) and
-    # the winner is the one agent holding two goods or more; its own good
-    # is its last good, so the key fixes the outcome.  An empty tail (every
-    # term a perfect matching, as with dummy goods when m < n) gives every
-    # winner the same outcome, so it merges into one entry of k times the
-    # term's mass.  Masses add up as ints over the LCM of the term weights'
-    # denominators.  Each distinct outcome builds its bundles and its sort
-    # key, the bundles' sorted goods (every pool is empty), once; the
-    # singletons are shared, so equal positions compare by identity.
-    k = int(summary.k)
-    m = inst.m
-    goods = frozenset(range(m))
-    outside = summary.L | summary.U
-    m_total = len(summary.eaten)
-    singles = [frozenset((g,)) for g in range(m)] + [frozenset()] * (m_total - m)
-    sorted_singles = [(g,) for g in range(m)] + [()] * (m_total - m)
-    scale = math.lcm(*(w.denominator for w, _ in decomposition.terms))
-    outcomes: dict[tuple[int, ...], list] = {}  # flat key -> [mass, sort key, bundles]
-    for w, assignment in decomposition.terms:
-        tail = goods.difference(assignment)
-        if not tail <= outside:
-            raise AssertionError("unallocated tail reaches outside the last/untouched goods")
-        winners = [i for i, g in enumerate(assignment) if g in summary.L]
-        if len(winners) != k:
-            raise AssertionError("a term does not hold exactly k last goods")
-        units = w.numerator * (scale // w.denominator)
-        held = list(map(singles.__getitem__, assignment))
-        order = list(map(sorted_singles.__getitem__, assignment))
-        if not tail:  # every winner gets the term's own outcome
-            key = tuple(g if g < m else -1 for g in assignment)
-            entry = outcomes.get(key)
-            if entry is None:
-                outcomes[key] = [k * units, tuple(order), held]
-            else:
-                entry[0] += k * units
-            continue
-        rest = sorted(tail)
-        flat = list(assignment)  # a non-empty tail means no dummy goods
-        for i in winners:
-            flat[i] = m
-            key = tuple(flat)
-            flat[i] = assignment[i]
-            entry = outcomes.get(key)
-            if entry is not None:
-                entry[0] += units
-                continue
-            own = rest.copy()
-            insort(own, assignment[i])
-            bundles = held.copy()
-            bundles[i] = frozenset(own)
-            order[i] = tuple(own)
-            outcomes[key] = [units, tuple(order), bundles]
-            order[i] = sorted_singles[assignment[i]]
-    return RandomizedAllocation(
-        tuple(
-            (Fraction(units, scale * k), IntegralAllocation(bundles=tuple(bundles)))
-            for units, _, bundles in sorted(outcomes.values(), key=itemgetter(1))
-        )
-    )
 
 
 def _tail_cases():
@@ -519,10 +451,14 @@ def _tail_cases():
 def test_tail_lottery_matches_the_keyed_reference():
     kinds = set()
     for inst, summary, decomposition in _tail_cases():
-        expected = _ref_tail_lottery(inst, summary, decomposition).to_json()
-        assert lex_algos._tail_lottery(inst, summary, decomposition).to_json() == expected
+        expected = _ref_utse(inst, decomposition).to_json()
+        supplied = [decomposition]
         if decomposition.terms == bvn_decompose(summary.X).terms:
-            assert lex_algos._tail_lottery(inst, summary).to_json() == expected
+            supplied.append(None)
+        for given in supplied:
+            got = lex_algos._tail_lottery(inst, summary, given)
+            assert got.to_json() == expected
+            _assert_partitions(got, inst.m)
         repeated = len({a for _, a in decomposition.terms}) < len(decomposition.terms)
         kinds.add((inst.m < inst.n, inst.m == inst.n, repeated))
     # padded, square and m > n cases, each with distinct and repeated assignments
@@ -544,7 +480,7 @@ def test_tail_lottery_refuses_what_the_keyed_reference_refuses():
             terms[-1] = (w, a[1:] + a[:1])
         for bad in (Decomposition(tuple(terms)), Decomposition(((F(1), a[:-1]),))):
             with pytest.raises(PreconditionError) as ref:
-                _ref_tail_lottery(inst, summary, bad)
+                _ref_utse(inst, bad)
             with pytest.raises(PreconditionError, match=re.escape(str(ref.value))):
                 lex_algos._tail_lottery(inst, summary, bad)
 
@@ -558,4 +494,42 @@ def test_utse_merges_equal_outcomes_across_terms():
         thirds = [(w / 3, a) for w, a in pinned.terms]
         rest = [(2 * w / 3, a) for w, a in reversed(pinned.terms)]
         split = Decomposition(tuple(thirds + rest))
-        assert utse(inst, split).to_json() == utse(inst, pinned).to_json()
+        got = utse(inst, split)
+        assert got.to_json() == utse(inst, pinned).to_json()
+        _assert_partitions(got, inst.m)
+
+
+def test_tail_lottery_skips_the_public_check_and_k2_draws_keep_it(monkeypatch):
+    calls = []
+    post_init = IntegralAllocation.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(IntegralAllocation, "__post_init__", counted)
+    outcomes = 0
+    for inst, summary, decomposition in _tail_cases():
+        outcomes += len(lex_algos._tail_lottery(inst, summary, decomposition).support)
+    assert outcomes and not calls
+    draw = k2_sampler(get_fixture("FIX-C"))(11)
+    assert calls and calls[-1] is draw
+
+
+def test_tail_lottery_refuses_a_term_that_repeats_a_good():
+    # terms that reconstruct the eating matrix, one of which gives good 0 to
+    # both agents: Decomposition refuses it, so it is built past that check
+    inst = Instance(
+        n=2,
+        m=3,
+        valuations=(Lexicographic(ranking=(0, 1, 2)), Lexicographic(ranking=(0, 2, 1))),
+    )
+    summary = summarize(unit_run(inst))
+    terms = ((F(1, 2), (0, 0)), (F(1, 2), (1, 2)))
+    with pytest.raises(PreconditionError, match="a term assigns one good to two agents"):
+        Decomposition(terms)
+    bad = object.__new__(Decomposition)
+    object.__setattr__(bad, "terms", terms)
+    assert bad.reconstructs(summary.X)
+    with pytest.raises(AssertionError, match="repeats a good"):
+        lex_algos._tail_lottery(inst, summary, bad)
