@@ -596,12 +596,12 @@ class IntegralAllocation:
             raise PreconditionError("bundles and pool must be pairwise disjoint")
 
     @classmethod
-    def _built(cls, bundles: tuple[frozenset[int], ...], pool: frozenset[int] = frozenset()) -> "IntegralAllocation":
-        """An allocation of frozensets the caller has made pairwise disjoint,
-        set as they are: no conversion and no disjointness check."""
+    def _built(cls, bundles: tuple[frozenset[int], ...]) -> "IntegralAllocation":
+        """An allocation with an empty pool, of frozensets the caller has made
+        pairwise disjoint, set as they are: no conversion and no disjointness check."""
         alloc = object.__new__(cls)
         object.__setattr__(alloc, "bundles", bundles)
-        object.__setattr__(alloc, "pool", pool)
+        object.__setattr__(alloc, "pool", frozenset())
         return alloc
 
     @property

@@ -141,9 +141,10 @@ def _tail_lottery(
     # which at n = 32 takes less time than splicing the winner's entries
     # into per-term tuples.  A term that repeats no good gives every one of
     # its outcomes pairwise disjoint bundles: its singletons are distinct,
-    # and the tail is the goods outside its assignment.  So disjointness is
-    # checked once per term, here, and each outcome is built without
-    # IntegralAllocation's own check.
+    # and the tail is the goods outside its assignment.  Decomposition
+    # already refuses a term that repeats a good; the per-term assertion
+    # below states that invariant where the outcomes rely on it, and each
+    # outcome is built without IntegralAllocation's own check.
     k = int(summary.k)
     m = inst.m
     L = summary.L
