@@ -17,9 +17,12 @@ now finishes at T + r / b; when b does not divide r, L, the current time T,
 r and every live finish time are first multiplied by b / gcd(r, b).  So
 each time is the rational the Fraction arithmetic would give, comparisons
 are int comparisons, and one ``Fraction`` per event closes the segments.
-`summarize` adds each segment's share as an int over the LCM of the
-segment ends' denominators and builds one ``Fraction`` per nonzero cell;
-`summarize` and `representative_matrix` read each segment once.
+`summarize` and `representative_matrix` read each segment once and add
+its share as an int over D, the LCM of the segment ends' denominators.
+Each returns a ``ShareMatrix``: a tuple of ``Fraction`` rows, with one
+``Fraction`` per distinct share shared by the cells that hold it, that also
+carries those int rows and D, so ``rounding.bvn_decompose`` pivots on them
+without reading a cell back.
 
 A run of duration one (feasible whenever m >= n) is the building block for
 the lottery constructions: its summary records each agent's final good g_i,
@@ -37,12 +40,43 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from itertools import compress
+from math import gcd, lcm
 from typing import Sequence
 
 from .core import Instance, IntegralAllocation, PreconditionError, format_rational, parse_rational
 
 Segment = tuple[int, Fraction, Fraction]  # (good, start, end)
+
+
+class ShareMatrix(tuple):
+    """A share matrix: a tuple of ``Fraction`` rows that compares, iterates
+    and serializes like any other, and also carries its integer form,
+    ``scaled = (D, Y)``, where Y holds int rows as tuples and every cell is
+    ``Fraction(y, D)`` of the int y in its place.  Built only from its ints
+    (``of``), so the two forms agree by construction."""
+
+    scaled: tuple[int, tuple[tuple[int, ...], ...]]
+
+    @classmethod
+    def of(cls, D: int, Y: tuple[tuple[int, ...], ...]) -> "ShareMatrix":
+        """The matrix of the int rows Y over the denominator D: one
+        ``Fraction`` per distinct value, shared by the cells that hold it."""
+        zero = Fraction(0)
+        made: dict[int, Fraction] = {}
+        X = []
+        for row in Y:
+            cells = [zero] * len(row)
+            for g in compress(range(len(row)), row):
+                y = row[g]
+                x = made.get(y)
+                if x is None:
+                    x = made[y] = Fraction(y, D)
+                cells[g] = x
+            X.append(tuple(cells))
+        X = cls(X)
+        X.scaled = (D, Y)
+        return X
 
 
 def ordinal_rankings(inst: Instance) -> tuple[tuple[int, ...], ...]:
@@ -148,34 +182,35 @@ def run_eating(inst: Instance, duration: Fraction, n_dummies: int = 0) -> Eating
     )
 
 
+def _common_scale(trace: EatingTrace) -> tuple[int, dict[int, int]]:
+    """(D, scale): D is the LCM of the segment ends' denominators, and a time
+    t is the int t.numerator * scale[t.denominator] over D."""
+    denominators = {t.denominator for segs in trace.segments for _, a, b in segs for t in (a, b)}
+    D = lcm(*denominators)
+    return D, {d: D // d for d in denominators}
+
+
 def summarize(trace: EatingTrace) -> TraceSummary:
     if not all(trace.segments):
         raise PreconditionError("agent with empty trace")
     m = trace.m_total
-    # shares are ints over D, the LCM of the segment ends' denominators
-    denominators = {t.denominator for segs in trace.segments for _, a, b in segs for t in (a, b)}
-    D = lcm(*denominators)
-    scale = {d: D // d for d in denominators}
-    zero = Fraction(0)
-    X = [[zero] * m for _ in range(trace.n)]
+    D, scale = _common_scale(trace)
+    Y = [[0] * m for _ in range(trace.n)]
     eaten = [0] * m
-    for row, segs in zip(X, trace.segments):
-        shares: dict[int, int] = {}
+    for row, segs in zip(Y, trace.segments):
         for g, a, b in segs:
             share = b.numerator * scale[b.denominator] - a.numerator * scale[a.denominator]
-            shares[g] = shares.get(g, 0) + share
+            row[g] += share
             eaten[g] += share
-        for g, x in shares.items():
-            if x:
-                row[g] = Fraction(x, D)
     last = tuple(segs[-1][0] for segs in trace.segments)
     L = frozenset(last)
     U = frozenset(g for g in range(m) if not eaten[g])
     k = Fraction(sum(eaten[g] for g in L), D)
     if trace.duration == 1 and k.denominator != 1:
         raise AssertionError(f"last-good mass k = {k} is not integral on a duration-one run")
+    zero = Fraction(0)
     return TraceSummary(
-        X=tuple(map(tuple, X)),
+        X=ShareMatrix.of(D, tuple(map(tuple, Y))),
         last_goods=last,
         L=L,
         U=U,
@@ -233,20 +268,22 @@ def representative_matrix(trace: EatingTrace) -> tuple[tuple[Fraction, ...], ...
     if rounds * trace.n != m:
         raise PreconditionError("full-run matrix must be square")
     n = trace.n
-    Y = [[Fraction(0)] * m for _ in range(m)]
+    D, scale = _common_scale(trace)
+    Y = [[0] * m for _ in range(m)]
     for i, segs in enumerate(trace.segments):
         for g, a, b in segs:
             # split [a, b) at whole rounds.  An agent eats at unit speed
             # from a good of one unit, so a segment lasts at most one unit
             # and spans at most two rounds; an agent eats a good in one
             # segment, so each (round, agent, good) cell is written once
-            first, last = floor(a), ceil(b) - 1
+            A, B = a.numerator * scale[a.denominator], b.numerator * scale[b.denominator]
+            first, last = A // D, -(-B // D) - 1
             if first == last:
-                Y[first * n + i][g] = b - a
+                Y[first * n + i][g] = B - A
             else:
-                Y[first * n + i][g] = last - a
-                Y[last * n + i][g] = b - last
-    return tuple(tuple(row) for row in Y)
+                Y[first * n + i][g] = last * D - A
+                Y[last * n + i][g] = B - last * D
+    return ShareMatrix.of(D, tuple(map(tuple, Y)))
 
 
 def rounds_allocation(

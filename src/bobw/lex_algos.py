@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import insort
+from dataclasses import replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -217,6 +218,9 @@ def _k2_draws(inst: Instance, summary: TraceSummary) -> Callable[[int], Integral
     base_goods, matrix = build_supergood_matrix(summary)
     # checked, scaled and made a graph once; each draw rounds a copy
     prepared = PreparedMatrix(matrix)
+    # a draw reads the summary's last goods, never its shares, so the
+    # sampler keeps the shares without the int rows they carry
+    summary = replace(summary, X=tuple(summary.X))
     return lambda seed: _k2_from_rounding(inst, summary, base_goods, prepared, seed)
 
 

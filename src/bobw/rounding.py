@@ -24,9 +24,14 @@ first positive column is still unmatched takes it without a search,
 recording what the search would have reached.  So every term gets the
 matching a search from scratch would.  A term skips the repair when every
 full column is already matched, and the slack scan when every column is.
+The set of full columns is kept too: a full column is matched in every
+term, so it stays full, and each term looks for new ones only among the
+columns not yet full (none, on a square matrix).  The terms are valid by
+construction, so the result skips ``Decomposition``'s checks.
 ``Decomposition.reconstructs`` checks a supplied decomposition against a
 matrix in ints: each cell sums as an int over the LCM of the weights'
-denominators and is cross-multiplied with its entry.
+denominators and is cross-multiplied with its entry, or, for a
+``ShareMatrix``, with its int form.
 
 ``dependent_round`` rounds a fractional matrix with integral column sums to a
 0/1 matrix by randomized pipage: repeatedly pick a cycle (else a maximal
@@ -52,12 +57,14 @@ the cycle's first vertex instead of restarting from the first agent, and
 once no cycle is left it takes each maximal path from the first leaf.
 Every walk, draw and output is the one a search from scratch gives.
 
-Both scale their input once (rounding, once per prepared matrix): each
-entry is read as an exact rational, its numerator and denominator once, the
-matrix is multiplied by D, the LCM of the distinct denominators, and the
-pivots run on the resulting ints, where "one" is D.  Only the pivot odds
-(reduced, so the random draws are those of the rational odds) and the
-emitted term weights are Fractions.
+Both pivot on ints, where "one" is a common denominator D.  A share
+matrix from eating (``eating.ShareMatrix``) carries its int rows over D, and
+``bvn_decompose`` pivots on a copy of them without reading a cell.  Any
+other matrix is scaled once (rounding, once per prepared matrix) by
+``_scaled``: each entry is read as an exact rational, its numerator and
+denominator once, and the matrix is multiplied by D, the LCM of the
+distinct denominators.  Only the pivot odds (reduced, so the random draws
+are those of the rational odds) and the emitted term weights are Fractions.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ from .core import (
     parse_rational,
     sums_to_one,
 )
-from .eating import TraceSummary
+from .eating import ShareMatrix, TraceSummary
 from .rng import SplitMix64
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -125,6 +132,15 @@ class Decomposition:
             if len(set(assignment)) != len(assignment):
                 raise PreconditionError("a term assigns one good to two agents")
 
+    @classmethod
+    def _built(cls, terms: tuple[tuple[Fraction, tuple[int, ...]], ...]) -> "Decomposition":
+        """A decomposition of terms the caller has made valid, set as they
+        are: positive ``Fraction`` weights that sum to exactly one, and
+        tuple assignments that repeat no good.  No conversion and no check."""
+        decomposition = object.__new__(cls)
+        object.__setattr__(decomposition, "terms", terms)
+        return decomposition
+
     def _check_shape(self, n: int, m: int) -> None:
         for _, assignment in self.terms:
             if len(assignment) != n or not all(type(g) is int and 0 <= g < m for g in assignment):
@@ -144,7 +160,8 @@ class Decomposition:
         """Whether the terms add up to `rows`, an n x m matrix of Fractions,
         with reconstruct's shape checks.  Each cell is summed as an int over
         D, the LCM of the weights' denominators, and compared with its entry
-        by cross-multiplication, so no Fraction is built."""
+        by cross-multiplication, so no Fraction is built.  A ``ShareMatrix``
+        is compared through its int rows, so no Fraction is read either."""
         n, m = len(rows), len(rows[0]) if rows else 0
         self._check_shape(n, m)
         D = lcm(*(w.denominator for w, _ in self.terms))
@@ -153,6 +170,9 @@ class Decomposition:
             units = w.numerator * (D // w.denominator)
             for row, g in zip(sums, assignment):
                 row[g] += units
+        if isinstance(rows, ShareMatrix):
+            E, Y = rows.scaled
+            return all(y * D == s * E for row, target in zip(sums, Y) for s, y in zip(row, target))
         return all(
             x.numerator * D == s * x.denominator
             for row, target in zip(sums, rows)
@@ -273,8 +293,14 @@ def _repair_matching(
 def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
     """Decompose a unit-row-sum matrix (column sums <= 1) into assignment
     terms with exact weights.  Term count never exceeds the number of nonzero
-    entries plus the number of initially unsaturated columns."""
-    D, X = _scaled(rows)
+    entries plus the number of initially unsaturated columns.  A
+    ``ShareMatrix`` is pivoted on through a copy of its int rows; any other
+    matrix is scaled first."""
+    if isinstance(rows, ShareMatrix):
+        D, Y = rows.scaled
+        X = list(map(list, Y))
+    else:
+        D, X = _scaled(rows)
     n, m = len(X), len(X[0])
     for i, row in enumerate(X):
         if sum(row) != D:
@@ -297,8 +323,16 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
     start = 0
     terms: list[tuple[Fraction, tuple[int, ...]]] = []
     remaining = D
+    # A full column (its sum equals the residual row sum) is matched in
+    # every term, so it stays full; only a column outside the set, whose sum
+    # the residual has come down to, can join it.
+    full: set[int] = set()
+    unfull = list(range(m))
     while remaining > 0:
-        full = set(compress(range(m), map(remaining.__eq__, col_sums)))
+        joined = [j for j in unfull if col_sums[j] == remaining]
+        if joined:
+            full.update(joined)
+            unfull = [j for j in unfull if col_sums[j] != remaining]
         match_col = _resume_matching(adj, runs, start)
         if not full <= match_col.keys():
             for c in sorted(full):
@@ -327,6 +361,12 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
             else:
                 banned.add(c)
 
+        # The terms are valid by construction, so the result is built
+        # without Decomposition's checks (``_built``): each weight is
+        # positive (this guard), the weights sum to exactly one (every row
+        # sums to D and the last guard below finds no mass left), and each
+        # assignment repeats no good (the matching gives each of the n rows
+        # its own column).
         if weight <= 0:  # pragma: no cover - shape invariants forbid this
             raise AssertionError("nonpositive extraction weight")
         vector = [0] * n
@@ -353,7 +393,7 @@ def bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
 
     if any(map(any, X)):  # pragma: no cover
         raise AssertionError("decomposition left mass behind")
-    return Decomposition(tuple(terms))
+    return Decomposition._built(tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from bobw import (
 from bobw.eating import (
     EatingTrace,
     Segment,
+    ShareMatrix,
     TraceSummary,
     eat_report,
     ordinal_rankings,
@@ -416,6 +417,21 @@ def _all_fractions(rows):
     return all(type(x) is Fraction for row in rows for x in row)
 
 
+def _carries_its_ints(rows):
+    # a ShareMatrix of Fraction cells, each Fraction(y, D) of the int y in
+    # its place of the int rows it carries
+    D, Y = rows.scaled
+    return (
+        type(rows) is ShareMatrix
+        and list(map(len, rows)) == list(map(len, Y))
+        and all(
+            type(x) is Fraction and type(y) is int and x == Fraction(y, D)
+            for row, ints in zip(rows, Y)
+            for x, y in zip(row, ints)
+        )
+    )
+
+
 def test_event_loop_matches_the_per_event_reference():
     rng = SplitMix64(106)
     runs = partial = padded = full = 0
@@ -435,17 +451,17 @@ def test_event_loop_matches_the_per_event_reference():
             assert trace.segments == ref.segments, (n, m, pad, duration)
             s = summarize(trace)
             assert s == _ref_summarize(ref)
-            assert _all_fractions(s.X) and _all_fractions([s.eaten, [s.k]])
+            assert _carries_its_ints(s.X) and _all_fractions([s.eaten, [s.k]])
             runs += 1
             partial += duration < F(m_total, n)
             padded += pad > 0
             if duration.denominator == 1 and duration * n == m_total:
                 Y = representative_matrix(trace)
-                assert Y == _ref_representative_matrix(ref) and _all_fractions(Y)
+                assert Y == _ref_representative_matrix(ref) and _carries_its_ints(Y)
                 full += 1
         trace = full_run(inst)
         Y = representative_matrix(trace)
-        assert Y == _ref_representative_matrix(trace) and _all_fractions(Y)
+        assert Y == _ref_representative_matrix(trace) and _carries_its_ints(Y)
         assert trace.segments == _ref_run_eating(inst, trace.duration, trace.n_dummies).segments
         full += 1
     assert runs >= 800 and partial >= 300 and padded >= 400 and full >= 400
@@ -493,10 +509,10 @@ def test_integer_clock_matches_the_reference_at_benchmark_sizes():
         assert all(type(t) is Fraction for segs in trace.segments for _, a, b in segs for t in (a, b))
         s = summarize(trace)
         assert s == _ref_summarize(ref)
-        assert _all_fractions(s.X) and _all_fractions([s.eaten, [s.k]])
+        assert _carries_its_ints(s.X) and _all_fractions([s.eaten, [s.k]])
         if duration.denominator == 1 and duration * inst.n == inst.m + pad:
             Y = representative_matrix(trace)
-            assert Y == _ref_representative_matrix(ref) and _all_fractions(Y)
+            assert Y == _ref_representative_matrix(ref) and _carries_its_ints(Y)
     # the clock's scale had to grow past 210 at several events
     grown_ends = {b for segs in run_eating(grown, F(2)).segments for _, _, b in segs}
     assert len({t.denominator for t in grown_ends if 210 % t.denominator}) >= 3

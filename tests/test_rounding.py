@@ -14,12 +14,15 @@ from bobw import (
     dependent_round,
     full_run,
     get_fixture,
+    k2_sampler,
     representative_matrix,
     run_eating,
     summarize,
     unit_run,
+    utse,
 )
 from bobw import rounding
+from bobw.eating import ShareMatrix
 from bobw.rng import SplitMix64, derive_seed
 from bobw.rounding import PreparedMatrix, _resume_matching
 
@@ -188,147 +191,6 @@ def test_resumed_matching_equals_a_fresh_one_at_every_term(monkeypatch):
     assert sum(start > 0 for start in starts) > len(starts) // 2
 
 
-# reference: bvn_decompose with the resumed matching as it stood before its
-# per-term bookkeeping was trimmed (whole-range resume scans, a comprehension
-# per adjacency list, a set comprehension for the full columns, a sorted
-# slack scan), kept verbatim with its helpers renamed; the trimmed one must
-# give the same decomposition
-
-
-def _ref_kuhn_search(adj: list[list[int]], match_col: dict[int, int], root: int) -> dict[int, int]:
-    """Extend the matching `match_col` ({column: row}) to row `root` by the
-    first augmenting path in ascending-index order.  The search keeps its own
-    stack of (row, column iterator) with the column each row is trying, so
-    the length of an augmenting path is not bounded by Python's recursion
-    limit.  Returns {column: row} for every column the search reached, with
-    the row it reached the column from."""
-    reached: dict[int, int] = {}
-    stack = [(root, iter(adj[root]))]
-    path: list[int] = []  # path[k] is the column stack[k] is trying
-    while stack:
-        row, cols = stack[-1]
-        for g in cols:
-            if g not in reached:
-                break
-        else:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        reached[g] = row
-        path.append(g)
-        row = match_col.get(g)
-        if row is None:
-            break
-        stack.append((row, iter(adj[row])))
-    else:
-        raise PreconditionError("no agent-saturating matching: matrix violates its shape preconditions")
-    for (row, _), g in zip(stack, path):
-        match_col[g] = row
-    return reached
-
-
-def _ref_resume_matching(
-    adj: list[list[int]], runs: list[tuple[dict[int, int], dict[int, int]]], start: int
-) -> dict[int, int]:
-    """The matching {column: row} saturating every row vertex, found by
-    ascending-index augmenting paths and rerun only from root `start`;
-    `_resume_matching(adj, [], 0)` finds it from scratch.  runs[r] holds
-    what root r's search reached and a copy of the matching after it;
-    runs[:start] must still hold on `adj`, as they do when `adj` has only
-    lost edges since and none of those edges was reached.  The rest of `runs`
-    is redone.  Returns a fresh copy of the matching."""
-    match_col = dict(runs[start - 1][1]) if start else {}
-    del runs[start:]
-    for root in range(start, len(adj)):
-        row = adj[root]
-        if row and row[0] not in match_col:  # the search would take it and reach nothing else
-            match_col[row[0]] = root
-            runs.append(({row[0]: root}, dict(match_col)))
-        else:
-            runs.append((_ref_kuhn_search(adj, match_col, root), dict(match_col)))
-    return match_col
-
-
-def _ref_resumed_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
-    """Decompose a unit-row-sum matrix (column sums <= 1) into assignment
-    terms with exact weights.  Term count never exceeds the number of nonzero
-    entries plus the number of initially unsaturated columns."""
-    D, X = rounding._scaled(rows)
-    n, m = len(X), len(X[0])
-    for i, row in enumerate(X):
-        if sum(row) != D:
-            raise PreconditionError(f"row {i} must sum to exactly one")
-        if min(row) < 0:
-            raise PreconditionError("entries must be nonnegative")
-    col_sums = list(map(sum, zip(*X)))
-    for j, s in enumerate(col_sums):
-        if s > D:
-            raise PreconditionError(f"column {j} sums above one")
-
-    adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
-    col_adj = [[i for i in range(n) if X[i][j] > 0] for j in range(m)]
-    runs: list[tuple[dict[int, int], dict[int, int]]] = []
-    start = 0
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    remaining = D
-    while remaining > 0:
-        full = {j for j, s in enumerate(col_sums) if s == remaining}
-        match_col = _ref_resume_matching(adj, runs, start)
-        if not full <= match_col.keys():
-            for c in sorted(full):
-                if not rounding._repair_matching(col_adj, match_col, c, protected=full):
-                    raise AssertionError("a saturated column could not be matched")
-
-        # Cap the weight so no unmatched column can outgrow the residual row
-        # sum; when the cap binds below the matched entries, force the binding
-        # column into the matching if an alternating repair allows it.
-        banned: set[int] = set()
-        forced = set(full)
-        while True:
-            entry_min = min([X[i][g] for g, i in match_col.items()])
-            slack = {} if len(match_col) == m else {
-                j: remaining - col_sums[j]
-                for j in range(m)
-                if j not in match_col and col_sums[j] > 0
-            }
-            binding = [j for j, s in sorted(slack.items()) if s < entry_min and j not in banned]
-            if not binding:
-                weight = min([entry_min] + list(slack.values()))
-                break
-            c = binding[0]
-            if rounding._repair_matching(col_adj, match_col, c, protected=forced):
-                forced.add(c)
-            else:
-                banned.add(c)
-
-        if weight <= 0:  # pragma: no cover - shape invariants forbid this
-            raise AssertionError("nonpositive extraction weight")
-        vector = [0] * n
-        for g, i in match_col.items():
-            vector[i] = g
-        terms.append((Fraction(weight, D), tuple(vector)))
-        # The graph only loses edges, so a root's search runs as before
-        # unless it reached a column along an edge this term removes.
-        start = n
-        for i, g in enumerate(vector):
-            row = X[i]
-            x = row[g] = row[g] - weight
-            col_sums[g] -= weight
-            if not x:
-                adj[i].remove(g)
-                col_adj[g].remove(i)
-                for r in range(start):
-                    if runs[r][0].get(g) == i:
-                        start = r
-                        break
-        remaining -= weight
-
-    if any(map(any, X)):  # pragma: no cover
-        raise AssertionError("decomposition left mass behind")
-    return Decomposition(tuple(terms))
-
-
 def _resumed_bvn_inputs():
     rng = SplitMix64(2801)
     # the eating baseline's square matrices, as the benchmark decomposes them
@@ -345,25 +207,91 @@ def _resumed_bvn_inputs():
     yield from _assignment_mixtures()
 
 
-def test_bvn_matches_the_untrimmed_resumed_reference():
+def test_bvn_matches_the_fraction_reference_on_the_resumed_battery():
+    # eating matrices decompose through their int rows, every other input
+    # through _scaled; a plain copy of an eating matrix gives the same
+    # result, and bvn_decompose's own result passes the public checks
     count = 0
     for rows in _resumed_bvn_inputs():
         got = bvn_decompose(rows)
-        assert got.to_json() == _ref_resumed_bvn_decompose(rows).to_json()
+        assert got == _ref_bvn_decompose(rows)
+        assert bvn_decompose(tuple(map(tuple, rows))) == got
+        assert Decomposition(got.terms) == got
+        if isinstance(rows, ShareMatrix):  # its D need not be the least one
+            D, Y = rows.scaled
+            assert bvn_decompose(ShareMatrix.of(3 * D, tuple(tuple(3 * y for y in row) for row in Y))) == got
         count += 1
     assert count >= 40
+
+
+def _substochastic_matrices(count: int):
+    # unit rows and n <= m: mixtures of 1 to 9 one-good-per-agent assignments
+    # that all cover a random set of columns, which so sum to one, and leave
+    # the other columns slack, with weights over mixed denominators
+    rng = SplitMix64(8084)
+    for _ in range(count):
+        n = 1 + rng.below(9)
+        m = n + rng.below(6)
+        full = rng.permutation(m)[: rng.below(n + 1)]
+        others = [g for g in range(m) if g not in full]
+        parts = [F(1 + rng.below(7), 2 + rng.below(11)) for _ in range(1 + rng.below(9))]
+        total = sum(parts)
+        rows = [[F(0)] * m for _ in range(n)]
+        for part in parts:
+            goods = [*full, *(others[k] for k in rng.permutation(len(others)))][:n]
+            for i, g in zip(rng.permutation(n), goods):
+                rows[i][g] += part / total
+        yield tuple(map(tuple, rows))
+
+
+def test_bvn_matches_the_fraction_reference_on_random_substochastic_matrices():
+    # each decomposition reconstructs its matrix exactly, within the term
+    # count the docstring promises
+    mixed = 0  # inputs with both a full and a slack column
+    for rows in _substochastic_matrices(600):
+        n, m = len(rows), len(rows[0])
+        got = bvn_decompose(rows)
+        assert got == _ref_bvn_decompose(rows) and Decomposition(got.terms) == got
+        assert got.reconstruct(n, m) == rows
+        nonzero = sum(x != 0 for row in rows for x in row)
+        unsaturated = sum(sum(column) < 1 for column in zip(*rows))
+        assert len(got.terms) <= nonzero + unsaturated
+        mixed += 0 < unsaturated < m
+    assert mixed >= 300
+
+
+def test_eating_matrices_reach_bvn_without_rescaling(monkeypatch):
+    # eating's share matrices carry their int rows into bvn_decompose, so
+    # _scaled runs only on a matrix from elsewhere: a plain copy, or the
+    # k = 2 sampler's aggregated matrix, scaled once when it is built
+    calls = []
+    scaled = rounding._scaled
+    monkeypatch.setattr(rounding, "_scaled", lambda rows: calls.append(rows) or scaled(rows))
+    rng = SplitMix64(2803)
+    for n, m in ((5, 10), (8, 16), (6, 4)):
+        inst = lex_instance(rng, n, m)
+        utse(inst)
+        bvn_decompose(representative_matrix(full_run(inst)))
+        assert calls == []
+        bvn_decompose(tuple(map(tuple, summarize(unit_run(inst)).X)))
+        assert len(calls) == 1
+        del calls[:]
+    sample = k2_sampler(get_fixture("FIX-C"))
+    sample(1), sample(2)
+    assert len(calls) == 1
 
 
 def test_reconstructs_agrees_with_reconstruct():
     # the int check of a supplied decomposition against the Fraction matrix
     # reconstruct builds: equal on the true matrix, and unequal when one
-    # term's weight moves to another assignment or one entry changes
+    # term's weight moves to another assignment or one entry changes; an
+    # eating matrix is checked through its int rows, with the same verdicts
     rng = SplitMix64(2802)
-    for rows in _resumed_bvn_inputs():
-        rows = tuple(map(tuple, rows))
+    for shares in _resumed_bvn_inputs():
+        rows = tuple(map(tuple, shares))
         n, m = len(rows), len(rows[0])
         dec = bvn_decompose(rows)
-        assert dec.reconstructs(rows) and dec.reconstruct(n, m) == rows
+        assert dec.reconstructs(rows) and dec.reconstructs(shares) and dec.reconstruct(n, m) == rows
         moved = list(dec.terms)
         w, a = moved[0]
         i = rng.below(n)
@@ -371,10 +299,15 @@ def test_reconstructs_agrees_with_reconstruct():
         if free:
             moved[0] = (w, a[:i] + (free[rng.below(len(free))],) + a[i + 1 :])
             other = Decomposition(tuple(moved))
-            assert not other.reconstructs(rows) and other.reconstruct(n, m) != rows
+            assert not other.reconstructs(rows) and not other.reconstructs(shares)
+            assert other.reconstruct(n, m) != rows
         j = rng.below(m)
         bumped = rows[:i] + (rows[i][:j] + (rows[i][j] + F(1, 7),) + rows[i][j + 1 :],) + rows[i + 1 :]
         assert not dec.reconstructs(bumped)
+        if isinstance(shares, ShareMatrix):
+            D, Y = shares.scaled
+            Y = Y[:i] + (Y[i][:j] + (Y[i][j] + 1,) + Y[i][j + 1 :],) + Y[i + 1 :]
+            assert not dec.reconstructs(ShareMatrix.of(D, Y))
         # reconstruct's shape errors: one agent too few, the last assigned good missing
         with pytest.raises(PreconditionError, match="a term must give each"):
             dec.reconstructs(rows[:-1])
