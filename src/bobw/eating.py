@@ -53,13 +53,12 @@ class ShareMatrix(tuple):
     """A share matrix: a tuple of ``Fraction`` rows that compares, iterates
     and serializes like any other, and also carries its integer form,
     ``scaled = (D, Y)``, where Y holds int rows as tuples and every cell is
-    ``Fraction(y, D)`` of the int y in its place.  Built only from its ints
-    (``of``), so the two forms agree by construction."""
+    ``Fraction(y, D)`` of the int y in its place.  It is built only from its
+    ints, ``ShareMatrix(D, Y)``, so the two forms agree by construction."""
 
     scaled: tuple[int, tuple[tuple[int, ...], ...]]
 
-    @classmethod
-    def of(cls, D: int, Y: tuple[tuple[int, ...], ...]) -> "ShareMatrix":
+    def __new__(cls, D: int, Y: tuple[tuple[int, ...], ...]) -> "ShareMatrix":
         """The matrix of the int rows Y over the denominator D: one
         ``Fraction`` per distinct value, shared by the cells that hold it."""
         zero = Fraction(0)
@@ -74,9 +73,12 @@ class ShareMatrix(tuple):
                     x = made[y] = Fraction(y, D)
                 cells[g] = x
             X.append(tuple(cells))
-        X = cls(X)
+        X = super().__new__(cls, X)
         X.scaled = (D, Y)
         return X
+
+    def __reduce__(self):
+        return type(self), self.scaled
 
 
 def ordinal_rankings(inst: Instance) -> tuple[tuple[int, ...], ...]:
@@ -210,7 +212,7 @@ def summarize(trace: EatingTrace) -> TraceSummary:
         raise AssertionError(f"last-good mass k = {k} is not integral on a duration-one run")
     zero = Fraction(0)
     return TraceSummary(
-        X=ShareMatrix.of(D, tuple(map(tuple, Y))),
+        X=ShareMatrix(D, tuple(map(tuple, Y))),
         last_goods=last,
         L=L,
         U=U,
@@ -283,7 +285,7 @@ def representative_matrix(trace: EatingTrace) -> tuple[tuple[Fraction, ...], ...
             else:
                 Y[first * n + i][g] = last * D - A
                 Y[last * n + i][g] = B - last * D
-    return ShareMatrix.of(D, tuple(map(tuple, Y)))
+    return ShareMatrix(D, tuple(map(tuple, Y)))
 
 
 def rounds_allocation(

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import insort
-from dataclasses import replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -218,13 +217,11 @@ def _k2_draws(inst: Instance, summary: TraceSummary) -> Callable[[int], Integral
     base_goods, matrix = build_supergood_matrix(summary)
     # checked, scaled and made a graph once; each draw rounds a copy
     prepared = PreparedMatrix(matrix)
-    # a draw reads the summary's last goods, never its shares, so the
-    # sampler keeps the shares without the int rows they carry
-    summary = replace(summary, X=tuple(summary.X))
-    return lambda seed: _k2_from_rounding(inst, summary, base_goods, prepared, seed)
+    last_goods, leftovers = summary.last_goods, summary.L | summary.U
+    return lambda seed: _k2_from_rounding(inst, last_goods, leftovers, base_goods, prepared, seed)
 
 
-def _k2_from_rounding(inst, summary, base_goods, matrix, seed: int) -> IntegralAllocation:
+def _k2_from_rounding(inst, last_goods, leftovers, base_goods, matrix, seed: int) -> IntegralAllocation:
     rounded = dependent_round(matrix, derive_seed(seed, 1))
     holders = [i for i in range(inst.n) if rounded[i][-1] == 1]
     if len(holders) != 2:
@@ -232,9 +229,8 @@ def _k2_from_rounding(inst, summary, base_goods, matrix, seed: int) -> IntegralA
     coin = SplitMix64(derive_seed(seed, 2))
     a, b = (holders[0], holders[1]) if coin.event(Fraction(1, 2)) else (holders[1], holders[0])
     bundles = [set(itertools.compress(base_goods, row)) for row in rounded]
-    leftovers = summary.L | summary.U
-    bundles[a] = {summary.last_goods[a]}
-    bundles[b] = set(leftovers - {summary.last_goods[a]})
+    bundles[a] = {last_goods[a]}
+    bundles[b] = set(leftovers - {last_goods[a]})
     return IntegralAllocation(bundles=tuple(frozenset(g for g in x if g < inst.m) for x in bundles))
 
 

@@ -30,8 +30,7 @@ columns not yet full (none, on a square matrix).  The terms are valid by
 construction, so the result skips ``Decomposition``'s checks.
 ``Decomposition.reconstructs`` checks a supplied decomposition against a
 matrix in ints: each cell sums as an int over the LCM of the weights'
-denominators and is cross-multiplied with its entry, or, for a
-``ShareMatrix``, with its int form.
+denominators and is cross-multiplied with its entry.
 
 ``dependent_round`` rounds a fractional matrix with integral column sums to a
 0/1 matrix by randomized pipage: repeatedly pick a cycle (else a maximal
@@ -160,8 +159,7 @@ class Decomposition:
         """Whether the terms add up to `rows`, an n x m matrix of Fractions,
         with reconstruct's shape checks.  Each cell is summed as an int over
         D, the LCM of the weights' denominators, and compared with its entry
-        by cross-multiplication, so no Fraction is built.  A ``ShareMatrix``
-        is compared through its int rows, so no Fraction is read either."""
+        by cross-multiplication, so no Fraction is built."""
         n, m = len(rows), len(rows[0]) if rows else 0
         self._check_shape(n, m)
         D = lcm(*(w.denominator for w, _ in self.terms))
@@ -170,9 +168,6 @@ class Decomposition:
             units = w.numerator * (D // w.denominator)
             for row, g in zip(sums, assignment):
                 row[g] += units
-        if isinstance(rows, ShareMatrix):
-            E, Y = rows.scaled
-            return all(y * D == s * E for row, target in zip(sums, Y) for s, y in zip(row, target))
         return all(
             x.numerator * D == s * x.denominator
             for row, target in zip(sums, rows)

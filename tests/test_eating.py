@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -465,6 +467,15 @@ def test_event_loop_matches_the_per_event_reference():
         assert trace.segments == _ref_run_eating(inst, trace.duration, trace.n_dummies).segments
         full += 1
     assert runs >= 800 and partial >= 300 and padded >= 400 and full >= 400
+
+
+def test_share_matrix_is_built_only_from_its_ints():
+    # rows alone cannot make one; a copy or a pickle keeps the ints
+    X = summarize(unit_run(lex_instance(SplitMix64(107), 5, 9))).X
+    with pytest.raises(TypeError):
+        ShareMatrix(tuple(X))
+    for other in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert other == X and other.scaled == X.scaled and _carries_its_ints(other)
 
 
 def _scale_growing_instance() -> Instance:

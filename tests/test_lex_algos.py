@@ -294,7 +294,11 @@ def test_k2_sampler_scales_its_matrix_once(monkeypatch):
     for inst in insts:
         summary = summarize(unit_run(inst))
         base_goods, matrix = build_supergood_matrix(summary)
-        expected = [lex_algos._k2_from_rounding(inst, summary, base_goods, matrix, seed) for seed in range(50)]
+        leftovers = summary.L | summary.U
+        expected = [
+            lex_algos._k2_from_rounding(inst, summary.last_goods, leftovers, base_goods, matrix, seed)
+            for seed in range(50)
+        ]
         calls = []
         scaled = rounding._scaled
 
