@@ -20,12 +20,10 @@ constructed.  Strings that are all canonical spellings of ints below
 1024, as ``instance_to_json`` writes a small-valued table, are read by one
 dict lookup per value, tried only when the last value (a monotone table's
 largest) is one; the dict is built on the first list that ends in a
-string.  On a miss, strings that are all JSON integers are read in one
-``json.loads`` pass over the values joined by commas; everything else
-falls through to ``int()`` per value and then ``parse_exact``, which
-refuse a decimal string past Python's 4,300-digit limit in its digits or
-its exponent.  ``Lexicographic`` derives its powers of two once, on first
-use.
+string.  Everything else goes to ``int()`` per value and then
+``parse_exact``, which refuse a decimal string past Python's 4,300-digit
+limit in its digits or its exponent.  ``Lexicographic`` derives its
+powers of two once, on first use.
 ``Instance`` checks that each valuation fits its goods (``shape_error``),
 so code past construction may index freely, and caches on first use what
 the per-outcome audits read: the agents' ordinal rankings (never a
@@ -172,14 +170,7 @@ def _integer_form(values: Iterable) -> tuple[int, tuple[int, ...]]:
     up in _small_ints(), one dict lookup per value.  The lookup is tried
     only when the last value is one: a monotone table's largest value is
     its last, so a table that would miss late goes straight to the next
-    step.  On a miss, strings that are all JSON integers (a table written by
-    instance_to_json) are read in one json.loads pass: joined by commas,
-    they hold nothing but digits, '-' and ',', and as many integers come
-    back as there are values only if no value holds a comma, so each value
-    is one JSON integer token and json reads it as int() does.  Anything
-    else falls through to int() per value, then parse_exact: a value that
-    is not a str, another character, a token JSON refuses (leading zeros,
-    a lone '-', past the digit limit) or a count mismatch."""
+    step.  Anything else goes to int() per value, then parse_exact."""
     values = tuple(values)
     if values and type(values[-1]) is str:
         small = _small_ints()
@@ -188,14 +179,6 @@ def _integer_form(values: Iterable) -> tuple[int, tuple[int, ...]]:
                 return 1, tuple(map(small.__getitem__, values))
         except (KeyError, TypeError):  # a miss, an unhashable value
             pass
-    try:
-        text = ",".join(values)
-        if not text.encode().translate(None, b"0123456789,-"):  # non-ASCII bytes stay
-            ints = json.loads(f"[{text}]")
-            if len(ints) == len(values):
-                return 1, tuple(ints)
-    except (TypeError, ValueError):  # a value not a str, a lone surrogate, JSON's refusal
-        pass
     if set(map(type, values)) <= {int, str}:  # parse_exact's int() path, in one pass
         try:
             return 1, tuple(map(int, values))

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-from collections import Counter
+import functools
 from fractions import Fraction
-from heapq import heappop, heappush
-from math import lcm
 
 import pytest
 
@@ -244,10 +242,19 @@ def test_audit_report_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# differential check of the integer-weight audits against value_of loops
+# the specifications: one slow routine per support-audit contract, a loop
+# over value_of or the rescanning greedy.  Each docstring states the rule
+# that picks the witness, on which the report's bytes depend; the batteries
+# below compare the package's audits with these byte for byte.
 
 
 def _ref_check_efx(inst, alloc):
+    """EFX: removing any one good from an envied bundle cures the envy.
+
+    The witness is the first failing (viewer, toward, good): viewers in
+    ascending order, then the other agents in ascending order, then the
+    goods of the envied bundle in its frozenset's iteration order; the good
+    is the first whose removal leaves the viewer still envious."""
     for i in inst.agents:
         vi = value_of(inst, i, alloc.bundles[i])
         for j in inst.agents:
@@ -259,34 +266,203 @@ def _ref_check_efx(inst, alloc):
     return AuditReport("efx", True)
 
 
-def _ref_expected_value(dist, inst, i, j):
-    return sum((p * value_of(inst, i, alloc.bundles[j]) for p, alloc in dist.support), start=F(0))
+def _ref_check_po_lex(inst, alloc):
+    """Pareto optimality under lexicographic preferences: the allocation is
+    the outcome of some picking sequence.
+
+    The rescanning greedy: each turn, the lowest agent whose top remaining
+    good is its own picks it.  On success the witness is that sequence of
+    agents.  When no agent can pick, it is the unpicked goods in ascending
+    order and every agent's top remaining good, keyed by the agent as a
+    string.  An incomplete allocation or one with a pool is refused before
+    any ranking is read; an agent without a strict ranking is refused with
+    its message."""
+    if alloc.pool or not _ref_is_complete(alloc, inst.m):
+        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
+    rankings = _ref_ordinal_rankings(inst)
+    owner = {}
+    for i, bundle in enumerate(alloc.bundles):
+        for g in bundle:
+            owner[g] = i
+    remaining = set(range(inst.m))
+    cursors = [0] * inst.n
+    sequence = []
+
+    def top_remaining(i):
+        r = rankings[i]
+        while cursors[i] < len(r) and r[cursors[i]] not in remaining:
+            cursors[i] += 1
+        return r[cursors[i]] if cursors[i] < len(r) else None
+
+    progress = True
+    while remaining and progress:
+        progress = False
+        for i in inst.agents:
+            g = top_remaining(i)
+            if g is not None and owner.get(g) == i:
+                sequence.append(i)
+                remaining.discard(g)
+                progress = True
+                break
+    if remaining:
+        stuck = {i: top_remaining(i) for i in inst.agents}
+        return AuditReport(
+            "po-lex",
+            False,
+            {"unconsumed": sorted(remaining), "top_choices": {str(i): g for i, g in stuck.items()}},
+        )
+    return AuditReport("po-lex", True, {"sequence": sequence})
 
 
-def _ref_min_exante_ratio(dist, inst):
+def _ref_ordinal_rankings(inst):
+    """Each agent's strict ranking; the first agent without one is refused
+    with its valuation's message, prefixed by the agent."""
+    rankings = []
+    for i, val in enumerate(inst.valuations):
+        try:
+            rankings.append(val.ordinal_ranking())
+        except PreconditionError as exc:
+            raise PreconditionError(f"agent {i}: {exc}") from None
+    return rankings
+
+
+def _ref_allocated(alloc):
+    out = frozenset()
+    for b in alloc.bundles:
+        out |= b
+    return out
+
+
+def _ref_is_complete(alloc, m):
+    return _ref_allocated(alloc) | alloc.pool == frozenset(range(m))
+
+
+def _ref_expectations(dist, inst):
+    """E[i][j] = E[v_i(j's bundle)], each a sum over the outcomes of
+    probability times value_of."""
+    return [
+        [sum((p * value_of(inst, i, alloc.bundles[j]) for p, alloc in dist.support), start=F(0)) for j in inst.agents]
+        for i in inst.agents
+    ]
+
+
+def _ref_exante_ratio(E, i, j):
+    """E[v_i(own)] / E[v_i(j's bundle)], or None for a zero denominator."""
+    return None if E[i][j] == 0 else E[i][i] / E[i][j]
+
+
+def _ref_min_exante_ratio(E):
+    """The least finite ex-ante ratio over ordered pairs, a Fraction, or None
+    when no pair's ratio is finite.  A value, with no witness."""
     worst = None
-    for i in inst.agents:
-        for j in inst.agents:
-            if i == j:
-                continue
-            num = _ref_expected_value(dist, inst, i, i)
-            den = _ref_expected_value(dist, inst, i, j)
-            if den != 0 and (worst is None or num / den < worst):
-                worst = num / den
+    for i, row in enumerate(E):
+        for j, den in enumerate(row):
+            if i != j and den != 0 and (worst is None or row[i] / den < worst):
+                worst = row[i] / den
     return worst
 
 
-def _ref_check_exante_ef(dist, inst, alpha):
+def _ref_check_exante_ef(E, alpha):
+    """alpha-EF in expectation.  The witness is the first pair, viewers
+    ascending and then the other agents ascending, with E[v_i(own)] <
+    alpha * E[v_i(j's bundle)]: alpha and both expectations as reduced
+    fraction strings.  A pass holds alpha alone."""
+    for i, row in enumerate(E):
+        for j, den in enumerate(row):
+            if i != j and row[i] < alpha * den:
+                witness = {"viewer": i, "toward": j, "alpha": str(alpha), "own": str(row[i]), "other": str(den)}
+                return AuditReport("exante-ef", False, witness)
+    return AuditReport("exante-ef", True, {"alpha": str(alpha)})
+
+
+def _ref_check_exante_prop(E, inst, alpha):
+    """alpha-proportionality in expectation.  The witness is the lowest
+    agent with E[v_i(own)] < alpha * v_i(M) / n: alpha, the expectation and
+    the share as reduced fraction strings.  A pass holds alpha alone."""
+    everything = frozenset(range(inst.m))
     for i in inst.agents:
-        num = _ref_expected_value(dist, inst, i, i)
+        got = E[i][i]
+        fair_share = value_of(inst, i, everything) / inst.n
+        if got < alpha * fair_share:
+            witness = {"agent": i, "alpha": str(alpha), "expected": str(got), "share": str(fair_share)}
+            return AuditReport("exante-prop", False, witness)
+    return AuditReport("exante-prop", True, {"alpha": str(alpha)})
+
+
+def _ref_check_stochastic_dominance_half(dist, inst):
+    """Pr[v_i(own) >= t] >= Pr[v_i(j's bundle) >= t] / 2 for every pair and
+    every value t that v_i takes on either bundle.  The witness is the first
+    failing pair, viewers ascending and then the other agents ascending, at
+    its least failing t: t and both probabilities as reduced fraction
+    strings."""
+    for i in inst.agents:
         for j in inst.agents:
             if i == j:
                 continue
-            den = _ref_expected_value(dist, inst, i, j)
-            if num < alpha * den:
-                witness = {"viewer": i, "toward": j, "alpha": str(alpha), "own": str(num), "other": str(den)}
-                return AuditReport("exante-ef", False, witness)
-    return AuditReport("exante-ef", True, {"alpha": str(alpha)})
+            own_vals = [(p, value_of(inst, i, a.bundles[i])) for p, a in dist.support]
+            other_vals = [(p, value_of(inst, i, a.bundles[j])) for p, a in dist.support]
+            for t in sorted({v for _, v in own_vals} | {v for _, v in other_vals}):
+                p_own = sum((p for p, v in own_vals if v >= t), start=F(0))
+                p_other = sum((p for p, v in other_vals if v >= t), start=F(0))
+                if 2 * p_own < p_other:
+                    witness = {"viewer": i, "toward": j, "threshold": str(t), "own": str(p_own), "other": str(p_other)}
+                    return AuditReport("stochastic-dominance-half", False, witness)
+    return AuditReport("stochastic-dominance-half", True)
+
+
+def _ref_format_rational(x):
+    return str(Fraction(x))
+
+
+def _report(check, inst, alloc):
+    # a refusal counts as an output
+    try:
+        return check(inst, alloc).to_json()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _exante_outputs(agents, ratio_of, least, ef, prop):
+    out = [ratio_of(i, j) for i in agents for j in agents]
+    ratio = least()
+    out.append((ratio, type(ratio)))
+    for alpha in (F(0), F(1, 2), F(3, 4), F(1), F(3, 2)) + ((ratio,) if ratio is not None else ()):
+        out.append(ef(alpha).to_json())
+        out.append(prop(alpha).to_json())
+    return out
+
+
+def _same_as_spec(inst, alloc=None, dist=None):
+    """The support audits beside their specifications, byte for byte;
+    returns the package's outputs.  An allocation gives the EFX and the
+    Pareto report as JSON, a refusal as its message; a lottery adds every
+    pair's ex-ante ratio, the least ratio with its type, and the ex-ante EF
+    and proportionality reports at each threshold."""
+    out = []
+    if alloc is not None:
+        for check, spec in ((check_efx, _ref_check_efx), (check_po_lex, _ref_check_po_lex)):
+            out.append(_report(check, inst, alloc))
+            assert out[-1] == _report(spec, inst, alloc)
+        assert alloc.allocated() == _ref_allocated(alloc)
+        for m in (inst.m - 1, inst.m, inst.m + 1):
+            assert alloc.is_complete(m) == _ref_is_complete(alloc, m)
+    if dist is not None:
+        checks = (exante_ratio, min_exante_ratio, check_exante_ef, check_exante_prop)
+        got = _exante_outputs(inst.agents, *(functools.partial(check, dist, inst) for check in checks))
+        E = _ref_expectations(dist, inst)
+        specs = (
+            functools.partial(_ref_exante_ratio, E),
+            functools.partial(_ref_min_exante_ratio, E),
+            functools.partial(_ref_check_exante_ef, E),
+            functools.partial(_ref_check_exante_prop, E, inst),
+        )
+        assert got == _exante_outputs(inst.agents, *specs)
+        out += got
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the integer-weight audits against the specifications
 
 
 def _fraction_additive_instance(rng, n, m):
@@ -308,17 +484,6 @@ def _random_lottery(rng, inst):
     return RandomizedAllocation.merged((F(w, sum(weights)), a) for w, a in zip(weights, outcomes))
 
 
-def _same_verdicts(inst, alloc, dist):
-    assert check_efx(inst, alloc).to_json() == _ref_check_efx(inst, alloc).to_json()
-    ratio = min_exante_ratio(dist, inst)
-    assert ratio == _ref_min_exante_ratio(dist, inst)
-    alphas = [F(0), F(1, 2), F(3, 4), F(1)] + ([ratio] if ratio is not None else [])
-    for alpha in alphas:
-        expected = _ref_check_exante_ef(dist, inst, alpha)
-        assert check_exante_ef(dist, inst, alpha).to_json() == expected.to_json()
-    return check_efx(inst, alloc).passed
-
-
 def test_integer_audits_match_value_of_loops():
     rng = SplitMix64(2507)
     makers = (lex_instance, additive_instance, _fraction_additive_instance)
@@ -328,7 +493,7 @@ def test_integer_audits_match_value_of_loops():
         alloc = _random_allocation(rng, inst)
         tied = any(len(set(v.values)) < inst.m for v in inst.valuations if isinstance(v, Additive))
         dist = _random_lottery(rng, inst) if tied or case % 2 else uniform_permutation(inst)
-        failing += not _same_verdicts(inst, alloc, dist)
+        failing += not _same_as_spec(inst, alloc, dist)[0]["passed"]
     assert failing > 300  # most random allocations are not EFX
 
 
@@ -423,7 +588,7 @@ def test_integer_audits_match_value_of_loops_on_tables_and_mixed_kinds():
         charity = check_efx_with_charity(inst, alloc).passed
         bounded = check_bounded_charity(inst, alloc).passed
         complete = _random_allocation(rng, inst)
-        seen.add((efx, charity, bounded, _same_verdicts(inst, complete, _random_lottery(rng, inst))))
+        seen.add((efx, charity, bounded, _same_as_spec(inst, complete, _random_lottery(rng, inst))[0]["passed"]))
     # every audit both passes and fails somewhere
     assert all({flags[k] for flags in seen} == {True, False} for k in range(4))
 
@@ -437,7 +602,7 @@ def test_integer_audits_never_call_value_of(monkeypatch):
             partial = _random_partial_allocation(rng, inst)
             _same_envy_verdicts(inst, partial)
             alloc, dist = _random_allocation(rng, inst), _random_lottery(rng, inst)
-            _same_verdicts(inst, alloc, dist)
+            _same_as_spec(inst, alloc, dist)
             cases.append((inst, partial, alloc, dist))
 
     # value_of and every other exact-value read go through Valuation.value
@@ -458,45 +623,7 @@ def test_integer_audits_never_call_value_of(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# differential check of the heap-driven Pareto audit against the rescanning loop
-
-
-def _ref_check_po_lex(inst, alloc):
-    if alloc.pool or not alloc.is_complete(inst.m):
-        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
-    rankings = ordinal_rankings(inst)
-    owner = {}
-    for i, bundle in enumerate(alloc.bundles):
-        for g in bundle:
-            owner[g] = i
-    remaining = set(range(inst.m))
-    cursors = [0] * inst.n
-    sequence = []
-
-    def top_remaining(i):
-        r = rankings[i]
-        while cursors[i] < len(r) and r[cursors[i]] not in remaining:
-            cursors[i] += 1
-        return r[cursors[i]] if cursors[i] < len(r) else None
-
-    progress = True
-    while remaining and progress:
-        progress = False
-        for i in inst.agents:
-            g = top_remaining(i)
-            if g is not None and owner.get(g) == i:
-                sequence.append(i)
-                remaining.discard(g)
-                progress = True
-                break
-    if remaining:
-        stuck = {i: top_remaining(i) for i in inst.agents}
-        return AuditReport(
-            "po-lex",
-            False,
-            {"unconsumed": sorted(remaining), "top_choices": {str(i): g for i, g in stuck.items()}},
-        )
-    return AuditReport("po-lex", True, {"sequence": sequence})
+# the heap-driven Pareto audit against the rescanning greedy
 
 
 def _picking_allocation(rng, inst):
@@ -539,42 +666,7 @@ def test_po_lex_heap_matches_the_rescanning_loop():
 
 
 # ---------------------------------------------------------------------------
-# differential check of the one-matrix ex-ante audits against per-pair loops
-
-
-def _ref_exante_ratio(dist, inst, i, j):
-    num = _ref_expected_value(dist, inst, i, i)
-    den = _ref_expected_value(dist, inst, i, j)
-    if den == 0:
-        return None
-    return num / den
-
-
-def _ref_check_exante_prop(dist, inst, alpha):
-    everything = frozenset(range(inst.m))
-    for i in inst.agents:
-        got = _ref_expected_value(dist, inst, i, i)
-        fair_share = value_of(inst, i, everything) / inst.n
-        if got < alpha * fair_share:
-            witness = {"agent": i, "alpha": str(alpha), "expected": str(got), "share": str(fair_share)}
-            return AuditReport("exante-prop", False, witness)
-    return AuditReport("exante-prop", True, {"alpha": str(alpha)})
-
-
-def _ref_check_stochastic_dominance_half(dist, inst):
-    for i in inst.agents:
-        for j in inst.agents:
-            if i == j:
-                continue
-            own_vals = [(p, value_of(inst, i, a.bundles[i])) for p, a in dist.support]
-            other_vals = [(p, value_of(inst, i, a.bundles[j])) for p, a in dist.support]
-            for t in sorted({v for _, v in own_vals} | {v for _, v in other_vals}):
-                p_own = sum((p for p, v in own_vals if v >= t), start=F(0))
-                p_other = sum((p for p, v in other_vals if v >= t), start=F(0))
-                if 2 * p_own < p_other:
-                    witness = {"viewer": i, "toward": j, "threshold": str(t), "own": str(p_own), "other": str(p_other)}
-                    return AuditReport("stochastic-dominance-half", False, witness)
-    return AuditReport("stochastic-dominance-half", True)
+# the one-matrix ex-ante audits against per-pair loops
 
 
 def _mixed_instance(rng, n, m):
@@ -590,12 +682,13 @@ def test_exante_audits_match_per_pair_loops():
     for _ in range(500):
         inst = _mixed_instance(rng, 2 + rng.below(3), 1 + rng.below(6))
         dist = _random_lottery(rng, inst)
+        E = _ref_expectations(dist, inst)
         for i in inst.agents:
             for j in inst.agents:
-                assert exante_ratio(dist, inst, i, j) == _ref_exante_ratio(dist, inst, i, j)
+                assert exante_ratio(dist, inst, i, j) == _ref_exante_ratio(E, i, j)
         reports = [(check_stochastic_dominance_half(dist, inst), _ref_check_stochastic_dominance_half(dist, inst))]
         for alpha in (F(0), F(1, 2), F(3, 4), F(1), F(3, 2)):
-            reports.append((check_exante_prop(dist, inst, alpha), _ref_check_exante_prop(dist, inst, alpha)))
+            reports.append((check_exante_prop(dist, inst, alpha), _ref_check_exante_prop(E, inst, alpha)))
         for got, expected in reports:
             assert got.to_json() == expected.to_json()
             failing += not got.passed
@@ -617,90 +710,6 @@ def test_exante_audits_match_per_pair_loops():
                     assert got.to_json() == _ref_check_stochastic_dominance_half(lottery, inst).to_json()
                     failing += not got.passed
     assert 8 < failing < 72  # witnesses compared, and passes too
-
-
-# ---------------------------------------------------------------------------
-# differential check of the one-good-bundle EFX rule, the inline Pareto
-# greedy and the cross-multiplied least ratio against the routines they
-# replaced, kept verbatim
-
-
-def _ref_weighted_check_efx(inst, alloc):
-    for i, val in enumerate(inst.valuations):
-        w = val.weights
-        vi = val.int_value(alloc.bundles[i])
-        if isinstance(val, Table):
-            for j in inst.agents:
-                if i == j:
-                    continue
-                mask = core.bundle_mask(alloc.bundles[j])
-                for g in alloc.bundles[j]:
-                    if vi < w[mask ^ (1 << g)]:
-                        return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
-            continue
-        weight = w.__getitem__
-        least = min(w, default=0)  # bounds every bundle's least weight from below
-        for j in inst.agents:
-            bundle = alloc.bundles[j]
-            if i == j or not bundle:
-                continue
-            total = sum(map(weight, bundle))
-            if vi < total - least and vi < total - min(map(weight, bundle)):
-                g = next(g for g in bundle if vi < total - w[g])
-                return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
-    return AuditReport("efx", True)
-
-
-def _ref_placing_check_po_lex(inst, alloc):
-    if alloc.pool or not alloc.is_complete(inst.m):
-        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
-    rankings = ordinal_rankings(inst)
-    owner: dict[int, int] = {}
-    for i, bundle in enumerate(alloc.bundles):
-        for g in bundle:
-            owner[g] = i
-    remaining = set(range(inst.m))
-    cursors = [0] * inst.n  # each agent's top remaining good, or len(ranking)
-    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
-    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
-    sequence: list[int] = []
-
-    def place(i: int) -> None:
-        r = rankings[i]
-        c = cursors[i]
-        while c < len(r) and r[c] not in remaining:
-            c += 1
-        cursors[i] = c
-        if c < len(r):
-            if owner[r[c]] == i:
-                heappush(ready, i)
-            else:
-                waiting.setdefault(r[c], []).append(i)
-
-    for i in inst.agents:
-        place(i)
-    # the lowest ready agent picks; a pick moves only the picker's top and
-    # the tops of the agents waiting on the picked good
-    while ready:
-        i = heappop(ready)
-        g = rankings[i][cursors[i]]
-        sequence.append(i)
-        remaining.discard(g)
-        place(i)
-        for k in waiting.pop(g, ()):
-            place(k)
-    if remaining:
-        top = {str(i): r[c] if c < len(r) else None for i, (r, c) in enumerate(zip(rankings, cursors))}
-        return AuditReport("po-lex", False, {"unconsumed": sorted(remaining), "top_choices": top})
-    return AuditReport("po-lex", True, {"sequence": sequence})
-
-
-def _ref_fraction_min_exante_ratio(dist, inst):
-    matrix, _ = audit._expected_matrix(dist, inst)
-    ratios = (
-        audit._ratio(row[i], other) for i, row in enumerate(matrix) for j, other in enumerate(row) if i != j
-    )
-    return min((r for r in ratios if r is not None), default=None)
 
 
 def _fraction_lex_instance(rng, n, m):
@@ -744,18 +753,11 @@ def _failing_pair(inst):
     return not_efx, IntegralAllocation(tuple(map(frozenset, bundles)))
 
 
-def _same_as_replaced(inst, allocs, dist=None):
-    verdicts = []
-    for alloc in allocs:
-        efx, ref_efx = check_efx(inst, alloc), _ref_weighted_check_efx(inst, alloc)
-        assert efx.to_json() == ref_efx.to_json()
-        po, ref_po = check_po_lex(inst, alloc), _ref_placing_check_po_lex(inst, alloc)
-        assert po.to_json() == ref_po.to_json()
-        verdicts.append((efx.passed, po.passed))
-    if dist is not None:
-        ratio, ref = min_exante_ratio(dist, inst), _ref_fraction_min_exante_ratio(dist, inst)
-        assert (ratio, type(ratio)) == (ref, type(ref))
-    return verdicts
+# ---------------------------------------------------------------------------
+# the support audits of whole lotteries against the specifications: the
+# least-weight EFX pre-test, the Pareto greedy that places only agents with
+# goods left, the per-good share matrix, the least ratio by cross
+# multiplication and the instance's cached rankings and EFX viewer state
 
 
 def test_support_audits_match_the_replaced_routines():
@@ -765,19 +767,20 @@ def test_support_audits_match_the_replaced_routines():
         n = (8, 12)[case // 3 % 2]
         inst = makers[case % 3](rng, n, 2 * n)
         dist = utse(inst)
-        outcomes = [alloc for _, alloc in dist.support]
-        verdicts = _same_as_replaced(inst, outcomes, dist)
+        outputs = [_same_as_spec(inst, alloc) for _, alloc in dist.support]
+        _same_as_spec(inst, dist=dist)
         if case % 3 < 2:  # lexicographic preferences: every outcome is EFX and PO
-            assert verdicts == [(True, True)] * len(outcomes)
+            assert all(efx["passed"] and po["passed"] for efx, po in outputs)
         not_efx, not_po = _failing_pair(inst)
-        failing = _same_as_replaced(inst, [not_efx, not_po])
-        assert not failing[0][0] and not failing[1][1]
+        assert not _same_as_spec(inst, not_efx)[0]["passed"] and not _same_as_spec(inst, not_po)[1]["passed"]
     draws = 0
     while draws < 40:
         inst = lex_instance(rng, 3 + rng.below(4), 5 + rng.below(6))
         if summarize(unit_run(inst)).k == 2:
             sample = k2_sampler(inst)
-            assert _same_as_replaced(inst, [sample(seed) for seed in range(10)]) == [(True, True)] * 10
+            for seed in range(10):
+                efx, po = _same_as_spec(inst, sample(seed))
+                assert efx["passed"] and po["passed"]
             draws += 10
 
 
@@ -788,133 +791,14 @@ def test_efx_witness_of_a_negative_viewer_facing_one_good():
     for _ in range(400):
         inst = _fraction_additive_instance(rng, 2 + rng.below(4), 1 + rng.below(7))
         alloc = _random_allocation(rng, inst)
-        rep = check_efx(inst, alloc)
-        assert rep.to_json() == _ref_weighted_check_efx(inst, alloc).to_json()
-        dist = _random_lottery(rng, inst)
-        ratio, ref = min_exante_ratio(dist, inst), _ref_fraction_min_exante_ratio(dist, inst)
-        assert (ratio, type(ratio)) == (ref, type(ref))
-        if not rep.passed:
-            i, j = rep.witness["viewer"], rep.witness["toward"]
+        efx = _same_as_spec(inst, alloc, _random_lottery(rng, inst))[0]
+        if not efx["passed"]:
+            i, j = efx["witness"]["viewer"], efx["witness"]["toward"]
             faced += inst.valuations[i].int_value(alloc.bundles[i]) < 0 and len(alloc.bundles[j]) == 1
     assert faced > 20
 
 
-# ---------------------------------------------------------------------------
-# differential check of the least-weight EFX pre-test, the Pareto greedy
-# that places only agents with goods left, and the per-good share matrix
-# against the routines they replaced, kept verbatim
-
-
-def _ref_multi_check_efx(inst, alloc):
-    bundles = alloc.bundles
-    multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
-    for i, val in enumerate(inst.valuations):
-        w = val.weights
-        vi = val.int_value(bundles[i])
-        if isinstance(val, Table):
-            for j in inst.agents:
-                if i == j:
-                    continue
-                mask = core.bundle_mask(bundles[j])
-                for g in bundles[j]:
-                    if vi < w[mask ^ (1 << g)]:
-                        return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
-            continue
-        weight = w.__getitem__
-        for j in multi if vi >= 0 else inst.agents:
-            bundle = bundles[j]
-            if i == j or not bundle:
-                continue
-            total = sum(map(weight, bundle))
-            if vi < total - min(map(weight, bundle)):
-                g = next(g for g in bundle if vi < total - w[g])
-                return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
-    return AuditReport("efx", True)
-
-
-def _ref_cursor_check_po_lex(inst, alloc):
-    if alloc.pool or not alloc.is_complete(inst.m):
-        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
-    rankings = ordinal_rankings(inst)
-    m = inst.m
-    owner = [0] * m
-    for i, bundle in enumerate(alloc.bundles):
-        for g in bundle:
-            owner[g] = i
-    taken = [False] * m
-    cursors = [0] * inst.n  # each agent's top remaining good, or m
-    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
-    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
-    sequence: list[int] = []
-    # place every agent, then after each pick only the picker and the agents
-    # waiting on the picked good: the lowest ready agent picks
-    movers = inst.agents
-    while True:
-        for k in movers:
-            r = rankings[k]
-            c = cursors[k]
-            while c < m and taken[r[c]]:
-                c += 1
-            cursors[k] = c
-            if c < m:
-                g = r[c]
-                if owner[g] == k:
-                    heappush(ready, k)
-                else:
-                    waiting.setdefault(g, []).append(k)
-        if not ready:
-            break
-        i = heappop(ready)
-        g = rankings[i][cursors[i]]
-        taken[g] = True
-        sequence.append(i)
-        movers = [i, *waiting.pop(g, ())]
-    if len(sequence) < m:
-        top = {str(i): r[c] if c < m else None for i, (r, c) in enumerate(zip(rankings, cursors))}
-        unconsumed = [g for g in range(m) if not taken[g]]
-        return AuditReport("po-lex", False, {"unconsumed": unconsumed, "top_choices": top})
-    return AuditReport("po-lex", True, {"sequence": sequence})
-
-
-def _ref_bundle_expected_matrix(dist, inst):
-    scale = lcm(*(p.denominator for p, _ in dist.support))
-    mass = [Counter() for _ in inst.agents]  # j -> bundle -> scaled probability
-    for p, alloc in dist.support:
-        q = p.numerator * (scale // p.denominator)
-        for j in inst.agents:
-            mass[j][alloc.bundles[j]] += q
-    matrix = [[sum(q * val.int_value(b) for b, q in held.items()) for held in mass] for val in inst.valuations]
-    return matrix, [scale * val.scale for val in inst.valuations]
-
-
-def _same_outcome_audits(inst, alloc):
-    efx = check_efx(inst, alloc)
-    assert efx.to_json() == _ref_multi_check_efx(inst, alloc).to_json()
-    po = check_po_lex(inst, alloc)
-    assert po.to_json() == _ref_cursor_check_po_lex(inst, alloc).to_json()
-    return efx, po
-
-
-def _exante_outputs(inst, dist):
-    out = [exante_ratio(dist, inst, i, j) for i in inst.agents for j in inst.agents]
-    ratio = min_exante_ratio(dist, inst)
-    out.append((ratio, type(ratio)))
-    for alpha in (F(0), F(1, 2), F(3, 4), F(1), F(3, 2)) + ((ratio,) if ratio is not None else ()):
-        out.append(check_exante_ef(dist, inst, alpha).to_json())
-        out.append(check_exante_prop(dist, inst, alpha).to_json())
-    return out
-
-
-def _same_exante_outputs(monkeypatch, inst, dist):
-    assert audit._expected_matrix(dist, inst) == _ref_bundle_expected_matrix(dist, inst)
-    got = _exante_outputs(inst, dist)
-    with monkeypatch.context() as patched:
-        patched.setattr(audit, "_expected_matrix", _ref_bundle_expected_matrix)
-        assert got == _exante_outputs(inst, dist)
-    return got
-
-
-def test_support_audits_match_todays_routines_on_lotteries(monkeypatch):
+def test_support_audits_match_todays_routines_on_lotteries():
     rng = SplitMix64(2601)
     makers = (lex_instance, _fraction_lex_instance, additive_instance)
     failing = 0
@@ -923,22 +807,22 @@ def test_support_audits_match_todays_routines_on_lotteries(monkeypatch):
         inst = makers[case % 3](rng, n, n + rng.below(n + 3))
         dist = utse(inst)
         for _, alloc in dist.support:
-            efx, po = _same_outcome_audits(inst, alloc)
+            efx, po = _same_as_spec(inst, alloc)
             if case % 3 < 2:  # lexicographic preferences: every outcome is EFX and PO
-                assert efx.passed and po.passed
-        _same_exante_outputs(monkeypatch, inst, dist)
+                assert efx["passed"] and po["passed"]
+        _same_as_spec(inst, dist=dist)
         if len(set(ordinal_rankings(inst))) > 1:
             not_efx, not_po = _failing_pair(inst)
-            failing += not _same_outcome_audits(inst, not_efx)[0].passed
-            failing += not _same_outcome_audits(inst, not_po)[1].passed
+            failing += not _same_as_spec(inst, not_efx)[0]["passed"]
+            failing += not _same_as_spec(inst, not_po)[1]["passed"]
     draws = 0
     while draws < 30:
         inst = lex_instance(rng, 3 + rng.below(4), 5 + rng.below(6))
         if summarize(unit_run(inst)).k == 2:
             sample = k2_sampler(inst)
             for seed in range(10):
-                efx, po = _same_outcome_audits(inst, sample(seed))
-                assert efx.passed and po.passed
+                efx, po = _same_as_spec(inst, sample(seed))
+                assert efx["passed"] and po["passed"]
             draws += 10
     assert failing > 30
 
@@ -950,15 +834,15 @@ def test_po_lex_names_the_top_good_of_agents_with_finished_bundles():
     failing = finished = 0
     for case in range(500):
         inst, alloc = _po_lex_case(rng, case)
-        _, po = _same_outcome_audits(inst, alloc)
-        if not po.passed:
+        po = _same_as_spec(inst, alloc)[1]
+        if not po["passed"]:
             failing += 1
-            unconsumed = set(po.witness["unconsumed"])
+            unconsumed = set(po["witness"]["unconsumed"])
             finished += sum(not bundle & unconsumed for bundle in alloc.bundles)
     assert failing > 200 and finished > 200
 
 
-def test_efx_pre_test_with_negative_and_zero_weights(monkeypatch):
+def test_efx_pre_test_with_negative_and_zero_weights():
     # ties, zeros and negatives: the least weight can be 0 or negative, and a
     # viewer worth less than the empty bundle scans every agent
     rng = SplitMix64(2603)
@@ -966,15 +850,13 @@ def test_efx_pre_test_with_negative_and_zero_weights(monkeypatch):
     for _ in range(600):
         inst = _fraction_additive_instance(rng, 2 + rng.below(4), 1 + rng.below(8))
         alloc = _random_allocation(rng, inst)
-        efx = check_efx(inst, alloc)
-        assert efx.to_json() == _ref_multi_check_efx(inst, alloc).to_json()
-        failing += not efx.passed
+        efx = _same_as_spec(inst, alloc, _random_lottery(rng, inst))[0]
+        failing += not efx["passed"]
         negative += any(val.least_weight < 0 for val in inst.valuations)
-        _same_exante_outputs(monkeypatch, inst, _random_lottery(rng, inst))
     assert 100 < failing < 500 and negative > 300
 
 
-def test_exante_audits_match_todays_matrix_on_mixed_table_instances(monkeypatch):
+def test_exante_audits_match_todays_matrix_on_mixed_table_instances():
     # every instance holds a table and a per-good viewer, so both halves of
     # the matrix are read in one call
     rng = SplitMix64(2604)
@@ -986,133 +868,11 @@ def test_exante_audits_match_todays_matrix_on_mixed_table_instances(monkeypatch)
         vals.insert(rng.below(n), table)
         inst = Instance(n=n, m=m, valuations=tuple(vals))
         dist = _random_lottery(rng, inst)
-        outputs = _same_exante_outputs(monkeypatch, inst, dist)
+        outputs = _same_as_spec(inst, dist=dist)
         failing += sum(not out["passed"] for out in outputs if isinstance(out, dict))
         for _, alloc in dist.support:
-            assert check_efx(inst, alloc).to_json() == _ref_multi_check_efx(inst, alloc).to_json()
+            _same_as_spec(inst, alloc)
     assert failing > 300
-
-
-# ---------------------------------------------------------------------------
-# differential check of the audits that read the instance's cached rankings
-# and EFX viewer state against the routines that rebuilt both per outcome,
-# kept verbatim but for the `_ref_` helpers they call
-
-
-def _ref_ordinal_rankings(inst):
-    rankings = []
-    for i, val in enumerate(inst.valuations):
-        try:
-            rankings.append(val.ordinal_ranking())
-        except PreconditionError as exc:
-            raise PreconditionError(f"agent {i}: {exc}") from None
-    return rankings
-
-
-def _ref_allocated(alloc):
-    out = frozenset()
-    for b in alloc.bundles:
-        out |= b
-    return out
-
-
-def _ref_is_complete(alloc, m):
-    return _ref_allocated(alloc) | alloc.pool == frozenset(range(m))
-
-
-def _ref_format_rational(x):
-    return str(Fraction(x))
-
-
-def _ref_least_check_efx(inst, alloc):
-    bundles = alloc.bundles
-    multi = [j for j, bundle in enumerate(bundles) if len(bundle) > 1]
-    for i, val in enumerate(inst.valuations):
-        w = val.weights
-        vi = val.int_value(bundles[i])
-        if isinstance(val, Table):
-            for j in inst.agents:
-                if i == j:
-                    continue
-                mask = core.bundle_mask(bundles[j])
-                for g in bundles[j]:
-                    if vi < w[mask ^ (1 << g)]:
-                        return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
-            continue
-        weight = w.__getitem__
-        bound = vi + val.least_weight  # a pair can fail only if its total exceeds this
-        for j in multi if vi >= 0 else inst.agents:
-            bundle = bundles[j]
-            if i == j or not bundle:
-                continue
-            total = sum(map(weight, bundle))
-            if total > bound and vi < total - min(map(weight, bundle)):
-                g = next(g for g in bundle if vi < total - w[g])
-                return AuditReport("efx", False, audit._pair_witness(i, j, good=g))
-    return AuditReport("efx", True)
-
-
-def _ref_left_check_po_lex(inst, alloc):
-    if alloc.pool or not _ref_is_complete(alloc, inst.m):
-        raise PreconditionError("Pareto audit needs a complete allocation with an empty pool")
-    rankings = _ref_ordinal_rankings(inst)
-    m = inst.m
-    owner = [0] * m
-    for i, bundle in enumerate(alloc.bundles):
-        for g in bundle:
-            owner[g] = i
-    left = [len(bundle) for bundle in alloc.bundles]  # own goods not yet picked
-    taken = [False] * m
-    cursors = [0] * inst.n  # each placed agent's top remaining good
-    ready: list[int] = []  # min-heap of agents whose top remaining good is their own
-    waiting: dict[int, list[int]] = {}  # good -> agents whose top it is, not its owner
-    sequence: list[int] = []
-    movers = [i for i in inst.agents if left[i]]
-    while True:
-        for k in movers:
-            r = rankings[k]
-            c = cursors[k]
-            while taken[r[c]]:
-                c += 1
-            cursors[k] = c
-            g = r[c]
-            if owner[g] == k:
-                heappush(ready, k)
-            else:
-                waiting.setdefault(g, []).append(k)
-        if not ready:
-            break
-        i = heappop(ready)
-        g = rankings[i][cursors[i]]
-        taken[g] = True
-        sequence.append(i)
-        left[i] -= 1
-        movers = waiting.pop(g, [])
-        if left[i]:
-            movers.insert(0, i)
-    if len(sequence) < m:
-        top = {str(i): next(g for g in r if not taken[g]) for i, r in enumerate(rankings)}
-        unconsumed = [g for g in range(m) if not taken[g]]
-        return AuditReport("po-lex", False, {"unconsumed": unconsumed, "top_choices": top})
-    return AuditReport("po-lex", True, {"sequence": sequence})
-
-
-def _outcome(inst, alloc):
-    # both audits, each beside its reference; a refusal counts as an output
-    out = []
-    for check, ref in ((check_efx, _ref_least_check_efx), (check_po_lex, _ref_left_check_po_lex)):
-        got = []
-        for run in (check, ref):
-            try:
-                got.append(run(inst, alloc).to_json())
-            except PreconditionError as exc:
-                got.append(str(exc))
-        assert got[0] == got[1]
-        out.append(got[0])
-    assert alloc.allocated() == _ref_allocated(alloc)
-    for m in (inst.m - 1, inst.m, inst.m + 1):
-        assert alloc.is_complete(m) == _ref_is_complete(alloc, m)
-    return out
 
 
 def _same_lottery(inst, dist):
@@ -1120,7 +880,7 @@ def _same_lottery(inst, dist):
         assert format_rational(p) == _ref_format_rational(p)
     ref = {"support": [{"prob": _ref_format_rational(p), **alloc.to_json()} for p, alloc in dist.support]}
     assert dist.to_json() == ref
-    return [_outcome(inst, alloc) for _, alloc in dist.support]
+    return [_same_as_spec(inst, alloc) for _, alloc in dist.support]
 
 
 def test_cached_instance_state_matches_the_per_outcome_routines():
@@ -1137,15 +897,15 @@ def test_cached_instance_state_matches_the_per_outcome_routines():
         assert rankings is ordinal_rankings(inst) and rankings == tuple(_ref_ordinal_rankings(inst))
         if len(set(rankings)) > 1:
             not_efx, not_po = _failing_pair(inst)
-            failing += not _outcome(inst, not_efx)[0]["passed"]
-            failing += not _outcome(inst, not_po)[1]["passed"]
+            failing += not _same_as_spec(inst, not_efx)[0]["passed"]
+            failing += not _same_as_spec(inst, not_po)[1]["passed"]
     assert failing > 40  # of at most 48 controls; a two-agent control can pass
     # random bundles under ties, zeros and negative weights: own values at
     # the edge of every pair's test
     envious = 0
     for _ in range(400):
         inst = _fraction_additive_instance(rng, 2 + rng.below(4), 1 + rng.below(8))
-        envious += not _outcome(inst, _random_allocation(rng, inst))[0]["passed"]
+        envious += not _same_as_spec(inst, _random_allocation(rng, inst))[0]["passed"]
     assert 100 < envious < 350
     draws = 0
     while draws < 30:
@@ -1153,7 +913,7 @@ def test_cached_instance_state_matches_the_per_outcome_routines():
         if summarize(unit_run(inst)).k == 2:
             sample = k2_sampler(inst)
             for seed in range(10):
-                efx, po = _outcome(inst, sample(seed))
+                efx, po = _same_as_spec(inst, sample(seed))
                 assert efx["passed"] and po["passed"]
             draws += 10
 
@@ -1174,7 +934,7 @@ def test_cached_efx_state_on_tables_skips_the_least_weight():
         if case % 4 == 0:  # a pool: the EFX audit ignores it, the Pareto audit refuses it
             pooled = [g for g in inst.goods if rng.below(3) == 0]
             alloc = IntegralAllocation(tuple(b - set(pooled) for b in alloc.bundles), frozenset(pooled))
-        efx, po = _outcome(inst, alloc)
+        efx, po = _same_as_spec(inst, alloc)
         failing += not efx["passed"]
         refusal = "Pareto audit needs a complete allocation with an empty pool"
         assert po == refusal if alloc.pool else po.startswith("agent ")  # a table or tied values
@@ -1192,7 +952,7 @@ def test_tied_rankings_raise_on_every_call_and_are_never_cached():
             with pytest.raises(PreconditionError) as exc:
                 run(tied)
             assert str(exc.value) == message
-        assert _outcome(tied, alloc)[1] == message
+        assert _same_as_spec(tied, alloc)[1] == message
         assert "_ordinal_rankings" not in vars(tied)
     # an incomplete allocation and one with a pool are refused before the
     # rankings are read
@@ -1202,7 +962,7 @@ def test_tied_rankings_raise_on_every_call_and_are_never_cached():
     refusal = "Pareto audit needs a complete allocation with an empty pool"
     for inst in (tied, fine):
         for alloc in (partial, pooled):
-            assert _outcome(inst, alloc)[1] == refusal
+            assert _same_as_spec(inst, alloc)[1] == refusal
 
 
 def test_format_rational_matches_the_fraction_round_trip():

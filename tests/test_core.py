@@ -314,8 +314,8 @@ def test_valuations_hold_an_integer_form():
 
 
 # ---------------------------------------------------------------------------
-# differential check of the one-pass JSON read of integer strings against
-# the per-value int() loop it runs ahead of, kept verbatim
+# differential check of the integer form against the per-value int() loop
+# and parse_exact, which it runs after the lookup, kept verbatim
 
 
 def _ref_integer_form(values):
@@ -383,12 +383,9 @@ _FALL_THROUGH = {
 
 
 @pytest.mark.parametrize("values", list(_BULK.values()), ids=list(_BULK))
-def test_integer_strings_take_one_json_pass(monkeypatch, values):
+def test_integer_strings_read_as_the_int_loop(values):
     assert _outcome(core._integer_form, values) == _outcome(_ref_integer_form, values)
     assert core._integer_form(values)[0] == 1
-    # a silent fall-through would give the same weights more slowly
-    assert not _reaches_the_slow_path(monkeypatch, values)
-    assert not _reaches_the_slow_path(monkeypatch, iter(values))
 
 
 @pytest.mark.parametrize("values", list(_FALL_THROUGH.values()), ids=list(_FALL_THROUGH))
@@ -406,7 +403,7 @@ def test_the_digit_limit_holds_on_both_paths():
 
 # ---------------------------------------------------------------------------
 # the dict lookup of small canonical integer strings, tried ahead of the
-# json pass when the last value is one
+# int() loop when the last value is one
 
 
 def test_the_lookup_holds_canonical_spellings_only():
@@ -449,19 +446,17 @@ def test_values_that_end_in_no_string_never_build_the_lookup(monkeypatch):
     Table((0, 1, 1, 2))
 
 
-def test_small_tables_skip_the_json_pass(monkeypatch):
+def test_small_tables_skip_the_int_loop(monkeypatch):
     values = _written_table()
     assert max(map(int, values)) < len(core._small_ints())
     data = json.loads(json.dumps(instance_to_json(Instance(n=1, m=12, valuations=(Table(values),)))))
-    big = values[:-1] + [str(int(values[-1]) + len(core._small_ints()))]
-    real, texts = json.loads, []
-    monkeypatch.setattr(core.json, "loads", lambda text: texts.append(text) or real(text))
     assert instance_from_json(data).valuations[0].weights == _ref_integer_form(values)[1]
-    assert texts == []
-    # a table whose last value is out of range takes the one-pass read
+    assert not _reaches_the_slow_path(monkeypatch, values)
+    assert not _reaches_the_slow_path(monkeypatch, iter(values))
+    # a table whose last value is out of range takes the int() loop
+    big = values[:-1] + [str(int(values[-1]) + len(core._small_ints()))]
     assert Table(big).weights == _ref_integer_form(big)[1]
-    assert len(texts) == 1
-    assert not _reaches_the_slow_path(monkeypatch, big)
+    assert _reaches_the_slow_path(monkeypatch, big)
 
 
 @pytest.mark.parametrize("ranking", [(1.5, 0), ("a", 1), (True, 0), (1.0, 0)], ids=repr)

@@ -12,7 +12,12 @@ The package's `__init__` only re-exports, so its imports and `__all__` do
 not count as reads.  A name that only tests read is dead code; the tests
 should reach what it did through the code that remains.  `KEEP` holds
 exactly the public names nothing reads, so an entry that names something
-missing, or something a reader already justifies, fails as stale."""
+missing, or something a reader already justifies, fails as stale.
+
+A `_ref_` function under `tests/` is the specification of a contract that
+some test compares the package with, so it must be read by another
+statement of its module or imported by another test module: a reference
+nothing reads is a superseded copy."""
 
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bobw"
+TESTS = ROOT / "tests"
 OUTSIDE = ("demos", "perfbench")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -103,6 +109,12 @@ def test_every_private_helper_is_used_by_the_package():
 
 def test_every_public_name_has_a_reader_or_a_keep_reason():
     assert _unjustified(_scan()[1], KEEP) == []
+
+
+def test_every_reference_in_the_tests_is_read():
+    tests = {path.stem: ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))}
+    private, _ = _unread(tests)
+    assert [name for name in private if name.split(".", 1)[1].startswith("_ref_")] == []
 
 
 def test_the_guard_sees_helpers_only_their_own_definition_reads():

@@ -29,7 +29,6 @@ from bobw import (
     exact_distribution_charity,
     get_fixture,
     instance_to_json,
-    minimal_envied_subset,
     random_charity_swap,
     replay_swap_trace,
     sdef_feasibility,
@@ -48,9 +47,7 @@ from bobw.eating import ordinal_rankings
 from bobw.rng import SplitMix64
 
 from helpers import (
-    _ref_enviers_of_set,
     additive_instance,
-    all_pooled,
     capped_additive_instance,
     from_assignment,
     lex_instance,
@@ -484,7 +481,8 @@ def _ref_iter_charity_branches_iterative(inst, leaf_cap=oracle.DEFAULT_LEAF_CAP)
     (bundle masks, pool mask, probability, steps) lets runs outgrow Python's
     recursion limit; children go on in reverse, so the lowest envier's branch
     is first.  Sets are built only for the steps and the final allocations."""
-    # the tree enumerator the merged walk replaced, kept as a reference
+    # the tree enumerator the merged walk replaced: the one reference for
+    # its lottery and for the runs behind it
     if leaf_cap < 0:
         raise PreconditionError(f"leaf cap must be non-negative, got {leaf_cap}")
     require_monotone_integer(inst)
@@ -512,38 +510,11 @@ def test_branch_enumeration_covers_the_whole_tree():
     inst = get_fixture("FIX-E")
     branches = list(_ref_iter_charity_branches_iterative(inst))
     assert len(branches) == 6
-    assert sum((p for p, _, _ in branches), start=F(0)) == 1
     for prob, alloc, trace in branches:
         assert prob > 0
         assert replay_swap_trace(inst, trace) == alloc
-
-
-def _ref_apply_swap(alloc, subset, chosen):
-    # the frozenset pool swap the bitmask walks replaced
-    bundles = list(alloc.bundles)
-    pool = (alloc.pool - subset) | bundles[chosen]
-    bundles[chosen] = subset
-    return IntegralAllocation(bundles=tuple(bundles), pool=pool)
-
-
-def _ref_iter_charity_branches(inst):
-    # the recursive enumerator the iterative one replaced
-    def walk(alloc, prob, steps):
-        subset = minimal_envied_subset(inst, alloc)
-        if subset is None:
-            yield prob, alloc, SwapTrace(steps=tuple(steps))
-            return
-        enviers = tuple(_ref_enviers_of_set(inst, alloc, subset))
-        share = prob / len(enviers)
-        for k in enviers:
-            steps.append(SwapStep(subset=subset, enviers=enviers, chosen=k))
-            yield from walk(_ref_apply_swap(alloc, subset, k), share, steps)
-            steps.pop()
-
-    yield from walk(all_pooled(inst), F(1), [])
-
-
-def test_branch_enumeration_matches_the_recursive_walk():
+    # the runs' probabilities sum to one, and the merged walk's lottery is
+    # the runs' outcomes merged
     rng = SplitMix64(4419)
     instances = [get_fixture("FIX-E")]
     for k in range(60):
@@ -557,7 +528,7 @@ def test_branch_enumeration_matches_the_recursive_walk():
     leaves = 0
     for inst in instances:
         branches = list(_ref_iter_charity_branches_iterative(inst))
-        assert branches == list(_ref_iter_charity_branches(inst))
+        assert sum((p for p, _, _ in branches), start=F(0)) == 1
         assert exact_distribution_charity(inst, 3) == RandomizedAllocation.merged((p, a) for p, a, _ in branches)
         leaves += len(branches)
     assert leaves > 3000  # about 2,570 over tables and 1,050 over per-good weights

@@ -387,7 +387,8 @@ def test_dependent_round_long_ring_needs_no_stack_depth():
 
 
 def _ref_kuhn_matching(adj, n):
-    # the recursive augmenting-path search the iterative one replaced
+    # the recursive augmenting-path search the iterative one replaced, and
+    # the matching of every term of _ref_bvn_decompose
     match_col = {}
 
     def extend(i, seen):
@@ -561,7 +562,7 @@ def _ref_bvn_decompose(rows: Sequence[Sequence[Fraction]]) -> Decomposition:
         col_sums = _ref_column_sums(X)
         adj = [[j for j in range(m) if X[i][j] > 0] for i in range(n)]
         full = {j for j in range(m) if col_sums[j] == remaining}
-        match_col = _resume_matching(adj, [], 0)
+        match_col = _ref_kuhn_matching(adj, n)
         for c in sorted(full):
             if not _ref_repair_matching(adj, match_col, c, protected=full):
                 raise AssertionError("a saturated column could not be matched")
